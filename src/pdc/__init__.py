@@ -13,8 +13,7 @@ every checker; `pdc check-all` runs the full acceptance registry.
 
 from .checks import CheckResult, run_all, run_check
 from .correspondence import (CorrespondenceTerm, KCoefficient, expand_bar,
-                             format_expansion, format_term,
-                             gw_variable_change, leading_term,
+                             format_expansion, format_term, leading_term,
                              parity_reality_check)
 from .descendents import (DescElement, DescParseError, Generator,
                           class_degree, format_element, format_monomial,
@@ -27,8 +26,8 @@ from .laurent import LaurentSeries, laurent_expand, u_expand
 from .partitions import koszul_sign, partitions_of, set_partitions, zaut
 from .polynomial import Polynomial
 from .ratfun import (RationalFunction, RFParseError, fe_check, invert_q,
-                     parse_rf, pole_check, q_ddq, rf_make)
-from .series import (ChernNumberKey, CobordismSeries, SeriesDB, SeriesKey,
+                     parse_rf, pole_check, q_ddq)
+from .series import (CobordismSeries, SeriesDB, SeriesKey,
                      SeriesRecord, UnknownSeriesError, builtin_db,
                      canonical_insertions, cap_series, cobordism_example,
                      cobordism_fe_check, dump_db, key_from_str, key_str,

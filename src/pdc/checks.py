@@ -18,8 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, NamedTuple
 
-from .correspondence import (expand_bar, gw_variable_change, leading_term,
-                             parity_reality_check)
+from .correspondence import expand_bar, leading_term, parity_reality_check
 from .descendents import DescElement, gen, parse_element
 from .fields import FIELDS, GaussianRational
 from .laurent import laurent_expand, u_expand
@@ -317,7 +316,7 @@ def check_u_transform() -> tuple[bool, str]:
     db = builtin_db()
     pairs = []
     two_pt = db.lookup("P3", 1, "ch2(p)*ch2(p)")
-    got = _nonzero_u_coeffs(gw_variable_change(two_pt, 4, 11))
+    got = _nonzero_u_coeffs(u_expand(two_pt, 4, 11))
     want = {2: Fraction(1), 4: Fraction(-1, 12), 6: Fraction(1, 360),
             8: Fraction(-1, 20160), 10: Fraction(1, 1814400)}
     pairs.append(("two-point series is 2 - 2cos(u) through order 10",
@@ -336,8 +335,7 @@ def check_u_transform() -> tuple[bool, str]:
         ("P3:1:ch3(H)*ch3(p)", 4, 1), ("P3:2:ch11(1)", 8, -1),
     ]
     for key_text, d_beta, sign in parity_cases:
-        series = gw_variable_change(db.get(key_from_str(key_text)).value,
-                                    d_beta, 9)
+        series = u_expand(db.get(key_from_str(key_text)).value, d_beta, 9)
         pairs.append((f"parity/reality {key_text} sign={sign}",
                       parity_reality_check(series, sign)))
     return _failures(pairs)

@@ -19,10 +19,9 @@ import json
 import os
 import sys
 
-from .correspondence import (expand_bar, format_expansion,
-                             gw_variable_change)
+from .correspondence import expand_bar, format_expansion
 from .descendents import DescParseError, gen, parse_element
-from .laurent import LaurentSeries, laurent_expand
+from .laurent import LaurentSeries, laurent_expand, u_expand
 from .ratfun import RationalFunction, RFParseError, fe_check, pole_check
 from .series import (SeriesDB, SeriesRecord, UnknownSeriesError, builtin_db,
                      cap_series, key_from_str, key_str, load_db,
@@ -64,11 +63,6 @@ def _reduce_series(text: str, degree: int) -> RationalFunction:
         raise CliError(str(exc)) from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-
-
-def _rf_json(value: RationalFunction) -> dict:
-    from .series import rf_to_obj
-    return rf_to_obj(value)
 
 
 def _laurent_json(series: LaurentSeries) -> dict:
@@ -134,7 +128,7 @@ def _cmd_expand(args) -> int:
     if args.var == "u":
         if value.field.tag not in ("Q", "Qi"):
             raise CliError("u-expansion needs rational coefficients")
-        series = gw_variable_change(value, 4 * args.degree, args.order)
+        series = u_expand(value, 4 * args.degree, args.order)
     else:
         series = laurent_expand(value, args.order)
     _emit(args, _laurent_json(series), str(series))
@@ -203,7 +197,7 @@ def _cmd_gw_expand(args) -> int:
     value = _reduce_series(args.series, args.degree)
     if value.field.tag not in ("Q", "Qi"):
         raise CliError("u-expansion needs rational coefficients")
-    series = gw_variable_change(value, 4 * args.degree, args.order)
+    series = u_expand(value, 4 * args.degree, args.order)
     lines = [str(series)]
     payload = _laurent_json(series)
     if args.show_bar:

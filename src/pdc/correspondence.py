@@ -7,9 +7,9 @@ alpha_hat vanishes unless |alpha_hat| <= |alpha| and a homogeneity number
 is nonnegative.  This module implements the coefficients as opaque
 symbols carrying those constraints, the set-partition expansion of a
 product of insertions with its sign rule, the leading term of that
-expansion, the variable change from the box-counting variable q to the
-angle variable u, and the parity/reality test that mirrors the
-functional equation on the u side.
+expansion, and the parity/reality test that mirrors the functional
+equation on the u side (the variable change from the box-counting
+variable q to the angle variable u is laurent.u_expand).
 
 No numeric coefficient values appear anywhere: expansions are lists of
 symbolic terms, and the u-side series are computed only from the stored
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .laurent import LaurentSeries, u_expand
+from .laurent import LaurentSeries
 from .partitions import koszul_sign, partitions_of, set_partitions
-from .ratfun import RationalFunction
 
 Partition = tuple
 
@@ -163,13 +162,6 @@ def format_expansion(alpha: Partition, terms=None) -> str:
     if terms is None:
         terms = expand_bar(alpha)
     return "\n".join(format_term(t, alpha) for t in terms)
-
-
-def gw_variable_change(F: RationalFunction, d_beta: int,
-                       order: int) -> LaurentSeries:
-    """The u-side prediction for a q-side series: the exact expansion of
-    (-q)**(-d_beta/2) * F under -q = exp(i*u), to the given order."""
-    return u_expand(F, d_beta, order)
 
 
 def parity_reality_check(S: LaurentSeries, sign: int) -> bool:

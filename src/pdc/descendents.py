@@ -76,12 +76,17 @@ class DescElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        for factors, c in (terms or {}).items():
-            c = rat(c)
-            if c:
-                clean[monomial(factors)] = c
+        clean = accumulate({}, ((monomial(factors), rat(c))
+                                for factors, c in (terms or {}).items()))
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_terms(cls, terms: dict) -> "DescElement":
+        # Internal: terms must already map sorted monomials to nonzero
+        # Fractions, as accumulate leaves them.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "terms", terms)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("DescElement is immutable")
@@ -120,17 +125,12 @@ class DescElement:
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "DescElement") -> "DescElement":
-        out = dict(self.terms)
-        for factors, c in other.terms.items():
-            s = out.get(factors, 0) + c
-            if s:
-                out[factors] = s
-            elif factors in out:
-                del out[factors]
-        return DescElement(out)
+        return DescElement._from_terms(
+            accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "DescElement":
-        return DescElement({factors: -c for factors, c in self.terms.items()})
+        return DescElement._from_terms(
+            {factors: -c for factors, c in self.terms.items()})
 
     def __sub__(self, other: "DescElement") -> "DescElement":
         return self + (-other)
@@ -138,30 +138,20 @@ class DescElement:
     def __mul__(self, other):
         if not isinstance(other, DescElement):
             return self.scale(other)
-        out: dict = {}
-        for fa, ca in self.terms.items():
-            for fb, cb in other.terms.items():
-                key = monomial(fa + fb)
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return DescElement(out)
+        return DescElement._from_terms(accumulate(
+            {}, ((monomial(fa + fb), ca * cb)
+                 for fa, ca in self.terms.items()
+                 for fb, cb in other.terms.items())))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "DescElement":
         c = rat(c)
-        return DescElement({f: c * v for f, v in self.terms.items()})
-
-    def mul_monomial(self, extra: Monomial) -> "DescElement":
-        """Formal product with a coefficient-one monomial."""
-        if not extra:
-            return self
-        return DescElement({monomial(f + tuple(extra)): c
-                            for f, c in self.terms.items()})
+        if not c:
+            return DescElement.zero()
+        return DescElement._from_terms(
+            {f: c * v for f, v in self.terms.items()})
 
     # -- display -----------------------------------------------------------------
 
@@ -172,40 +162,53 @@ class DescElement:
         return f"DescElement({format_element(self)})"
 
 
+def accumulate(acc: dict, items) -> dict:
+    """Add each (key, coefficient) pair of items into acc, in place.
+
+    A key whose coefficients cancel is dropped, so acc never holds a zero.
+    Returns acc.
+    """
+    for key, c in items:
+        s = acc.get(key, 0) + c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def normal_terms(items):
+    """The boundary conventions on (monomial, coefficient) pairs.
+
+    Yields one pair per monomial that survives: ch_0(p) factors become the
+    scalar -1; ch_0 of the classes 1, H, L and every ch_1 annihilate the
+    monomial.  Dropping factors keeps a sorted monomial sorted.
+    """
+    for factors, coeff in items:
+        kept = []
+        for g in factors:
+            if g.i == 1:
+                break
+            if g.i == 0:
+                if g.cls == 3:
+                    coeff = -coeff
+                    continue
+                if g.cls < 3:
+                    break
+                # fixed-point class: no convention applies
+            kept.append(g)
+        else:
+            yield tuple(kept), coeff
+
+
 def normalize(e: DescElement) -> DescElement:
     """Apply the boundary conventions to every monomial.
 
     ch_0(p) factors become the scalar -1; ch_0 of the classes 1, H, L and
     every ch_1 annihilate the monomial.  Idempotent.
     """
-    out: dict = {}
-    for factors, c in e.terms.items():
-        coeff = c
-        kept = []
-        dead = False
-        for g in factors:
-            if g.i == 1:
-                dead = True
-                break
-            if g.i == 0:
-                if g.cls == 3:
-                    coeff = -coeff
-                elif g.cls < 3:
-                    dead = True
-                    break
-                else:
-                    kept.append(g)  # fixed-point class: no convention applies
-            else:
-                kept.append(g)
-        if dead:
-            continue
-        key = monomial(kept)
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return DescElement(out)
+    return DescElement._from_terms(
+        accumulate({}, normal_terms(e.terms.items())))
 
 
 def kunneth_pairs(j: int) -> list[tuple[int, int]]:

@@ -376,9 +376,6 @@ class Field:
     def gens(self) -> tuple:
         return tuple(self.gen(n) for n in self.var_names)
 
-    def coeff_str(self, c) -> str:
-        return str(c)
-
     def coeff_to_json(self, c):
         if self.tag in ("Q", "Qi"):
             return str(c)

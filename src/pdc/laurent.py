@@ -31,9 +31,9 @@ class LaurentSeries:
         cs = [f.coerce(c) for c in coeffs]
         if min_exp + len(cs) != order:
             raise ValueError("coefficient window does not match order")
-        while cs and not cs[0]:
-            cs.pop(0)
-            min_exp += 1
+        lead = next((k for k, c in enumerate(cs) if c), len(cs))
+        cs = cs[lead:]
+        min_exp += lead
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -137,7 +137,7 @@ class LaurentSeries:
             if not c:
                 continue
             n = self.min_exp + k
-            cs = self.field.coeff_str(c)
+            cs = str(c)
             plain = all(ch in "0123456789/" for ch in cs.lstrip("-"))
             if plain:
                 neg = cs.startswith("-")

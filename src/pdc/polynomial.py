@@ -195,7 +195,7 @@ class Polynomial:
         for k, c in enumerate(self.coeffs):
             if not c:
                 continue
-            cs = self.field.coeff_str(c)
+            cs = str(c)
             plain = all(ch in "0123456789/" for ch in cs.lstrip("-"))
             if plain:
                 neg = cs.startswith("-")

@@ -191,13 +191,6 @@ class RationalFunction:
         return f"RationalFunction[{self.field.tag}]({self.to_str()})"
 
 
-def rf_make(num, den) -> RationalFunction:
-    """Canonical rational function from a numerator/denominator pair."""
-    if not isinstance(num, Polynomial):
-        raise TypeError("rf_make expects Polynomial arguments")
-    return RationalFunction(num, den)
-
-
 def invert_q(F: RationalFunction) -> RationalFunction:
     """Exact substitution q -> 1/q, cleared back to polynomial form.
 

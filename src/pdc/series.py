@@ -350,7 +350,8 @@ def reduce(e: DescElement, d: int, db: SeriesDB | None = None,
     Linear over monomials; each monomial passes through the dimension,
     string, divisor, and dilaton rules before the database lookup.  A
     monomial that survives the rules but has no record raises
-    UnknownSeriesError.
+    UnknownSeriesError; nonzero parts over different coefficient fields
+    raise ValueError.
     """
     if d < 1:
         raise ValueError("degree must be a positive integer")
@@ -360,8 +361,17 @@ def reduce(e: DescElement, d: int, db: SeriesDB | None = None,
     total: RationalFunction | None = None
     for factors in sorted(terms):
         part = _reduce_monomial(factors, d, db, geometry, boundary)
+        if part.is_zero:
+            continue  # zero lies in every coefficient field
         part = part.scale_monomial(terms[factors])
-        total = part if total is None else total + part
+        if total is None:
+            total = part
+        elif total.field != part.field:
+            raise ValueError(
+                f"insertion reduces into both {total.field.tag} and "
+                f"{part.field.tag} coefficients")
+        else:
+            total = total + part
     return RationalFunction.zero(FIELDS["Q"]) if total is None else total
 
 
@@ -455,29 +465,6 @@ def cobordism_fe_check(series: CobordismSeries, d_beta: int) -> bool:
                for value in series.components.values())
 
 
-@dataclass(frozen=True)
-class ChernNumberKey:
-    """Label for a virtual Chern number: a partition of the virtual
-    dimension.  Documented for the serialization schema; the numbers
-    themselves are outside computational scope."""
-
-    sigma: tuple
-
-    def __post_init__(self):
-        parts = tuple(self.sigma)
-        if any(p < 1 for p in parts) or list(parts) != sorted(parts,
-                                                              reverse=True):
-            raise ValueError("partition parts must be positive, descending")
-        object.__setattr__(self, "sigma", parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.sigma)
-
-    def __str__(self):
-        return partition_label(self.sigma)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization (canonical; byte-identical round-trips)
 
@@ -492,10 +479,15 @@ def rf_to_obj(value: RationalFunction) -> dict:
 
 
 def rf_from_obj(obj: dict) -> RationalFunction:
-    f = field(obj["field"])
-    num = Polynomial(f, [f.coeff_from_json(v) for v in obj["num"]])
-    den = Polynomial(f, [f.coeff_from_json(v) for v in obj["den"]])
-    return RationalFunction(num, den)
+    try:
+        f = field(obj["field"])
+        num = Polynomial(f, [f.coeff_from_json(v) for v in obj["num"]])
+        den = Polynomial(f, [f.coeff_from_json(v) for v in obj["den"]])
+        return RationalFunction(num, den)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def record_to_obj(record: SeriesRecord) -> dict:
@@ -510,9 +502,12 @@ def record_to_obj(record: SeriesRecord) -> dict:
 
 
 def record_from_obj(obj: dict) -> SeriesRecord:
-    key = make_key(obj["geometry"], obj["degree"], obj["insertions"],
-                   obj["boundary"])
-    return SeriesRecord(key, rf_from_obj(obj["value"]), obj["provenance"])
+    try:
+        key = make_key(obj["geometry"], obj["degree"], obj["insertions"],
+                       obj["boundary"])
+        return SeriesRecord(key, rf_from_obj(obj["value"]), obj["provenance"])
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
 
 
 def records_to_json(records) -> str:
@@ -526,7 +521,13 @@ def records_from_json(text: str) -> list[SeriesRecord]:
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("expected a JSON list of series records")
-    return [record_from_obj(row) for row in rows]
+    records = []
+    for index, row in enumerate(rows):
+        try:
+            records.append(record_from_obj(row))
+        except ValueError as exc:
+            raise ValueError(f"record {index}: {exc}") from exc
+    return records
 
 
 def load_db(path: str) -> SeriesDB:

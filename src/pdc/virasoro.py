@@ -33,9 +33,9 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .descendents import (DescElement, Generator, Monomial, class_degree,
-                          gen, kunneth_pairs, monomial, normalize,
-                          format_monomial)
+from .descendents import (DescElement, Generator, Monomial, accumulate,
+                          class_degree, format_monomial, gen, kunneth_pairs,
+                          monomial, normal_terms)
 
 
 class Term(NamedTuple):
@@ -48,21 +48,19 @@ def _deriv_key(deriv: int | None) -> tuple:
     return (0, 0) if deriv is None else (1, deriv)
 
 
+def _keyed_terms(terms):
+    """((multiplier, derivation), coefficient) pairs of operator terms."""
+    for coeff, mult, deriv in terms:
+        if deriv is not None and deriv < -1:
+            raise ValueError("derivation index below -1: malformed operator")
+        yield (monomial(mult), deriv), Fraction(coeff)
+
+
 class VirasoroOperator:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        merged: dict = {}
-        for coeff, mult, deriv in terms:
-            coeff = Fraction(coeff)
-            if deriv is not None and deriv < -1:
-                raise ValueError("derivation index below -1: malformed operator")
-            key = (mult, deriv)
-            s = merged.get(key, 0) + coeff
-            if s:
-                merged[key] = s
-            elif key in merged:
-                del merged[key]
+        merged = accumulate({}, _keyed_terms(terms))
         ordered = sorted(merged, key=lambda k: (_deriv_key(k[1]), k[0]))
         object.__setattr__(self, "terms",
                            tuple(Term(merged[k], k[0], k[1]) for k in ordered))
@@ -146,12 +144,10 @@ def shift_weight(k: int, g: Generator) -> int:
     return w
 
 
-def apply_shift(k: int, e: DescElement) -> DescElement:
-    """The shift derivation R_k: product rule over factors; scalars die."""
-    if k < -1:
-        raise ValueError("the shift derivation needs k >= -1")
-    acc: dict = {}
-    for factors, c in e.terms.items():
+def _shift_terms(k: int, items):
+    """R_k on (monomial, coefficient) pairs: one pair per factor that
+    survives the shift, by the product rule."""
+    for factors, c in items:
         for idx, g in enumerate(factors):
             w = shift_weight(k, g)
             if not w:
@@ -159,25 +155,27 @@ def apply_shift(k: int, e: DescElement) -> DescElement:
             ni = g.i + k
             if ni < 0:
                 continue  # subscripts below zero vanish
-            shifted = monomial(factors[:idx] + (gen(ni, g.cls),)
-                               + factors[idx + 1:])
-            s = acc.get(shifted, 0) + c * w
-            if s:
-                acc[shifted] = s
-            elif shifted in acc:
-                del acc[shifted]
-    return DescElement(acc)
+            yield monomial(factors[:idx] + (Generator(ni, g.cls),)
+                           + factors[idx + 1:]), c * w
+
+
+def apply_shift(k: int, e: DescElement) -> DescElement:
+    """The shift derivation R_k: product rule over factors; scalars die."""
+    if k < -1:
+        raise ValueError("the shift derivation needs k >= -1")
+    return DescElement._from_terms(
+        accumulate({}, _shift_terms(k, e.terms.items())))
 
 
 def apply_op(op: VirasoroOperator, e: DescElement) -> DescElement:
     """Apply the operator: multiply, derive on formal symbols, normalize."""
-    total = DescElement.zero()
+    acc: dict = {}
     for coeff, mult, deriv in op.terms:
-        x = e.mul_monomial(mult)
+        items = ((monomial(f + mult), c * coeff) for f, c in e.terms.items())
         if deriv is not None:
-            x = apply_shift(deriv, x)
-        total = total + normalize(x).scale(coeff)
-    return total
+            items = _shift_terms(deriv, items)
+        accumulate(acc, normal_terms(items))
+    return DescElement._from_terms(acc)
 
 
 def _fact_or_zero(n: int) -> int:
@@ -245,13 +243,11 @@ def commutator(A: VirasoroOperator, B: VirasoroOperator) -> VirasoroOperator:
                     raise ValueError("commutator left the operator class")
                 out.append(Term((d2 - d1) * c, monomial(x + y), d1 + d2))
             if d1 is not None and y:
-                for factors, cf in apply_shift(d1,
-                                               DescElement({y: 1})).terms.items():
-                    out.append(Term(c * cf, monomial(x + factors), d2))
+                for factors, w in _shift_terms(d1, [(y, c)]):
+                    out.append(Term(w, monomial(x + factors), d2))
             if d2 is not None and x:
-                for factors, cf in apply_shift(d2,
-                                               DescElement({x: 1})).terms.items():
-                    out.append(Term(-c * cf, monomial(y + factors), d1))
+                for factors, w in _shift_terms(d2, [(x, -c)]):
+                    out.append(Term(w, monomial(y + factors), d1))
     return VirasoroOperator(out)
 
 

@@ -120,6 +120,11 @@ class TestExpand:
                      "--var", "u", "--order", "2"]) == 2
         assert "rational coefficients" in capsys.readouterr().err
 
+    def test_mixed_coefficient_fields(self, capsys):
+        assert main(["expand", "--series", "ch5(p0)+ch4(p)", "--degree", "1",
+                     "--order", "5"]) == 2
+        assert "both Q and Q_lambda" in capsys.readouterr().err
+
     def test_divisor_reduction_through_cli(self, capsys):
         # ch2(H) strips off with a factor equal to the degree
         assert main(["expand", "--series", "ch2(H)*ch7(1)", "--degree", "1",
@@ -188,6 +193,22 @@ class TestDb:
     def test_import_missing_file(self, tmp_path, capsys):
         assert main(["db", "import", str(tmp_path / "nope.json")]) == 2
         assert "cannot import" in capsys.readouterr().err
+
+    def test_import_record_without_degree(self, tmp_path, capsys):
+        rows = json.loads(records_to_json(builtin_db()))
+        del rows[0]["degree"]
+        path = tmp_path / "nodegree.json"
+        path.write_text(json.dumps(rows))
+        assert main(["db", "import", str(path)]) == 2
+        assert "record 0: missing field 'degree'" in capsys.readouterr().err
+
+    def test_import_zero_denominator(self, tmp_path, capsys):
+        rows = json.loads(records_to_json(builtin_db()))
+        rows[3]["value"]["den"] = ["0"]
+        path = tmp_path / "den0.json"
+        path.write_text(json.dumps(rows))
+        assert main(["db", "import", str(path)]) == 2
+        assert "record 3: zero denominator" in capsys.readouterr().err
 
 
 class TestDbEnvironment:

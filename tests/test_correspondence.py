@@ -5,8 +5,7 @@ import random
 import pytest
 
 from pdc.correspondence import (CorrespondenceTerm, KCoefficient, expand_bar,
-                                format_expansion, format_term,
-                                gw_variable_change, leading_term,
+                                format_expansion, format_term, leading_term,
                                 parity_reality_check)
 from pdc.laurent import LaurentSeries, u_expand
 from pdc.partitions import partitions_of
@@ -171,7 +170,7 @@ class TestParityReality:
                  ("3/4*q - 3/2*q^2 + 3/4*q^3", 4, 1),
                  ("q/(1+q)^2", 0, 1)]
         for text, d, sign in cases:
-            S = gw_variable_change(parse_rf(text), d, 8)
+            S = u_expand(parse_rf(text), d, 8)
             assert parity_reality_check(S, sign), text
             assert not parity_reality_check(S, -sign), text
 
@@ -187,7 +186,3 @@ class TestParityReality:
         S = LaurentSeries("u", 0, [1], 1, "Qi")
         with pytest.raises(ValueError):
             parity_reality_check(S, 0)
-
-    def test_gw_variable_change_is_u_expand(self):
-        F = parse_rf("q/(1+q)^2")
-        assert gw_variable_change(F, 4, 6) == u_expand(F, 4, 6)

@@ -67,12 +67,11 @@ class TestElementAlgebra:
         assert (a - a).is_zero
         assert (a + a.scale(-1)).terms == {}
 
-    def test_mul_monomial(self):
-        a = DescElement.of(gen(3, "p"), coeff=Fraction(1, 2))
-        out = a.mul_monomial((gen(2, "H"),))
-        assert out == DescElement.of(gen(2, "H"), gen(3, "p"),
-                                     coeff=Fraction(1, 2))
-        assert a.mul_monomial(()) == a
+    def test_permuted_keys_merge(self):
+        a, b = gen(3, "p"), gen(7, "1")
+        merged = DescElement({(a, b): 1, (b, a): Fraction(1, 2)})
+        assert merged.terms == {monomial((a, b)): Fraction(3, 2)}
+        assert DescElement({(a, b): 1, (b, a): -1}).is_zero
 
     def test_immutability_and_unhashable(self):
         a = DescElement.of(gen(3, "p"))

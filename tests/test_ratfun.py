@@ -9,7 +9,7 @@ import sympy
 from pdc.fields import FIELDS, Q
 from pdc.polynomial import Polynomial
 from pdc.ratfun import (RationalFunction, RFParseError, fe_check, invert_q,
-                        parse_rf, pole_check, q_ddq, rf_make)
+                        parse_rf, pole_check, q_ddq)
 
 
 def rand_rf(rng):
@@ -194,7 +194,3 @@ class TestParser:
             parse_rf("q q")
         with pytest.raises(RFParseError, match="division by zero"):
             parse_rf("1/(q - q)")
-
-    def test_rf_make_type_checks(self):
-        with pytest.raises(TypeError):
-            rf_make("q", Polynomial.one(Q))

@@ -1,5 +1,6 @@
 """Series table, reduction rules, evaluators, and serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from pdc.descendents import DescElement, gen, parse_element
 from pdc.fields import FIELDS
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, fe_check, parse_rf, q_ddq
-from pdc.series import (ChernNumberKey, CobordismSeries, SeriesDB, SeriesKey,
+from pdc.series import (CobordismSeries, SeriesDB, SeriesKey,
                         SeriesRecord, UnknownSeriesError, builtin_db,
                         canonical_insertions, cap_series, cobordism_example,
                         cobordism_fe_check, dump_db, key_from_str, key_str,
@@ -185,6 +186,13 @@ class TestReduction:
         with pytest.raises(UnknownSeriesError):
             reduce(parse_element("ch4(p0)"), 1)
 
+    def test_mixed_coefficient_fields(self):
+        stored = builtin_db().lookup("P3", 1, "ch5(p0)")
+        with pytest.raises(ValueError, match="Q and Q_lambda"):
+            reduce(parse_element("ch5(p0) + ch4(p)"), 1)
+        # a monomial the dimension rule kills is zero in every field
+        assert reduce(parse_element("ch5(p0) + ch3(p)"), 1) == stored
+
     def test_other_geometries_go_straight_to_lookup(self):
         db = builtin_db()
         got = reduce(parse_element("ch4(p)"), 1, geometry="Cap",
@@ -241,13 +249,6 @@ class TestCobordism:
         with pytest.raises(ValueError):
             partition_from_label("[0]")
 
-    def test_chern_number_key(self):
-        key = ChernNumberKey((2, 1, 1))
-        assert key.size == 4
-        assert str(key) == "[2,1,1]"
-        with pytest.raises(ValueError):
-            ChernNumberKey((1, 2))
-
 
 class TestSerialization:
     def test_rf_round_trip_all_fields(self):
@@ -270,6 +271,18 @@ class TestSerialization:
     def test_records_from_json_requires_list(self):
         with pytest.raises(ValueError):
             records_from_json('{"geometry": "P3"}')
+
+    def test_bad_records_name_their_index(self):
+        rows = [record_to_obj(r) for r in builtin_db().records()]
+        del rows[1]["degree"]
+        with pytest.raises(ValueError, match="record 1: missing field"):
+            records_from_json(json.dumps(rows))
+        rows = [record_to_obj(r) for r in builtin_db().records()]
+        rows[2]["value"]["den"] = ["0"]
+        with pytest.raises(ValueError, match="record 2: zero denominator"):
+            records_from_json(json.dumps(rows))
+        with pytest.raises(ValueError, match="missing field 'num'"):
+            rf_from_obj({"field": "Q", "den": ["1"]})
 
     def test_dump_and_load(self, tmp_path):
         path = tmp_path / "db.json"

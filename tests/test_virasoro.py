@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdc.descendents import (DescElement, gen, generator_degree, monomial,
                              normalize)
@@ -13,6 +14,24 @@ from pdc.virasoro import (Term, VirasoroOperator, apply_op, apply_shift,
                           build_constraint_composed, build_quadratic,
                           commutator, generator_monomials, identity_op,
                           multiplication_op, shift_op, shift_weight)
+
+
+generators = st.builds(gen, st.integers(0, 6), st.integers(0, 4))
+elements = st.dictionaries(
+    st.lists(generators, max_size=3).map(tuple),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    max_size=4).map(DescElement)
+
+
+def apply_op_reference(op, e):
+    """apply_op term by term through the public element operations."""
+    total = DescElement.zero()
+    for coeff, mult, deriv in op.terms:
+        x = e * DescElement({mult: 1})
+        if deriv is not None:
+            x = apply_shift(deriv, x)
+        total = total + normalize(x).scale(coeff)
+    return total
 
 
 def rising_factorial(x, k):
@@ -72,6 +91,14 @@ class TestOperatorStructure:
         doubled = VirasoroOperator([t, t])
         assert doubled.terms == (Term(Fraction(2), monomial((gen(2, 1),)),
                                       None),)
+
+    def test_permuted_multipliers_merge(self):
+        a, b = gen(2, "H"), gen(3, "p")
+        op = VirasoroOperator([Term(Fraction(1), (a, b), None),
+                               Term(Fraction(2), (b, a), None)])
+        assert op.terms == (Term(Fraction(3), monomial((a, b)), None),)
+        assert VirasoroOperator([Term(Fraction(1), (a, b), 0),
+                                 Term(Fraction(-1), (b, a), 0)]).is_zero
 
     def test_rejects_bad_derivation_index(self):
         with pytest.raises(ValueError):
@@ -182,3 +209,11 @@ class TestGeneratorMonomials:
         assert len(set(pool)) == len(pool)
         for factors in pool:
             assert factors == monomial(factors)
+
+
+class TestApplyOpReference:
+    @settings(max_examples=150, deadline=None)
+    @given(elements, st.integers(-1, 4), st.booleans())
+    def test_matches_term_by_term_route(self, e, k, full):
+        op = build_constraint(k) if full else build_quadratic(k)
+        assert apply_op(op, e) == apply_op_reference(op, e)
