@@ -123,14 +123,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_expand(args) -> int:
+def _u_series(args) -> LaurentSeries:
+    """The u-expansion of the reduced --series at --degree to --order."""
     value = _reduce_series(args.series, args.degree)
+    if value.field.tag not in ("Q", "Qi"):
+        raise CliError("u-expansion needs rational coefficients")
+    return u_expand(value, 4 * args.degree, args.order)
+
+
+def _cmd_expand(args) -> int:
     if args.var == "u":
-        if value.field.tag not in ("Q", "Qi"):
-            raise CliError("u-expansion needs rational coefficients")
-        series = u_expand(value, 4 * args.degree, args.order)
+        series = _u_series(args)
     else:
-        series = laurent_expand(value, args.order)
+        series = laurent_expand(_reduce_series(args.series, args.degree),
+                                args.order)
     _emit(args, _laurent_json(series), str(series))
     return 0
 
@@ -194,10 +200,7 @@ def _cmd_bracket_check(args) -> int:
 
 
 def _cmd_gw_expand(args) -> int:
-    value = _reduce_series(args.series, args.degree)
-    if value.field.tag not in ("Q", "Qi"):
-        raise CliError("u-expansion needs rational coefficients")
-    series = u_expand(value, 4 * args.degree, args.order)
+    series = _u_series(args)
     lines = [str(series)]
     payload = _laurent_json(series)
     if args.show_bar:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .fields import rat
+from .text import ParseError, Scanner, signed_sum
 
 CLASS_NAMES = ("1", "H", "L", "p", "p0")
 _CLASS_INDEX = {name: k for k, name in enumerate(CLASS_NAMES)}
@@ -231,119 +232,57 @@ def kunneth_expand(a: int, b: int, j: int) -> DescElement:
 # rational coefficients like 3/4
 
 
-class DescParseError(ValueError):
+class DescParseError(ParseError):
     """Descendent syntax error, with the offending position."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (position {pos})")
-        self.pos = pos
 
-
-class _DescParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+class _DescParser(Scanner):
+    error = DescParseError
 
     def parse(self) -> DescElement:
-        value = self._sum()
-        if self._peek():
-            raise DescParseError(f"unexpected {self._peek()!r}", self.pos)
-        return value
-
-    def _sum(self) -> DescElement:
-        value = self._signed_term()
-        while self._peek() in ("+", "-"):
-            op = self._peek()
-            self.pos += 1
-            rhs = self._product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def _signed_term(self) -> DescElement:
-        negate = False
-        if self._peek() == "-":
-            negate = True
-            self.pos += 1
-        elif self._peek() == "+":
-            self.pos += 1
-        value = self._product()
-        return -value if negate else value
+        return self.finish(self.sum_of(self._product))
 
     def _product(self) -> DescElement:
         value = self._factor()
-        while self._peek() == "*":
-            self.pos += 1
+        while self.accept("*"):
             value = value * self._factor()
         return value
 
     def _factor(self) -> DescElement:
-        ch = self._peek()
+        ch = self.peek()
         if ch.isdigit():
             return DescElement.constant(self._rational())
         if ch.isalpha():
             return DescElement.of(self._generator())
-        raise DescParseError(
-            f"unexpected {ch!r}" if ch else "unexpected end of input", self.pos)
+        self.unexpected()
 
     def _rational(self) -> Fraction:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        numerator = int(self.text[start:self.pos])
-        if self._peek() != "/":
-            return Fraction(numerator)
+        numerator = int(self.take(str.isdigit))
         mark = self.pos
-        self.pos += 1
-        if not self._peek().isdigit():
+        if not (self.accept("/") and self.peek().isdigit()):
             self.pos = mark
             return Fraction(numerator)
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        denominator = int(self.text[start:self.pos])
+        denominator = int(self.take(str.isdigit))
         if denominator == 0:
-            raise DescParseError("zero denominator", start)
+            self.fail("zero denominator", start)
         return Fraction(numerator, denominator)
 
     def _generator(self) -> Generator:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        name = self.text[start:self.pos]
+        start = self.skip_space()
+        name = self.take(str.isalpha)
         if name not in ("ch", "tau"):
-            raise DescParseError(f"unknown symbol {name!r}", start)
-        digits_start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits_start:
-            raise DescParseError(f"{name} needs a subscript", self.pos)
-        sub = int(self.text[digits_start:self.pos])
-        if self._peek() != "(":
-            raise DescParseError("expected '('", self.pos)
-        self.pos += 1
-        self._skip_ws()
-        cls_start = self.pos
-        while (self.pos < len(self.text)
-               and (self.text[self.pos].isalnum())):
-            self.pos += 1
-        cls_name = self.text[cls_start:self.pos]
+            self.fail(f"unknown symbol {name!r}", start)
+        sub = self.take(str.isdigit)
+        if not sub:
+            self.fail(f"{name} needs a subscript")
+        self.expect("(")
+        cls_start = self.skip_space()
+        cls_name = self.take(str.isalnum)
         if cls_name not in _CLASS_INDEX:
-            raise DescParseError(f"unknown class {cls_name!r}", cls_start)
-        if self._peek() != ")":
-            raise DescParseError("expected ')'", self.pos)
-        self.pos += 1
-        if name == "tau":
-            return from_tau(sub, cls_name)
-        return gen(sub, cls_name)
+            self.fail(f"unknown class {cls_name!r}", cls_start)
+        self.expect(")")
+        return (from_tau if name == "tau" else gen)(int(sub), cls_name)
 
 
 def parse_element(text: str) -> DescElement:
@@ -359,18 +298,5 @@ def format_monomial(factors: Monomial) -> str:
 
 def format_element(e: DescElement) -> str:
     """Canonical printing; parse_element(format_element(e)) == e."""
-    if e.is_zero:
-        return "0"
-    parts = []
-    for factors in sorted(e.terms):
-        c = e.terms[factors]
-        body = format_monomial(factors)
-        if not factors:
-            body = str(abs(c))
-        elif abs(c) != 1:
-            body = f"{abs(c)}*{body}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+    return signed_sum((e.terms[f], format_monomial(f) if f else "")
+                      for f in sorted(e.terms))

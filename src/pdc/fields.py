@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .text import power, signed_sum
+
 
 def rat(x: int | str | Fraction) -> Fraction:
     """Coerce an int, a string like "3/4", or a Fraction to a Fraction."""
@@ -284,23 +286,8 @@ class ParamRational:
 
     def _poly_str(self, poly: dict) -> str:
         names = FIELD_VARS[self.tag]
-        parts = []
-        for e in sorted(poly, reverse=True):
-            c = poly[e]
-            mono = "*".join(
-                n if k == 1 else f"{n}^{k}"
-                for n, k in zip(names, e) if k)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts) if parts else "0"
+        return signed_sum((poly[e], _mono_key(e, names, ""))
+                          for e in sorted(poly, reverse=True))
 
     def __str__(self):
         unit = (0,) * len(FIELD_VARS[self.tag])
@@ -325,9 +312,8 @@ FIELD_VARS = {
 }
 
 
-def _mono_key(e: tuple, names: tuple) -> str:
-    parts = [n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k]
-    return "*".join(parts) if parts else "1"
+def _mono_key(e: tuple, names: tuple, unit: str = "1") -> str:
+    return "*".join(power(n, k) for n, k in zip(names, e) if k) or unit
 
 
 def _mono_from_key(key: str, names: tuple) -> tuple:
@@ -390,6 +376,10 @@ class Field:
             return Fraction(v)
         if self.tag == "Qi":
             return parse_gaussian(v)
+        if not (isinstance(v, dict) and isinstance(v.get("num"), dict)
+                and isinstance(v.get("den"), dict)):
+            raise ValueError(
+                f"a {self.tag} coefficient must be a {{num, den}} object")
         names = self.var_names
         num = {_mono_from_key(k, names): Fraction(c) for k, c in v["num"].items()}
         den = {_mono_from_key(k, names): Fraction(c) for k, c in v["den"].items()}

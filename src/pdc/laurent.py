@@ -10,6 +10,11 @@ into its q-expansion by long division, and u_expand performs the exact
 variable change q = -exp(i*u) together with the prefactor
 exp(-i*d_beta*u/2), producing a series over the Gaussian rationals whose
 pole order at u = 0 equals the pole order of the input at q = -1.
+
+u_expand works in v = i*u: exp(-d_beta*v/2) * F(-exp(v)) has its
+coefficients in F's own field (Q for every stored numeric series), so the
+whole expansion runs there, and only the last step moves to the Gaussian
+rationals, where the coefficient of u**n is i**n times that of v**n.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .fields import GaussianRational, field
+from .fields import QI, I, field
 from .ratfun import RationalFunction
+from .text import power, signed_sum
 
 
 class LaurentSeries:
@@ -132,27 +138,8 @@ class LaurentSeries:
     # -- display ----------------------------------------------------------------
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            n = self.min_exp + k
-            cs = str(c)
-            plain = all(ch in "0123456789/" for ch in cs.lstrip("-"))
-            if plain:
-                neg = cs.startswith("-")
-                body = cs.lstrip("-")
-            else:
-                neg = False
-                body = f"({cs})"
-            if n != 0:
-                power = self.var if n == 1 else f"{self.var}^{n}"
-                body = power if body == "1" else f"{body}*{power}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        head = " ".join(parts) if parts else "0"
+        head = signed_sum((c, power(self.var, self.min_exp + k))
+                          for k, c in enumerate(self.coeffs))
         return f"{head} + O({self.var}^{self.order})"
 
     __repr__ = __str__
@@ -209,55 +196,40 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     return LaurentSeries("q", lo, coeffs, order, f)
 
 
-def _exp_series(c: GaussianRational, n: int) -> list:
-    """Power series of exp(c*u) through u**(n-1), over the Gaussian rationals."""
-    out = [GaussianRational(1)]
-    power = GaussianRational(1)
-    for k in range(1, n):
-        power = power * c
-        out.append(power / factorial(k))
-    return out
-
-
-def _substitute_neg_exp(poly, n: int) -> list:
-    """Power series in u of p(-exp(i*u)) through u**(n-1)."""
-    qi = field("Qi")
-    out = [qi.zero] * n
-    for k, c in enumerate(poly.coeffs):
-        if not c:
-            continue
-        ck = qi.coerce(c) * ((-1) ** k)
-        for idx, e in enumerate(_exp_series(GaussianRational(0, k), n)):
-            out[idx] = out[idx] + ck * e
-    return out
-
-
 def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     """Laurent expansion at u = 0 of exp(-i*d_beta*u/2) * F(-exp(i*u)).
 
     The result lives over the Gaussian rationals.  Coefficients through
     u**max_exp are exact; the prefactor implements (-q)**(-d_beta/2) for
-    either parity of d_beta without any branch choice.
+    either parity of d_beta without any branch choice.  The expansion runs
+    in v = i*u over F's own field, and the coefficient of u**n is i**n
+    times that of v**n.
     """
-    if F.field.tag not in ("Q", "Qi"):
+    f = F.field
+    if f.tag not in ("Q", "Qi"):
         raise TypeError("u_expand needs numeric coefficients (Q or Qi)")
-    qi = field("Qi")
     order = max_exp + 1
     if F.is_zero:
-        return LaurentSeries("u", order, [], order, qi)
+        return LaurentSeries("u", order, [], order, QI)
     # enough working terms that the denominator window stays exact past the
     # deepest possible vanishing at u = 0 (order at most deg den)
     work = max(0, max_exp) + 2 * F.den.degree + F.num.degree + 2
-    num_s = _substitute_neg_exp(F.num, work)
-    den_s = _substitute_neg_exp(F.den, work)
+    # the coefficient of v**j in p(-exp(v)) is sum_k (-1)**k k**j c_k / j!
+    signed = [[(k, -c if k % 2 else c) for k, c in enumerate(p.coeffs) if c]
+              for p in (F.num, F.den)]
+    num_s, den_s = ([sum((c * k ** j for k, c in terms), f.zero)
+                     / factorial(j) for j in range(work)] for terms in signed)
     val_d = next(k for k, c in enumerate(den_s) if c)
     val_n = next((k for k, c in enumerate(num_s) if c), None)
     if val_n is None or val_n - val_d > max_exp:
-        return LaurentSeries("u", order, [], order, qi)
+        return LaurentSeries("u", order, [], order, QI)
     lo = val_n - val_d
     count = order - lo
-    inv_den = _ps_inv(den_s[val_d:], count, qi.one)
-    quotient = _ps_mul(num_s[val_n:], inv_den, count, qi.zero)
-    prefactor = _exp_series(GaussianRational(0, Fraction(-d_beta, 2)), count)
-    coeffs = _ps_mul(quotient, prefactor, count, qi.zero)
-    return LaurentSeries("u", lo, coeffs, order, qi)
+    inv_den = _ps_inv(den_s[val_d:], count, f.one)
+    quotient = _ps_mul(num_s[val_n:], inv_den, count, f.zero)
+    rate = Fraction(-d_beta, 2)
+    prefactor = [f.coerce(rate ** j / factorial(j)) for j in range(count)]
+    coeffs = _ps_mul(quotient, prefactor, count, f.zero)
+    twist = (1, I, -1, -I)
+    return LaurentSeries("u", lo, [QI.coerce(c) * twist[(lo + k) % 4]
+                                   for k, c in enumerate(coeffs)], order, QI)

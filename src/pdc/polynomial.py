@@ -8,6 +8,7 @@ work over any of the supported fields.
 from __future__ import annotations
 
 from .fields import Field, field
+from .text import power, signed_sum
 
 
 class Polynomial:
@@ -189,28 +190,8 @@ class Polynomial:
     # -- display -------------------------------------------------------------
 
     def to_str(self, var: str = "q") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cs = str(c)
-            plain = all(ch in "0123456789/" for ch in cs.lstrip("-"))
-            if plain:
-                neg = cs.startswith("-")
-                body = cs.lstrip("-")
-            else:
-                neg = False
-                body = f"({cs})"
-            if k > 0:
-                power = var if k == 1 else f"{var}^{k}"
-                body = power if body == "1" else f"{body}*{power}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return signed_sum((c, power(var, k))
+                          for k, c in enumerate(self.coeffs))
 
     def __str__(self):
         return self.to_str()

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import Field, field
+from .fields import Field
 from .polynomial import Polynomial
+from .text import ParseError, Scanner
 
 
 class RationalFunction:
@@ -62,22 +63,18 @@ class RationalFunction:
 
     @classmethod
     def zero(cls, f) -> "RationalFunction":
-        f = field(f) if isinstance(f, str) else f
         return cls(Polynomial.zero(f), Polynomial.one(f))
 
     @classmethod
     def one(cls, f) -> "RationalFunction":
-        f = field(f) if isinstance(f, str) else f
         return cls(Polynomial.one(f), Polynomial.one(f))
 
     @classmethod
     def const(cls, f, c) -> "RationalFunction":
-        f = field(f) if isinstance(f, str) else f
         return cls(Polynomial.const(f, c), Polynomial.one(f))
 
     @classmethod
     def q(cls, f) -> "RationalFunction":
-        f = field(f) if isinstance(f, str) else f
         return cls(Polynomial.q(f), Polynomial.one(f))
 
     @classmethod
@@ -273,108 +270,64 @@ def pole_check(F: RationalFunction, d: int) -> bool:
 # small expression parser for command-line rational-function input
 
 
-class RFParseError(ValueError):
+class RFParseError(ParseError):
     """Rational-function syntax error, with the offending position."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (position {pos})")
-        self.pos = pos
 
-
-class _RFParser:
+class _RFParser(Scanner):
     """Recursive descent over: rationals, q, + - * / ^ and parentheses."""
 
-    def __init__(self, text: str, f: Field):
-        self.text = text
+    error = RFParseError
+
+    def __init__(self, text: str, f: Field | str):
+        super().__init__(text)
         self.f = f
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> RationalFunction:
-        value = self._expr()
-        if self._peek():
-            raise RFParseError(f"unexpected {self._peek()!r}", self.pos)
-        return value
+        return self.finish(self._expr())
 
     def _expr(self) -> RationalFunction:
-        ch = self._peek()
-        negate = False
-        if ch in ("+", "-"):
-            self.pos += 1
-            negate = ch == "-"
-        value = self._term()
-        if negate:
-            value = -value
-        while self._peek() in ("+", "-"):
-            op = self._peek()
-            self.pos += 1
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        return self.sum_of(self._term)
 
     def _term(self) -> RationalFunction:
         value = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self._peek()
-            self.pos += 1
+        while op := self.accept("*/"):
             rhs = self._factor()
             if op == "*":
                 value = value * rhs
             else:
                 if rhs.is_zero:
-                    raise RFParseError("division by zero", self.pos)
+                    self.fail("division by zero")
                 value = value / rhs
         return value
 
     def _factor(self) -> RationalFunction:
         value = self._atom()
-        while self._peek() == "^":
-            self.pos += 1
+        while self.accept("^"):
             value = value ** self._int()
         return value
 
     def _atom(self) -> RationalFunction:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
+        if self.accept("("):
             value = self._expr()
-            if self._peek() != ")":
-                raise RFParseError("expected ')'", self.pos)
-            self.pos += 1
+            self.expect(")")
             return value
-        if ch == "-":
-            self.pos += 1
+        if self.accept("-"):
             return -self._atom()
-        if ch == "q":
-            self.pos += 1
+        if self.accept("q"):
             return RationalFunction.q(self.f)
-        if ch.isdigit():
+        if self.peek().isdigit():
             return RationalFunction.const(self.f, Fraction(self._int()))
-        raise RFParseError(f"unexpected {ch!r}" if ch else "unexpected end of input",
-                           self.pos)
+        self.unexpected()
 
     def _int(self) -> int:
-        self._skip_ws()
-        sign = 1
-        if self._peek() == "-":
-            sign = -1
-            self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise RFParseError("expected an integer", self.pos)
-        return sign * int(self.text[start:self.pos])
+        sign = -1 if self.accept("-") else 1
+        digits = self.take(str.isdigit)
+        if not digits:
+            self.fail("expected an integer")
+        return sign * int(digits)
 
 
 def parse_rf(text: str, f: Field | str = "Q") -> RationalFunction:
     """Parse expressions like "q*(1+q^2)/(1+q)^2" into canonical form."""
-    f = field(f) if isinstance(f, str) else f
     return _RFParser(text, f).parse()

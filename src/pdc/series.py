@@ -38,7 +38,7 @@ from .fields import FIELDS, field
 from .partitions import partitions_of, zaut
 from .polynomial import Polynomial
 from .ratfun import RationalFunction, fe_check, q_ddq
-from .virasoro import VirasoroOperator, apply_op, build_constraint
+from .virasoro import apply_op, build_constraint
 
 GEOMETRIES = ("P3", "Cap", "LocalCurve", "CobordismP3")
 PROVENANCES = ("exact", "conjectural", "evaluator")
@@ -502,12 +502,17 @@ def record_to_obj(record: SeriesRecord) -> dict:
 
 
 def record_from_obj(obj: dict) -> SeriesRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("a record must be a JSON object, "
+                         f"not {type(obj).__name__}")
     try:
         key = make_key(obj["geometry"], obj["degree"], obj["insertions"],
                        obj["boundary"])
         return SeriesRecord(key, rf_from_obj(obj["value"]), obj["provenance"])
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed record: {exc}") from None
 
 
 def records_to_json(records) -> str:

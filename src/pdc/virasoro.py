@@ -36,6 +36,7 @@ from typing import NamedTuple
 from .descendents import (DescElement, Generator, Monomial, accumulate,
                           class_degree, format_monomial, gen, kunneth_pairs,
                           monomial, normal_terms)
+from .text import signed_sum
 
 
 class Term(NamedTuple):
@@ -98,25 +99,10 @@ class VirasoroOperator:
         raise TypeError("VirasoroOperator is not hashable")
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for coeff, mult, deriv in self.terms:
-            pieces = []
-            if deriv is not None:
-                pieces.append(f"R_{deriv}")
-            if mult:
-                pieces.append(format_monomial(mult))
-            body = " ".join(pieces)
-            if not body:
-                body = str(abs(coeff))
-            elif abs(coeff) != 1:
-                body = f"{abs(coeff)}*{body}"
-            if not parts:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(parts)
+        def factor(mult, deriv):
+            shift = [] if deriv is None else [f"R_{deriv}"]
+            return " ".join(shift + ([format_monomial(mult)] if mult else []))
+        return signed_sum((c, factor(m, d)) for c, m, d in self.terms)
 
     __repr__ = __str__
 

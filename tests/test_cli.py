@@ -7,8 +7,9 @@ import pytest
 from pdc.cli import main
 from pdc.laurent import laurent_expand
 from pdc.ratfun import parse_rf
-from pdc.series import (SeriesRecord, builtin_db, local_curve_series,
-                        make_key, record_from_obj, records_to_json)
+from pdc.series import (SeriesRecord, builtin_db, cap_series,
+                        local_curve_series, make_key, record_from_obj,
+                        records_to_json)
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +120,9 @@ class TestExpand:
         assert main(["expand", "--series", "ch5(p0)", "--degree", "1",
                      "--var", "u", "--order", "2"]) == 2
         assert "rational coefficients" in capsys.readouterr().err
+        assert main(["gw-expand", "--series", "ch5(p0)", "--degree", "1",
+                     "--order", "2"]) == 2
+        assert "rational coefficients" in capsys.readouterr().err
 
     def test_mixed_coefficient_fields(self, capsys):
         assert main(["expand", "--series", "ch5(p0)+ch4(p)", "--degree", "1",
@@ -209,6 +213,28 @@ class TestDb:
         path.write_text(json.dumps(rows))
         assert main(["db", "import", str(path)]) == 2
         assert "record 3: zero denominator" in capsys.readouterr().err
+
+    def test_import_row_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[[1, 2]]")
+        assert main(["db", "import", str(path)]) == 2
+        assert "record 0: a record must be a JSON object" in (
+            capsys.readouterr().err)
+
+    def test_import_parameter_coefficient_not_an_object(self, tmp_path,
+                                                        monkeypatch, capsys):
+        record = SeriesRecord(make_key("Cap", 1, "ch3(p)", "(1)"),
+                              cap_series(1), "evaluator")
+        rows = json.loads(records_to_json([record]))
+        rows[0]["value"]["num"] = ["0", "1/2", "-1/2"]
+        path = tmp_path / "qs.json"
+        path.write_text(json.dumps(rows))
+        assert main(["db", "import", str(path)]) == 2
+        message = "record 0: a Q_s coefficient must be a {num, den} object"
+        assert message in capsys.readouterr().err
+        monkeypatch.setenv("PDC_DB", str(path))
+        assert main(["db", "list"]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDbEnvironment:

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from pdc.fields import GaussianRational, Q
+from pdc.fields import QI, GaussianRational, I, Q
 from pdc.laurent import LaurentSeries, laurent_expand, u_expand
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, parse_rf
+from pdc.series import builtin_db, key_from_str
 
 U, X = sympy.symbols("u q")
 
@@ -58,25 +59,54 @@ class TestLaurentExpand:
         assert T.is_zero and T.order == 5
 
 
+def sympy_gaussian(c):
+    c = GaussianRational.of(c)
+    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
+def assert_u_expand_matches_sympy(F, d):
+    S = u_expand(F, d, 6)
+    expr = (sympy.exp(-sympy.I * d * U / 2)
+            * (sympy.Rational(1) * sum(
+                sympy_gaussian(c) * X ** k
+                for k, c in enumerate(F.num.coeffs))
+               / sum(sympy_gaussian(c) * X ** k
+                     for k, c in enumerate(F.den.coeffs)))
+            .subs(X, -sympy.exp(sympy.I * U)))
+    expect = sympy_laurent_coeffs(expr, U, -6, 7)
+    for n in range(-6, 7):
+        got = sympy_gaussian(S.coeff(n))
+        assert sympy.simplify(got - expect[n]) == 0, (F, n)
+
+
+def over_qi(F, scale=1):
+    """F with coefficients in Qi and its numerator multiplied by scale."""
+    return RationalFunction(Polynomial(QI, [scale * c for c in F.num.coeffs]),
+                            Polynomial(QI, F.den.coeffs))
+
+
 class TestUExpand:
     def test_matches_sympy_oracle(self):
         cases = [("q + 2*q^2 + q^3", 4), ("q/(1+q)^2", 0),
                  ("q*(1-q)/(1+q)^3", 4), ("(1+q^2)/(1+q)^2", 2)]
         for text, d in cases:
-            F = parse_rf(text)
-            S = u_expand(F, d, 6)
-            expr = (sympy.exp(-sympy.I * d * U / 2)
-                    * (sympy.Rational(1) * sum(
-                        sympy.Rational(c) * X ** k
-                        for k, c in enumerate(F.num.coeffs))
-                       / sum(sympy.Rational(c) * X ** k
-                             for k, c in enumerate(F.den.coeffs)))
-                    .subs(X, -sympy.exp(sympy.I * U)))
-            expect = sympy_laurent_coeffs(expr, U, -6, 7)
-            for n in range(-6, 7):
-                c = S.coeff(n)
-                got = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
-                assert sympy.simplify(got - expect[n]) == 0, (text, n)
+            assert_u_expand_matches_sympy(parse_rf(text), d)
+
+    def test_gaussian_input_matches_sympy_oracle(self):
+        F = RationalFunction(
+            Polynomial(QI, [0, GaussianRational(1, 2),
+                            GaussianRational(3, -1), GaussianRational(0, -1)]),
+            Polynomial(QI, [1, 2, 1]))
+        for d in (0, 3):
+            assert_u_expand_matches_sympy(F, d)
+
+    def test_gaussian_input_is_i_times_rational_input(self):
+        db = builtin_db()
+        for text, d in [("P3:1:ch7(1)", 4), ("P3:1:ch2(p)*ch2(p)", 4),
+                        ("P3:2:ch11(1)", 8)]:
+            F = db.get(key_from_str(text)).value
+            assert u_expand(over_qi(F, I), d, 7) == u_expand(F, d, 7).scale(I)
+            assert u_expand(over_qi(F), d, 7) == u_expand(F, d, 7)
 
     def test_two_minus_two_cos(self):
         S = u_expand(parse_rf("q + 2*q^2 + q^3"), 4, 10)

@@ -1,0 +1,77 @@
+"""Golden printed forms: str() of every kind of printed object.
+
+Each expected string pins the text the CLI and the library show, so a
+change in how terms, signs, coefficients or powers are formatted shows up
+here byte for byte.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from pdc.descendents import gen, parse_element
+from pdc.fields import QI, QLAMBDA, GaussianRational
+from pdc.laurent import laurent_expand, u_expand
+from pdc.polynomial import Polynomial
+from pdc.ratfun import parse_rf
+from pdc.series import builtin_db, cap_series, key_from_str, local_curve_series
+from pdc.virasoro import (build_constraint, commutator, multiplication_op,
+                          shift_op)
+
+
+def _lam():
+    l0, l1, l2, _ = QLAMBDA.gens()
+    return (l0 - 2 * l1 + Fraction(3, 2)) / (l0 * l1 + l2 * l2 - 3)
+
+
+def _objects():
+    l3 = QLAMBDA.gen("lam3")
+    return {
+        "cap2": cap_series(2),
+        "lc2": local_curve_series(2),
+        "lam": _lam(),
+        "lam_poly": Polynomial(QLAMBDA, [_lam(), -1, l3, 0, Fraction(2, 5)]),
+        "qi_poly": Polynomial(QI, [GaussianRational(1, -2), -1,
+                                   GaussianRational(0, 1), Fraction(-3, 2),
+                                   GaussianRational(0, -1), 1]),
+        "laurent": laurent_expand(parse_rf("(1-2*q)/(q^3*(1+q)^2)"), 3),
+        "u": u_expand(builtin_db().get(key_from_str("P3:1:ch7(1)")).value,
+                      4, 6),
+        "constraint": build_constraint(1),
+        "commutator": commutator(
+            shift_op(1),
+            multiplication_op((gen(2, 3), gen(3, 1)), Fraction(-2, 3))),
+        "element": parse_element("3/4 - 2/3*ch3(p)*ch2(H) + ch5(1) "
+                                 "- ch4(L)*ch4(L) + 5*tau1(p) - 7/2*ch2(p0)"),
+    }
+
+
+GOLDEN = {
+    "cap2": "(((s1 + s2)/2)*q^2 + ((-s1 - s2)/2)*q^3 + ((s1 + s2)/2)*q^4)"
+            "/(1 - q^2)",
+    "lc2": "(-2*q^3)/(1 + 2*q - q^2 - 4*q^3 - q^4 + 2*q^5 + q^6)",
+    "lam": "(2*lam0 - 4*lam1 + 3)/(2*lam0*lam1 + 2*lam2^2 - 6)",
+    "lam_poly": "((2*lam0 - 4*lam1 + 3)/(2*lam0*lam1 + 2*lam2^2 - 6)) - q "
+                "+ (lam3)*q^2 + 2/5*q^4",
+    "qi_poly": "(1-2*i) - q + (1*i)*q^2 - 3/2*q^3 + (-1*i)*q^4 + q^5",
+    "laurent": "q^-3 - 4*q^-2 + 7*q^-1 - 10 + 13*q - 16*q^2 + 19*q^3 "
+               "+ O(q^4)",
+    "u": "(10/3*i)*u^-3 + (5/9*i)*u^-1 + (-61/216*i)*u + (319/9072*i)*u^3 "
+         "+ (-2099/1088640*i)*u^5 + O(u^7)",
+    "constraint": "2*ch0(p)*ch1(p) + 4*ch0(p)*ch3(H) - 4*ch1(L)*ch2(L) "
+                  "+ 4*ch1(p)*ch2(H) + 2*R_-1 ch2(p) + R_1",
+    "commutator": "-4/3*ch2(p)*ch4(H) - 4*ch3(H)*ch3(p)",
+    "element": "3/4 - 2/3*ch2(H)*ch3(p) - 7/2*ch2(p0) + 5*ch3(p) "
+               "- ch4(L)*ch4(L) + ch5(1)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_printed_form(name):
+    assert str(_objects()[name]) == GOLDEN[name]
+
+
+def test_zero_objects_print_zero():
+    assert str(Polynomial.zero(QI)) == "0"
+    assert str(parse_element("ch3(p) - ch3(p)")) == "0"
+    assert str(laurent_expand(parse_rf("q^9"), 2)) == "0 + O(q^3)"

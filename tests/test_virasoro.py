@@ -212,7 +212,7 @@ class TestGeneratorMonomials:
 
 
 class TestApplyOpReference:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(elements, st.integers(-1, 4), st.booleans())
     def test_matches_term_by_term_route(self, e, k, full):
         op = build_constraint(k) if full else build_quadratic(k)
