@@ -34,7 +34,8 @@ from .series import (CobordismSeries, SeriesDB, SeriesKey,
                      load_db, local_curve_series, make_key, partition_label,
                      partition_from_label, record_from_obj, record_to_obj,
                      records_from_json, records_to_json, reduce,
-                     virasoro_constraint_check)
+                     reduce_with_records, virasoro_constraint_check,
+                     weakest_provenance)
 from .virasoro import (Term, VirasoroOperator, apply_op, apply_shift,
                        bracket_check, build_constraint,
                        build_constraint_composed, build_quadratic, commutator,

@@ -23,10 +23,11 @@ from .correspondence import expand_bar, format_expansion
 from .descendents import DescParseError, gen, parse_element
 from .laurent import LaurentSeries, laurent_expand, u_expand
 from .ratfun import RationalFunction, RFParseError, fe_check, pole_check
-from .series import (SeriesDB, SeriesRecord, UnknownSeriesError, builtin_db,
-                     cap_series, key_from_str, key_str, load_db,
+from .series import (PROVENANCES, SeriesDB, SeriesRecord, UnknownSeriesError,
+                     builtin_db, cap_series, key_from_str, key_str, load_db,
                      local_curve_series, make_key, record_to_obj,
-                     records_to_json, reduce, virasoro_constraint_check)
+                     records_to_json, reduce_with_records,
+                     virasoro_constraint_check, weakest_provenance)
 from .virasoro import bracket_check
 from . import checks
 
@@ -55,14 +56,30 @@ def _parse_series_arg(text: str):
         raise CliError(f"descendent syntax error: {exc}") from exc
 
 
-def _reduce_series(text: str, degree: int) -> RationalFunction:
+def _reduce_series(text: str,
+                   degree: int) -> tuple[RationalFunction, list[SeriesRecord]]:
+    """The reduced series and the database records it rests on."""
     element = _parse_series_arg(text)
     try:
-        return reduce(element, degree, _current_db())
-    except UnknownSeriesError as exc:
+        return reduce_with_records(element, degree, _current_db())
+    except (UnknownSeriesError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+
+
+def _verdict(ok: bool, records: list[SeriesRecord]) -> tuple[str, dict]:
+    """PASS or FAIL tagged with the records that are not exact, and the
+    JSON fields naming the weakest provenance and every record read."""
+    text = "PASS" if ok else "FAIL"
+    for provenance in PROVENANCES[1:]:  # all but "exact"
+        keys = [key_str(r.key) for r in records
+                if r.provenance == provenance]
+        if keys:
+            text += f" [{provenance}: {', '.join(keys)}]"
+    return text, {
+        "provenance": weakest_provenance(records),
+        "records": [{"key": key_str(r.key), "provenance": r.provenance}
+                    for r in records],
+    }
 
 
 def _laurent_json(series: LaurentSeries) -> dict:
@@ -125,7 +142,7 @@ def _cmd_eval(args) -> int:
 
 def _u_series(args) -> LaurentSeries:
     """The u-expansion of the reduced --series at --degree to --order."""
-    value = _reduce_series(args.series, args.degree)
+    value, _ = _reduce_series(args.series, args.degree)
     if value.field.tag not in ("Q", "Qi"):
         raise CliError("u-expansion needs rational coefficients")
     return u_expand(value, 4 * args.degree, args.order)
@@ -135,36 +152,37 @@ def _cmd_expand(args) -> int:
     if args.var == "u":
         series = _u_series(args)
     else:
-        series = laurent_expand(_reduce_series(args.series, args.degree),
-                                args.order)
+        value, _ = _reduce_series(args.series, args.degree)
+        series = laurent_expand(value, args.order)
     _emit(args, _laurent_json(series), str(series))
     return 0
 
 
 def _cmd_fe_check(args) -> int:
-    value = _reduce_series(args.series, args.degree)
+    value, records = _reduce_series(args.series, args.degree)
     sign = _insertion_sign(args.series)
     d_beta = 4 * args.degree
     ok = fe_check(value, d_beta, sign)
+    verdict, sources = _verdict(ok, records)
     _emit(args,
           {"command": "fe-check", "series": args.series,
            "degree": args.degree, "sign": sign, "d_beta": d_beta,
-           "pass": ok},
-          f"{'PASS' if ok else 'FAIL'} sign={sign} d_beta={d_beta}")
+           "pass": ok, **sources},
+          f"{verdict} sign={sign} d_beta={d_beta}")
     return 0 if ok else 1
 
 
 def _cmd_pole_check(args) -> int:
-    value = _reduce_series(args.series, args.degree)
+    value, records = _reduce_series(args.series, args.degree)
     div = args.div if args.div is not None else args.degree
     if div < 1:
         raise CliError("--div must be a positive integer")
     ok = pole_check(value, div)
+    verdict, sources = _verdict(ok, records)
     _emit(args,
           {"command": "pole-check", "series": args.series,
-           "degree": args.degree, "div": div, "pass": ok},
-          f"{'PASS' if ok else 'FAIL'} poles confined with divisor bound "
-          f"{div}")
+           "degree": args.degree, "div": div, "pass": ok, **sources},
+          f"{verdict} poles confined with divisor bound {div}")
     return 0 if ok else 1
 
 

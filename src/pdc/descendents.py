@@ -249,31 +249,32 @@ class _DescParser(Scanner):
         return value
 
     def _factor(self) -> DescElement:
-        ch = self.peek()
-        if ch.isdigit():
-            return DescElement.constant(self._rational())
-        if ch.isalpha():
+        if self.peek().isalpha():
             return DescElement.of(self._generator())
-        self.unexpected()
+        numerator = self.digits()
+        if not numerator:
+            self.unexpected()
+        return DescElement.constant(self._rational(int(numerator)))
 
-    def _rational(self) -> Fraction:
-        numerator = int(self.take(str.isdigit))
+    def _rational(self, numerator: int) -> Fraction:
+        """numerator, or numerator/denominator when "/" and digits follow."""
         mark = self.pos
-        if not (self.accept("/") and self.peek().isdigit()):
-            self.pos = mark
-            return Fraction(numerator)
-        start = self.pos
-        denominator = int(self.take(str.isdigit))
-        if denominator == 0:
-            self.fail("zero denominator", start)
-        return Fraction(numerator, denominator)
+        if self.accept("/"):
+            start = self.skip_space()
+            denominator = self.digits()
+            if denominator:
+                if int(denominator) == 0:
+                    self.fail("zero denominator", start)
+                return Fraction(numerator, int(denominator))
+        self.pos = mark
+        return Fraction(numerator)
 
     def _generator(self) -> Generator:
         start = self.skip_space()
         name = self.take(str.isalpha)
         if name not in ("ch", "tau"):
             self.fail(f"unknown symbol {name!r}", start)
-        sub = self.take(str.isdigit)
+        sub = self.digits()
         if not sub:
             self.fail(f"{name} needs a subscript")
         self.expect("(")

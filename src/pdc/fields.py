@@ -325,6 +325,13 @@ def _mono_from_key(key: str, names: tuple) -> tuple:
     return tuple(e)
 
 
+def _exact_scalar(v):
+    """v, provided it is a JSON string or integer (not a float or bool)."""
+    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
+        return v
+    raise ValueError(f"coefficient {v!r} is not a string or an integer")
+
+
 @dataclass(frozen=True)
 class Field:
     """One of the four coefficient fields, with coercion and serialization."""
@@ -372,17 +379,26 @@ class Field:
         }
 
     def coeff_from_json(self, v):
+        """Read a coefficient written by coeff_to_json.
+
+        Rationals are JSON strings or integers; a float or a boolean
+        raises ValueError, since neither is an exact coefficient.
+        """
         if self.tag == "Q":
-            return Fraction(v)
+            return Fraction(_exact_scalar(v))
         if self.tag == "Qi":
-            return parse_gaussian(v)
+            v = _exact_scalar(v)
+            return (parse_gaussian(v) if isinstance(v, str)
+                    else GaussianRational(v))
         if not (isinstance(v, dict) and isinstance(v.get("num"), dict)
                 and isinstance(v.get("den"), dict)):
             raise ValueError(
                 f"a {self.tag} coefficient must be a {{num, den}} object")
         names = self.var_names
-        num = {_mono_from_key(k, names): Fraction(c) for k, c in v["num"].items()}
-        den = {_mono_from_key(k, names): Fraction(c) for k, c in v["den"].items()}
+        num = {_mono_from_key(k, names): Fraction(_exact_scalar(c))
+               for k, c in v["num"].items()}
+        den = {_mono_from_key(k, names): Fraction(_exact_scalar(c))
+               for k, c in v["den"].items()}
         return ParamRational.make(self.tag, num, den)
 
 

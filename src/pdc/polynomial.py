@@ -3,9 +3,21 @@
 Coefficients are stored in ascending powers with a nonzero trailing entry,
 so the representation is canonical.  Division, gcd and exact division all
 work over any of the supported fields.
+
+Over Q the gcd runs on an integer core: both inputs are cleared to
+primitive integer lists and handed to the heuristic gcd of Char, Geddes
+and Gonnet (evaluate at a large integer, take the integer gcd, read the
+polynomial back from balanced base-x digits).  A candidate is accepted
+only once it divides both primitive inputs exactly over Z; after a fixed
+number of evaluation points the primitive PRS takes over.  This avoids
+the coefficient swell of Euclid over Fractions.  The other fields keep
+Euclid's algorithm.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .fields import Field, field
 from .text import power, signed_sum
@@ -177,7 +189,16 @@ class Polynomial:
 
     @staticmethod
     def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
-        """Monic-by-lowest-coefficient gcd over the coefficient field."""
+        """Monic-by-lowest-coefficient gcd over the coefficient field.
+
+        The result's lowest-order nonzero coefficient is one; gcd(0, 0) is
+        zero.  Over Q two nonzero inputs go through the integer core
+        (`_zz_gcd`), every other case through Euclid's algorithm.
+        """
+        if a.field.tag == "Q" and a and b:
+            g = _zz_gcd(_primitive_ints(a.coeffs), _primitive_ints(b.coeffs))
+            low = next(c for c in g if c)
+            return Polynomial(a.field, [Fraction(c, low) for c in g])
         while not b.is_zero:
             a, b = b, a.divmod_(b)[1]
         if a.is_zero:
@@ -198,3 +219,105 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial[{self.field.tag}]({self.to_str()})"
+
+
+# ---------------------------------------------------------------------------
+# integer core of the gcd over Q; coefficient lists in ascending powers
+
+_HEU_TRIES = 6
+
+
+def _primitive_ints(coeffs) -> list[int]:
+    """A nonzero list of rationals or ints scaled to coprime integers."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _zz_quo(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g when g divides f exactly over Z, else None."""
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return None
+    rem, lead = list(f), g[-1]
+    quo = [0] * (len(f) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + dg], lead)
+        if r:
+            return None
+        quo[k] = c
+        if c:
+            for j, b in enumerate(g):
+                rem[k + j] -= c * b
+    return None if any(rem[:dg]) else quo
+
+
+def _digits(n: int, x: int) -> list[int]:
+    """The polynomial h with h(x) = n and balanced digits in (-x/2, x/2]."""
+    out = []
+    while n:
+        d = n % x
+        if d > x // 2:
+            d -= x
+        out.append(d)
+        n = (n - d) // x
+    return out
+
+
+def _value(f: list[int], x: int) -> int:
+    """f(x) by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+    return v
+
+
+def _heu_gcd(f: list[int], g: list[int]) -> list[int] | None:
+    """GCDHEU on primitive lists of positive degree; None if it gives up.
+
+    Every evaluation point exceeds 2*min(|f|, |g|) + 2 (max norms), so a
+    candidate that divides both inputs is their gcd up to sign.  The
+    candidates are the primitive part of the interpolated integer gcd and
+    the quotients of f and g by their interpolated cofactors.
+    """
+    fn, gn = max(map(abs, f)), max(map(abs, g))
+    x = max(2 * min(fn, gn) + 29,
+            2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4)
+    for _ in range(_HEU_TRIES):
+        ff, gg = _value(f, x), _value(g, x)
+        if ff and gg:
+            h = gcd(ff, gg)
+            cand = _primitive_ints(_digits(h, x))
+            if _zz_quo(f, cand) is not None and _zz_quo(g, cand) is not None:
+                return cand
+            for p, other, v in ((f, g, ff), (g, f, gg)):
+                cand = _zz_quo(p, _digits(v // h, x))
+                if cand is not None and _zz_quo(other, cand) is not None:
+                    return cand
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd by the primitive polynomial remainder sequence."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        rem = list(f)
+        while len(rem) >= len(g):
+            c, k = rem[-1], len(rem) - len(g)
+            rem = [g[-1] * r for r in rem]
+            for j, b in enumerate(g):
+                rem[k + j] -= c * b
+            while rem and not rem[-1]:
+                rem.pop()
+        f, g = g, (_primitive_ints(rem) if rem else rem)
+    return f
+
+
+def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd of two nonzero primitive integer lists, up to sign."""
+    if len(f) == 1 or len(g) == 1:
+        return [1]
+    return _heu_gcd(f, g) or _prs_gcd(f, g)

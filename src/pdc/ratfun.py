@@ -316,13 +316,13 @@ class _RFParser(Scanner):
             return -self._atom()
         if self.accept("q"):
             return RationalFunction.q(self.f)
-        if self.peek().isdigit():
-            return RationalFunction.const(self.f, Fraction(self._int()))
+        if digits := self.digits():
+            return RationalFunction.const(self.f, Fraction(int(digits)))
         self.unexpected()
 
     def _int(self) -> int:
         sign = -1 if self.accept("-") else 1
-        digits = self.take(str.isdigit)
+        digits = self.digits()
         if not digits:
             self.fail("expected an integer")
         return sign * int(digits)

@@ -41,7 +41,7 @@ from .ratfun import RationalFunction, fe_check, q_ddq
 from .virasoro import apply_op, build_constraint
 
 GEOMETRIES = ("P3", "Cap", "LocalCurve", "CobordismP3")
-PROVENANCES = ("exact", "conjectural", "evaluator")
+PROVENANCES = ("exact", "evaluator", "conjectural")  # falling certainty
 
 
 class SeriesKey(NamedTuple):
@@ -259,19 +259,35 @@ def local_curve_series(d: int) -> RationalFunction:
 
     Sum over partitions mu of d of (-1)^len(mu)/zaut(mu) times the product
     over parts m of (-q)^m / (1-(-q)^m)^2, computed exactly.
+
+    The parts of mu sum to d, so over the one denominator
+    prod_m (1-(-q)^m)^(2*floor(d/m)) the term of mu has the numerator
+    (-q)^d * (-1)^len(mu)/zaut(mu) * prod_m (1-(-q)^m)^(2*(floor(d/m)-k_m)),
+    k_m the multiplicity of m in mu.  One gcd then cancels the sum.
     """
     if d < 1:
         raise ValueError("degree must be a positive integer")
     f = FIELDS["Q"]
-    total = RationalFunction.zero(f)
+    one = Polynomial.one(f)
+    squares = [None] + [(one - Polynomial.monomial(f, (-1) ** m, m)) ** 2
+                        for m in range(1, d + 1)]
+    powers: dict[tuple[int, int], Polynomial] = {}
+
+    def power(m: int, e: int) -> Polynomial:
+        if (m, e) not in powers:
+            powers[m, e] = squares[m] ** e
+        return powers[m, e]
+
+    num = Polynomial.zero(f)
     for mu in partitions_of(d):
-        term = RationalFunction.const(f, Fraction((-1) ** len(mu)) / zaut(mu))
-        for m in mu:
-            neg_q_m = Polynomial.monomial(f, (-1) ** m, m)
-            term = term * RationalFunction(
-                neg_q_m, (Polynomial.one(f) - neg_q_m) ** 2)
-        total = total + term
-    return total
+        term = Polynomial.const(f, Fraction((-1) ** len(mu)) / zaut(mu))
+        for m in range(1, d + 1):
+            term = term * power(m, d // m - mu.count(m))
+        num = num + term
+    den = one
+    for m in range(1, d + 1):
+        den = den * power(m, d // m)
+    return RationalFunction(num.shift(d).scale((-1) ** d), den)
 
 
 def cap_series(d: int) -> RationalFunction:
@@ -313,7 +329,8 @@ def _is_equivariant(factors: Monomial) -> bool:
 
 
 def _reduce_monomial(factors: Monomial, d: int, db: SeriesDB,
-                     geometry: str, boundary: str | None) -> RationalFunction:
+                     geometry: str, boundary: str | None,
+                     read: dict) -> RationalFunction:
     fq = FIELDS["Q"]
     if geometry == "P3" and not _is_equivariant(factors):
         # dimension rule, applied to the (original) monomial's total
@@ -328,18 +345,54 @@ def _reduce_monomial(factors: Monomial, d: int, db: SeriesDB,
         for idx, g in enumerate(factors):
             if g.i == 2 and g.cls == 1:
                 rest = factors[:idx] + factors[idx + 1:]
-                return _reduce_monomial(rest, d, db, geometry, boundary) * d
+                return _reduce_monomial(rest, d, db, geometry, boundary,
+                                        read) * d
         # dilaton rule: a subscript-3 identity factor applies q d/dq - 2d
         for idx, g in enumerate(factors):
             if g.i == 3 and g.cls == 0:
                 rest = factors[:idx] + factors[idx + 1:]
-                inner = _reduce_monomial(rest, d, db, geometry, boundary)
+                inner = _reduce_monomial(rest, d, db, geometry, boundary,
+                                         read)
                 return q_ddq(inner) - inner * (2 * d)
     key = SeriesKey(geometry, d, format_monomial(factors), boundary)
     record = db.find(key)
     if record is None:
         raise UnknownSeriesError(key)
+    read[key] = record
     return record.value
+
+
+def reduce_with_records(e: DescElement, d: int, db: SeriesDB | None = None,
+                        geometry: str = "P3", boundary: str | None = None
+                        ) -> tuple[RationalFunction, list[SeriesRecord]]:
+    """`reduce`, together with the database records the reduction read.
+
+    The records come in the order they were first read; a monomial that
+    the dimension or string rule kills reads none.
+    """
+    if d < 1:
+        raise ValueError("degree must be a positive integer")
+    if db is None:
+        db = builtin_db()
+    terms = normalize(e).terms
+    read: dict[SeriesKey, SeriesRecord] = {}
+    total: RationalFunction | None = None
+    for factors in sorted(terms):
+        part = _reduce_monomial(factors, d, db, geometry, boundary, read)
+        if part.is_zero:
+            continue  # zero lies in every coefficient field
+        part = part.scale_monomial(terms[factors])
+        if total is None:
+            total = part
+        elif total.field != part.field:
+            raise ValueError(
+                f"insertion reduces into both {total.field.tag} and "
+                f"{part.field.tag} coefficients")
+        else:
+            total = total + part
+    if total is None:
+        total = RationalFunction.zero(FIELDS["Q"])
+    return total, list(read.values())
 
 
 def reduce(e: DescElement, d: int, db: SeriesDB | None = None,
@@ -353,26 +406,13 @@ def reduce(e: DescElement, d: int, db: SeriesDB | None = None,
     UnknownSeriesError; nonzero parts over different coefficient fields
     raise ValueError.
     """
-    if d < 1:
-        raise ValueError("degree must be a positive integer")
-    if db is None:
-        db = builtin_db()
-    terms = normalize(e).terms
-    total: RationalFunction | None = None
-    for factors in sorted(terms):
-        part = _reduce_monomial(factors, d, db, geometry, boundary)
-        if part.is_zero:
-            continue  # zero lies in every coefficient field
-        part = part.scale_monomial(terms[factors])
-        if total is None:
-            total = part
-        elif total.field != part.field:
-            raise ValueError(
-                f"insertion reduces into both {total.field.tag} and "
-                f"{part.field.tag} coefficients")
-        else:
-            total = total + part
-    return RationalFunction.zero(FIELDS["Q"]) if total is None else total
+    return reduce_with_records(e, d, db, geometry, boundary)[0]
+
+
+def weakest_provenance(records) -> str:
+    """The least certain provenance among records; "exact" for none."""
+    return max((r.provenance for r in records), key=PROVENANCES.index,
+               default="exact")
 
 
 def virasoro_constraint_check(k: int, insertion, d: int,

@@ -45,6 +45,9 @@ def signed_sum(terms) -> str:
     return " ".join(parts) if parts else "0"
 
 
+_ASCII_DIGITS = frozenset("0123456789")
+
+
 class ParseError(ValueError):
     """Syntax error, with the offending position."""
 
@@ -102,6 +105,14 @@ class Scanner:
         while self.pos < len(self.text) and pred(self.text[self.pos]):
             self.pos += 1
         return self.text[start:self.pos]
+
+    def digits(self) -> str:
+        """Consume the run of ASCII digits 0-9 from here on.
+
+        str.isdigit would also take digits such as "²", which int()
+        rejects without a position.
+        """
+        return self.take(_ASCII_DIGITS.__contains__)
 
     def fail(self, message: str, pos: int | None = None):
         raise self.error(message, self.pos if pos is None else pos)

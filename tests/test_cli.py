@@ -59,11 +59,74 @@ class TestCheckCommands:
                      "--div", "0"]) == 2
 
 
+class TestProvenance:
+    def test_fe_check_names_conjectural_record(self, capsys):
+        assert main(["fe-check", "--series", "ch11(1)", "--degree", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS [conjectural: P3:2:ch11(1)] sign=-1 d_beta=8\n")
+        # the divisor rule reads the same record
+        assert main(["--json", "fe-check", "--series", "ch2(H)*ch11(1)",
+                     "--degree", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is True
+        assert payload["provenance"] == "conjectural"
+        assert payload["records"] == [{"key": "P3:2:ch11(1)",
+                                       "provenance": "conjectural"}]
+
+    def test_pole_check_names_conjectural_record(self, capsys):
+        assert main(["pole-check", "--series", "ch11(1)",
+                     "--degree", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS [conjectural: P3:2:ch11(1)] poles confined with divisor "
+            "bound 2\n")
+        assert main(["pole-check", "--series", "ch11(1)", "--degree", "2",
+                     "--div", "1"]) == 1
+        assert capsys.readouterr().out.startswith(
+            "FAIL [conjectural: P3:2:ch11(1)] ")
+        assert main(["--json", "pole-check", "--series", "ch11(1)",
+                     "--degree", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["provenance"] == "conjectural"
+        assert payload["records"] == [{"key": "P3:2:ch11(1)",
+                                       "provenance": "conjectural"}]
+
+    def test_exact_records_keep_the_plain_verdict(self, capsys):
+        assert main(["--json", "pole-check", "--series", "ch3(1)*ch7(1)",
+                     "--degree", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["provenance"] == "exact"
+        assert payload["records"] == [{"key": "P3:1:ch7(1)",
+                                       "provenance": "exact"}]
+        # the dimension rule reads no record at all
+        assert main(["--json", "fe-check", "--series", "ch3(p)",
+                     "--degree", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["provenance"], payload["records"]) == ("exact", [])
+
+    def test_imported_evaluator_record(self, tmp_path, monkeypatch, capsys):
+        rec = SeriesRecord(make_key("P3", 1, "ch6(H)"),
+                           parse_rf("q^2"), "evaluator")
+        path = tmp_path / "extra.json"
+        path.write_text(records_to_json([rec]))
+        monkeypatch.setenv("PDC_DB", str(path))
+        assert main(["fe-check", "--series", "ch6(H)+ch4(p)",
+                     "--degree", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS [evaluator: P3:1:ch6(H)] sign=1 d_beta=4\n")
+
+
 class TestErrors:
     def test_descendent_syntax_error_position(self, capsys):
         assert main(["fe-check", "--series", "ch3(p", "--degree", "1"]) == 2
         err = capsys.readouterr().err
         assert "descendent syntax error" in err and "(position 5)" in err
+
+    def test_non_ascii_digit_is_a_syntax_error(self, capsys):
+        assert main(["fe-check", "--series", "ch\u00b2(p)",
+                     "--degree", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: descendent syntax error: ")
+        assert "(position 2)" in err
 
     def test_unknown_series_key(self, capsys):
         assert main(["fe-check", "--series", "ch6(H)", "--degree", "1"]) == 2
@@ -235,6 +298,40 @@ class TestDb:
         monkeypatch.setenv("PDC_DB", str(path))
         assert main(["db", "list"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, None])
+    def test_import_inexact_number(self, tmp_path, monkeypatch, capsys,
+                                   value):
+        rows = json.loads(records_to_json(builtin_db()))
+        rows[1]["value"]["num"][1] = value
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(rows))
+        assert main(["db", "import", str(path)]) == 2
+        message = f"record 1: coefficient {value!r} is not a string or an"
+        assert message in capsys.readouterr().err
+        monkeypatch.setenv("PDC_DB", str(path))
+        assert main(["db", "list"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_import_accepts_integer_coefficients(self, tmp_path, capsys):
+        rows = json.loads(records_to_json(builtin_db()))
+        rows[1]["value"]["num"] = [int(c) for c in rows[1]["value"]["num"]]
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(rows))
+        assert main(["db", "import", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "0 new record(s); merged database holds 8\n")
+
+    def test_import_inexact_parameter_coefficient(self, tmp_path, capsys):
+        rows = json.loads(records_to_json(builtin_db()))
+        cap = next(i for i, r in enumerate(rows) if r["geometry"] == "Cap")
+        coeff = rows[cap]["value"]["num"][1]["num"]
+        coeff[next(iter(coeff))] = 0.5
+        path = tmp_path / "qs_float.json"
+        path.write_text(json.dumps(rows))
+        assert main(["db", "import", str(path)]) == 2
+        assert f"record {cap}: coefficient 0.5 is not a string" in (
+            capsys.readouterr().err)
 
 
 class TestDbEnvironment:

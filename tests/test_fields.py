@@ -119,6 +119,21 @@ class TestFieldWrapper:
         for c in samples:
             assert f.coeff_from_json(f.coeff_to_json(c)) == c
 
+    @pytest.mark.parametrize("tag", ["Q", "Qi", "Q_s", "Q_lambda"])
+    def test_coeff_json_takes_strings_and_ints_only(self, tag):
+        f = FIELDS[tag]
+
+        def wrap(v):
+            if tag in ("Q", "Qi"):
+                return v
+            return {"num": {"1": v}, "den": {"1": "1"}}
+
+        assert f.coeff_from_json(wrap(-3)) == f.coerce(-3)
+        assert f.coeff_from_json(wrap("5/2")) == f.coerce(Fraction(5, 2))
+        for bad in (0.1, 1.0, True, False, None, [1]):
+            with pytest.raises(ValueError, match="not a string or an integer"):
+                f.coeff_from_json(wrap(bad))
+
     def test_coerce_rejects_cross_field(self):
         with pytest.raises((TypeError, ValueError)):
             FIELDS["Q"].coerce(I)

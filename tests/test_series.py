@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from pdc.checks import _local_curve_brute_coeffs
 from pdc.descendents import DescElement, gen, parse_element
 from pdc.fields import FIELDS
+from pdc.laurent import laurent_expand
+from pdc.partitions import partitions_of, zaut
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, fe_check, parse_rf, q_ddq
 from pdc.series import (CobordismSeries, SeriesDB, SeriesKey,
@@ -103,7 +106,33 @@ class TestSeriesDB:
         assert db.get(rec.key).provenance == "exact"
 
 
+def local_curve_term_by_term(d: int) -> RationalFunction:
+    """The local-curve sum as first written: one rational function per
+    part, multiplied out and added partition by partition."""
+    f = FIELDS["Q"]
+    total = RationalFunction.zero(f)
+    for mu in partitions_of(d):
+        term = RationalFunction.const(f, Fraction((-1) ** len(mu)) / zaut(mu))
+        for m in mu:
+            neg_q_m = Polynomial.monomial(f, (-1) ** m, m)
+            term = term * RationalFunction(
+                neg_q_m, (Polynomial.one(f) - neg_q_m) ** 2)
+        total = total + term
+    return total
+
+
 class TestEvaluators:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_local_curve_matches_term_by_term_sum(self, d):
+        assert local_curve_series(d) == local_curve_term_by_term(d)
+
+    @pytest.mark.parametrize("d", [8, 9, 10])
+    def test_local_curve_matches_brute_force_expansion(self, d):
+        order = 2 * d + 4
+        got = laurent_expand(local_curve_series(d), order).as_dict()
+        assert ({n: c for n, c in got.items() if c}
+                == _local_curve_brute_coeffs(d, order))
+
     def test_local_curve_closed_forms(self):
         assert local_curve_series(1) == parse_rf("q/(1+q)^2")
         assert local_curve_series(2) == parse_rf(

@@ -52,6 +52,12 @@ class TestScanner:
             s.expect(")")
         assert info.value.pos == 9 and "expected ')'" in str(info.value)
 
+    def test_digits_are_ascii_only(self):
+        s = Scanner("12\u00b23")
+        assert s.digits() == "12"
+        assert s.digits() == "" and s.pos == 2
+        assert "\u00b2".isdigit()  # what str.isdigit would have taken
+
     def test_finish_and_unexpected(self):
         s = Scanner("x ")
         with pytest.raises(ParseError, match="unexpected 'x'"):
@@ -78,6 +84,23 @@ class TestScanner:
             parse_rf("(1+q")
         assert isinstance(info.value, ParseError) and info.value.pos == 4
         assert not issubclass(RFParseError, DescParseError)
+
+    def test_non_ascii_digits_are_positioned_errors(self):
+        with pytest.raises(DescParseError) as info:
+            parse_element("ch\u00b2(p)")
+        assert info.value.pos == 2
+        with pytest.raises(DescParseError) as info:
+            parse_element("\u00b2*ch2(p)")
+        assert info.value.pos == 0
+        with pytest.raises(RFParseError) as info:
+            parse_rf("q^\u00b2")
+        assert info.value.pos == 2
+        with pytest.raises(RFParseError) as info:
+            parse_rf("1 + \u00b2")
+        assert info.value.pos == 4
+        # ASCII digits, fractions and spacing parse as before
+        assert parse_element(" 3 / 4 * ch2(p)") == parse_element("3/4*ch2(p)")
+        assert parse_rf("q ^ 2 + 10") == parse_rf("q^2+10")
         assert not issubclass(DescParseError, RFParseError)
 
 
