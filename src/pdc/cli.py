@@ -3,7 +3,9 @@
 Exit codes: 0 when the requested computation or check succeeds, 1 when a
 check runs but fails, 2 on usage errors, syntax errors in descendent or
 rational-function input (reported with their position), and requests for
-series the database does not hold.
+series the database does not hold.  Any other exception is a fault of
+pdc, not a verdict: `main_entry` reports it as one "internal error" line
+and exits 3, never 1.
 
 `--json` switches every command to machine-readable output; series
 records use the same schema as `db export`, so they round-trip.  The
@@ -391,4 +393,10 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        code = 3
+    sys.exit(code)

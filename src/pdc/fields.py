@@ -11,7 +11,14 @@ Elements of the two parameter fields are stored as ratios of multivariate
 polynomials over the integers.  A canonical representative clears the
 integer content jointly from numerator and denominator and fixes the sign
 of the denominator's lexicographically leading term; equality is decided
-by cross multiplication, so no polynomial gcd is ever needed.
+by cross multiplication.  The fields themselves never take a gcd of
+parameter polynomials, so a ratio with a non-constant denominator keeps
+whatever common factor its numerator and denominator share.
+
+Polynomials in q over Q, Q_s and Q_lambda reach the integer core of
+`pdc.polynomial` through `to_components` and `from_components`: a
+coefficient list whose parameter denominators are all constant is
+sum_e s^e P_e(q) / L, with integer lists P_e and one integer L.
 """
 
 from __future__ import annotations
@@ -171,6 +178,8 @@ def _mv_mul(a: dict, b: dict) -> dict:
 
 
 def _mv_canonical(num: dict, den: dict, nvars: int) -> tuple[dict, dict]:
+    num = {e: c for e, c in num.items() if c}
+    den = {e: c for e, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("division by zero in parameter field")
     unit = (0,) * nvars
@@ -302,6 +311,65 @@ class ParamRational:
         return f"{ns}/{ds}"
 
     __repr__ = __str__
+
+
+def to_components(f: "Field", coeffs) -> tuple[dict, int] | None:
+    """The coefficient list coeffs (ascending in q) as (rows, L).
+
+    rows maps a parameter exponent e to a list of ints P_e, with the
+    coefficient of q^k equal to sum_e s^e P_e[k] / L and L > 0.  Over Q
+    the only exponent is ().  Rows of a nonzero list end in a nonzero
+    entry; the zero list has no rows.  None over Qi, and for a parameter
+    coefficient whose denominator is not a constant integer.
+    """
+    if f.tag == "Q":
+        scale = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        return ({(): ints} if ints else {}), scale
+    if f.tag == "Qi":
+        return None
+    unit = (0,) * len(FIELD_VARS[f.tag])
+    dens = []
+    for c in coeffs:
+        d = c.den.get(unit) if len(c.den) == 1 else None
+        if d is None or d.denominator != 1:
+            return None
+        dens.append(d.numerator)
+    scale = lcm(*dens)
+    rows: dict = {}
+    for k, (c, d) in enumerate(zip(coeffs, dens)):
+        m = scale // d
+        for e, v in c.num.items():
+            if v.denominator != 1:
+                return None
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [0] * len(coeffs)
+            row[k] = v.numerator * m
+    for row in rows.values():
+        while not row[-1]:
+            row.pop()
+    return rows, scale
+
+
+def from_components(f: "Field", rows: dict, scale: int) -> list:
+    """The coefficient list of sum_e s^e P_e(q) / scale; the inverse of
+    to_components.  scale is a nonzero int, rows may hold zeros."""
+    if f.tag == "Q":
+        return [Fraction(c, scale) for c in rows.get((), ())]
+    unit = (0,) * len(FIELD_VARS[f.tag])
+    if scale < 0:
+        rows = {e: [-c for c in row] for e, row in rows.items()}
+        scale = -scale
+    out = []
+    for k in range(max(map(len, rows.values()), default=0)):
+        num = {e: row[k] for e, row in rows.items()
+               if k < len(row) and row[k]}
+        g = gcd(scale, *num.values())
+        out.append(ParamRational(
+            f.tag, {e: Fraction(c // g) for e, c in num.items()},
+            {unit: Fraction(scale // g)}))
+    return out
 
 
 FIELD_VARS = {

@@ -4,22 +4,36 @@ Coefficients are stored in ascending powers with a nonzero trailing entry,
 so the representation is canonical.  Division, gcd and exact division all
 work over any of the supported fields.
 
-Over Q the gcd runs on an integer core: both inputs are cleared to
-primitive integer lists and handed to the heuristic gcd of Char, Geddes
+Over Q, Q_s and Q_lambda, multiplication, gcd and exact division run on
+an integer core.  `fields.to_components` writes a coefficient list whose
+parameter denominators are all constant as sum_e s^e P_e(q) / L, with
+integer lists P_e (Q is the case of the single exponent ()).  A product
+multiplies every pair of components over Z.  When one gcd input is a
+single component s^e P(q) / L, the gcd is the integer gcd of P and every
+component of the other input: Q is algebraically closed in the purely
+transcendental Q(s), so the factors of P over Q(s) are defined over Q,
+and the monomials s^e are independent over Q(q).  Exact division by a
+polynomial in Q[q] divides each component over Z by its primitive part.
+
+Two integer lists get their gcd from the heuristic gcd of Char, Geddes
 and Gonnet (evaluate at a large integer, take the integer gcd, read the
 polynomial back from balanced base-x digits).  A candidate is accepted
 only once it divides both primitive inputs exactly over Z; after a fixed
 number of evaluation points the primitive PRS takes over.  This avoids
-the coefficient swell of Euclid over Fractions.  The other fields keep
-Euclid's algorithm.
+the coefficient swell of Euclid over Fractions and over parameter ratios.
+
+Euclid's algorithm and long division over the field stay for the rest:
+the Gaussian rationals, where i is algebraic over Q and a factor of a
+Q[q] polynomial such as q^2 + 1 need not be defined over Q; a parameter
+coefficient with a non-constant denominator (only from imported JSON);
+and a gcd of two inputs that both span several parameter monomials.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .fields import Field, field
+from .fields import Field, field, from_components, to_components
 from .text import power, signed_sum
 
 
@@ -114,16 +128,19 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
+        f = self.field
         if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out)
+            return Polynomial.zero(f)
+        a, b = to_components(f, self.coeffs), to_components(f, other.coeffs)
+        if a is None or b is None:
+            return _mul_by_coeffs(self, other)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        rows: dict = {}
+        for ea, ra in a[0].items():
+            for eb, rb in b[0].items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                _zz_mul_add(rows.setdefault(e, [0] * n), ra, rb)
+        return Polynomial(f, from_components(f, rows, a[1] * b[1]))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -176,6 +193,27 @@ class Polynomial:
         return Polynomial(f, quo), Polynomial(f, rem)
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
+        """self / other, which must be exact.
+
+        When other lies in Q[q] and self has constant parameter
+        denominators, each component of self is divided over Z by the
+        primitive part of other (Gauss's lemma: a quotient by a primitive
+        divisor is integral); otherwise by long division over the field.
+        """
+        f = self.field
+        a, b = to_components(f, self.coeffs), to_components(f, other.coeffs)
+        in_q = b is not None and list(b[0]) == [(0,) * len(f.var_names)]
+        if self and a is not None and in_q:
+            (g,) = b[0].values()
+            content = gcd(*g)
+            g = [c // content for c in g]
+            rows = {}
+            for e, row in a[0].items():
+                quo = _zz_quo(row, g)
+                if quo is None:
+                    raise ValueError("polynomial division is not exact")
+                rows[e] = [c * b[1] for c in quo]
+            return Polynomial(f, from_components(f, rows, a[1] * content))
         quo, rem = self.divmod_(other)
         if not rem.is_zero:
             raise ValueError("polynomial division is not exact")
@@ -192,21 +230,28 @@ class Polynomial:
         """Monic-by-lowest-coefficient gcd over the coefficient field.
 
         The result's lowest-order nonzero coefficient is one; gcd(0, 0) is
-        zero.  Over Q two nonzero inputs go through the integer core
-        (`_zz_gcd`), every other case through Euclid's algorithm.
+        zero.  When both inputs have constant parameter denominators and
+        one of them is s^e P(q) / L, a single component, the gcd is the
+        integer gcd (`_zz_gcd`) of P and every component of the other:
+        Q is algebraically closed in Q(s), so every factor of P over Q(s)
+        is defined over Q, and it divides sum_e s^e B_e(q) exactly when
+        it divides each B_e.  Every other case runs Euclid's algorithm.
         """
-        if a.field.tag == "Q" and a and b:
-            g = _zz_gcd(_primitive_ints(a.coeffs), _primitive_ints(b.coeffs))
-            low = next(c for c in g if c)
-            return Polynomial(a.field, [Fraction(c, low) for c in g])
-        while not b.is_zero:
-            a, b = b, a.divmod_(b)[1]
-        if a.is_zero:
-            return a
-        low = a.coeffs[a.valuation]
-        if low == a.field.one:
-            return a
-        return a.scale(1 / low)
+        f = a.field
+        pa, pb = to_components(f, a.coeffs), to_components(f, b.coeffs)
+        if a and b and pa is not None and pb is not None:
+            ra, rb = pa[0], pb[0]
+            if len(ra) > 1:
+                ra, rb = rb, ra
+            if len(ra) == 1:
+                (p,) = ra.values()
+                g = _primitive_ints(p)
+                for row in rb.values():
+                    g = _zz_gcd(g, _primitive_ints(row))
+                low = next(c for c in g if c)
+                unit = (0,) * len(f.var_names)
+                return Polynomial(f, from_components(f, {unit: g}, low))
+        return _euclid_gcd(a, b)
 
     # -- display -------------------------------------------------------------
 
@@ -222,7 +267,36 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# integer core of the gcd over Q; coefficient lists in ascending powers
+# the per-coefficient routes, for the coefficient lists the integer core
+# does not take
+
+
+def _mul_by_coeffs(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b by the schoolbook product over the coefficient field."""
+    out = [a.field.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return Polynomial(a.field, out)
+
+
+def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd by Euclid's algorithm over the field, lowest coefficient one."""
+    while not b.is_zero:
+        a, b = b, a.divmod_(b)[1]
+    if a.is_zero:
+        return a
+    low = a.coeffs[a.valuation]
+    if low == a.field.one:
+        return a
+    return a.scale(1 / low)
+
+
+# ---------------------------------------------------------------------------
+# the integer core; coefficient lists in ascending powers
 
 _HEU_TRIES = 6
 
@@ -233,6 +307,14 @@ def _primitive_ints(coeffs) -> list[int]:
     ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     content = gcd(*ints)
     return [c // content for c in ints]
+
+
+def _zz_mul_add(out: list[int], f: list[int], g: list[int]) -> None:
+    """out += f * g, the schoolbook product; out must be long enough."""
+    n = len(g)
+    for i, a in enumerate(f):
+        if a:
+            out[i:i + n] = [c + a * b for c, b in zip(out[i:i + n], g)]
 
 
 def _zz_quo(f: list[int], g: list[int]) -> list[int] | None:

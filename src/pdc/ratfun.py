@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import Field
+from .fields import Field, ParamRational, field
 from .polynomial import Polynomial
 from .text import ParseError, Scanner
 
@@ -52,8 +52,9 @@ class RationalFunction:
                         den: Polynomial) -> "RationalFunction":
         # Internal: num/den must already be coprime with the denominator's
         # lowest-order nonzero coefficient equal to one.  Used where that
-        # is known structurally, to avoid a Euclidean pass whose
-        # intermediate coefficients blow up over the parameter fields.
+        # is known structurally, to skip a gcd; over the parameter fields
+        # that gcd is Euclid's whenever numerator and denominator both
+        # span several parameter monomials.
         obj = object.__new__(cls)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
@@ -141,19 +142,27 @@ class RationalFunction:
         return RationalFunction(self.num ** n, self.den ** n)
 
     def scale_monomial(self, c, k: int = 0) -> "RationalFunction":
-        """Multiply by c * q**k without a Euclidean pass.
+        """Multiply by c * q**k without a gcd.
 
         A nonzero scalar preserves coprimality, and a power of q cancels
         directly against whichever side carries the factor q, so the
-        canonical form can be assembled outright.  This keeps scalar and
-        monomial multiplication cheap over the parameter fields, whose
-        coefficients do not simplify.
+        canonical form can be assembled outright.  That matters over the
+        parameter fields: once numerator and denominator both span
+        several parameter monomials, a gcd there is Euclid's over the
+        field, not the integer core's.
+
+        Over Q, c may lie in a parameter field, and the product lies
+        there: Q is algebraically closed in Q(s), so a pair coprime over
+        Q stays coprime over Q(s).
         """
-        f = self.field
+        f, num, den = self.field, self.num, self.den
+        if f.tag == "Q" and isinstance(c, ParamRational):
+            f = field(c.tag)
+            num, den = Polynomial(f, num.coeffs), Polynomial(f, den.coeffs)
         c = f.coerce(c)
         if self.is_zero or c == f.zero:
             return RationalFunction.zero(f)
-        num, den = self.num.scale(c), self.den
+        num = num.scale(c)
         if k > 0:
             t = min(k, den.valuation)
             num = num.shift(k - t)

@@ -299,12 +299,8 @@ def cap_series(d: int) -> RationalFunction:
     """
     if d < 1:
         raise ValueError("degree must be a positive integer")
-    f = FIELDS["Q_s"]
-    s1, s2, _ = f.gens()
+    f = FIELDS["Q"]
     one = Polynomial.one(f)
-    # assemble the sum over a common denominator so that the single
-    # canonicalizing gcd runs over rational coefficients only; the
-    # parameter-dependent prefactor is applied gcd-free afterwards
     factors = [one - Polynomial.monomial(f, (-1) ** i, i)
                for i in range(1, d + 1)]
     num = Polynomial.zero(f)
@@ -316,8 +312,9 @@ def cap_series(d: int) -> RationalFunction:
                 term = term * factors[j]
         num = num + term
         den = den * factors[i - 1]
-    base = RationalFunction(num, den)
-    return base.scale_monomial((s1 + s2) / (2 * factorial(d)), d)
+    s1, s2, _ = FIELDS["Q_s"].gens()
+    return RationalFunction(num, den).scale_monomial(
+        (s1 + s2) / (2 * factorial(d)), d)
 
 
 # ---------------------------------------------------------------------------

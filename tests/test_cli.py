@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, exact output forms, JSON payloads."""
 
 import json
+import sys
 
 import pytest
 
+from pdc import cli
 from pdc.cli import main
 from pdc.laurent import laurent_expand
 from pdc.ratfun import parse_rf
@@ -57,6 +59,35 @@ class TestCheckCommands:
         assert capsys.readouterr().out.startswith("FAIL")
         assert main(["pole-check", "--series", "ch7(1)", "--degree", "1",
                      "--div", "0"]) == 2
+
+
+class TestInternalErrors:
+    def test_crash_exits_3_with_one_line(self, monkeypatch, capsys):
+        # a crash is a fault of pdc, never a failed check (exit 1)
+        def crash(args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "_cmd_db", crash)
+        monkeypatch.setattr(sys, "argv", ["pdc", "db", "list"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main_entry()
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            "internal error: TypeError: unsupported operand\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["db", "show", "P3:1:ch4(p)"], 0),
+        (["pole-check", "--series", "ch11(1)", "--degree", "2",
+          "--div", "1"], 1),
+        (["db", "show", "P3:9:ch4(p)"], 2),
+    ])
+    def test_mapped_codes_pass_through(self, monkeypatch, capsys, argv,
+                                       code):
+        monkeypatch.setattr(sys, "argv", ["pdc"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main_entry()
+        assert exc.value.code == code
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestProvenance:
@@ -256,6 +287,15 @@ class TestDb:
         assert main(["db", "import", str(path)]) == 0
         assert "0 new record(s); merged database holds 8" in (
             capsys.readouterr().out)
+
+    def test_import_cap_evaluator_record(self, tmp_path, capsys):
+        record = SeriesRecord(make_key("Cap", 4, "ch6(p)", "(4)"),
+                              cap_series(4), "evaluator")
+        path = tmp_path / "cap4.json"
+        path.write_text(records_to_json([record]))
+        assert main(["db", "import", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "1 new record(s); merged database holds 9\n")
 
     def test_import_missing_file(self, tmp_path, capsys):
         assert main(["db", "import", str(tmp_path / "nope.json")]) == 2

@@ -96,6 +96,20 @@ class TestParamRational:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             ParamRational.make("Q_s", {(0, 0, 0): Fraction(1)}, {})
+        with pytest.raises(ZeroDivisionError):
+            ParamRational.make("Q_s", {(0, 0, 0): Fraction(1)},
+                               {(1, 0, 0): Fraction(0)})
+
+    def test_zero_entries_are_dropped(self):
+        # imported JSON may spell out zero coefficients, as in
+        # {"num": {"s1": "0"}}; the canonical form has none
+        unit = (0, 0, 0)
+        zero = ParamRational.make("Q_s", {(1, 0, 0): Fraction(0)},
+                                  {unit: Fraction(1)})
+        assert not zero and zero.num == {}
+        c = ParamRational.make("Q_s", {unit: Fraction(2), (0, 1, 0): 0},
+                               {unit: Fraction(4), (1, 0, 0): 0})
+        assert c.num == {unit: Fraction(1)} and c.den == {unit: Fraction(2)}
 
     def test_unhashable(self):
         f = FIELDS["Q_s"]

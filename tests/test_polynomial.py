@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pdc import polynomial
-from pdc.fields import FIELDS, Q
+from pdc.fields import (FIELDS, Q, ParamRational, from_components,
+                        to_components)
 from pdc.polynomial import Polynomial
 
 
@@ -207,3 +208,187 @@ class TestIntegerGcd:
         assert Polynomial.gcd(Polynomial.zero(Q), common).coeffs == (
             1, Fraction(2, 3))
         assert Polynomial.gcd(Polynomial.zero(Q), Polynomial.zero(Q)).is_zero
+
+
+class TestIntegerProduct:
+    @given(small_polys, small_polys)
+    def test_q_product_matches_fraction_schoolbook(self, a, b):
+        assert a * b == polynomial._mul_by_coeffs(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the integer core over the parameter fields, against the per-coefficient
+# route (which stays the fallback) and against sympy over QQ(s)
+
+PARAM_TAGS = ("Q_s", "Q_lambda")
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def param_const(tag):
+    """A parameter constant with a constant denominator: a combination
+    of up to three monomials of degree at most two in each variable."""
+    nvars = len(FIELDS[tag].var_names)
+    unit = (0,) * nvars
+    mono = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.dictionaries(mono, small_fractions, max_size=3).map(
+        lambda num: ParamRational.make(
+            tag, {e: c for e, c in num.items() if c}, {unit: Fraction(1)}))
+
+
+@st.composite
+def param_poly(draw, tag, max_size=3, ratios=True):
+    """A polynomial over a parameter field; when ratios is set, one draw
+    in four divides one coefficient by 1 + (first variable), a
+    non-constant denominator that the integer core declines."""
+    cs = draw(st.lists(param_const(tag), max_size=max_size))
+    if ratios and cs and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(cs) - 1))
+        cs[k] = cs[k] / (FIELDS[tag].gens()[0] + 1)
+    return Polynomial(FIELDS[tag], cs)
+
+
+def lift(p: Polynomial, tag: str) -> Polynomial:
+    """A Q[q] polynomial with its coefficients read in a parameter field."""
+    return Polynomial(FIELDS[tag], p.coeffs)
+
+
+def sympy_poly(p: Polynomial):
+    """p as a sympy Poly in q over QQ(parameters)."""
+    names = sympy.symbols(p.field.var_names)
+
+    def mv(terms):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(x ** k for x, k in zip(names, e)))
+                    for e, c in terms.items()), sympy.Integer(0))
+
+    q = sympy.symbols("q")
+    expr = sum((mv(c.num) / mv(c.den) * q ** k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+    return sympy.Poly(expr, q, domain=sympy.QQ.frac_field(*names))
+
+
+@st.composite
+def param_case(draw):
+    """(tag, a, b, c): c a planted Q[q] factor, times at most one
+    1 - (-q)^m; a and b polynomials whose coefficients may span several
+    parameter monomials."""
+    tag = draw(st.sampled_from(PARAM_TAGS))
+    c = draw(small_polys.filter(lambda p: p.degree <= 1))
+    for m in draw(st.lists(st.integers(1, 3), max_size=1)):
+        c = c * cyclotomic(m)
+    a = draw(param_poly(tag))
+    b = draw(param_poly(tag))
+    return tag, a, b, lift(c, tag)
+
+
+class TestParameterKernel:
+    @settings(max_examples=60)
+    @given(param_case())
+    def test_mul_matches_per_coefficient_route_and_sympy(self, case):
+        _, a, b, c = case
+        for x, y in ((a, b), (a * c, b), (c, b)):
+            assert x * y == polynomial._mul_by_coeffs(x, y)
+            assert sympy_poly(x * y) == sympy_poly(x) * sympy_poly(y)
+
+    @settings(max_examples=60)
+    @given(param_case(), small_polys.filter(lambda p: p.degree <= 2),
+           st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    def test_gcd_with_one_component_input(self, case, p, e):
+        # a = s^e * p(q) * c(q) has one component, so the integer core
+        # takes the gcd whenever b has constant denominators
+        tag, _, b, c = case
+        nvars = len(FIELDS[tag].var_names)
+        mono = ParamRational.make(tag, {tuple(e[:nvars]): Fraction(1)},
+                                  {(0,) * nvars: Fraction(1)})
+        a = (lift(p, tag) * c).scale(mono)
+        b = b * c
+        g = Polynomial.gcd(a, b)
+        assert Polynomial.gcd(b, a) == g
+        if a.degree + b.degree <= 5:
+            # Euclid's remainders over the field swell fast with degree
+            assert g == polynomial._euclid_gcd(a, b)
+        if a or b:
+            assert sympy_poly(g).monic() == sympy_poly(a).gcd(sympy_poly(b))
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(PARAM_TAGS).flatmap(
+        lambda tag: st.tuples(param_poly(tag, 2, False),
+                              param_poly(tag, 2, False))),
+           st.integers(1, 3))
+    def test_gcd_of_two_multi_component_inputs(self, ab, m):
+        # neither input need be a single component: Euclid over the
+        # field, whose remainders swell, so the inputs stay small
+        a, b = ab
+        c = lift(cyclotomic(m), a.field.tag)
+        a, b = a * c, b * c
+        g = Polynomial.gcd(a, b)
+        if a or b:
+            assert sympy_poly(g).monic() == sympy_poly(a).gcd(sympy_poly(b))
+
+    @settings(max_examples=60)
+    @given(param_case())
+    def test_exact_div(self, case):
+        _, a, b, c = case
+        for x, y in ((a, c), (a, b)):
+            if not y:
+                continue
+            prod = x * y
+            assert prod.exact_div(y) == x
+            assert prod.exact_div(y) == prod.divmod_(y)[0]
+            if y.degree > 0:
+                with pytest.raises(ValueError):
+                    (prod + Polynomial.one(y.field)).exact_div(y)
+
+    def test_gcd_takes_every_component(self):
+        # a = 1 - q^2 against x (1 - q^2) + y (1 + q): the x component
+        # alone shares 1 - q^2 with a, all of the other input only 1 + q
+        fs = FIELDS["Q_s"]
+        s1, s2, _ = fs.gens()
+        a = Polynomial(fs, [1, 0, -1])
+        for x, y in ((s1, s2), (s2, s1)):
+            b = a.scale(x) + Polynomial(fs, [1, 1]).scale(y)
+            assert Polynomial.gcd(a, b) == Polynomial(fs, [1, 1])
+            assert Polynomial.gcd(b, a) == Polynomial(fs, [1, 1])
+
+    def test_cap_shaped_gcd(self):
+        # (s1 + s2) * q * (1 - q) * (1 + q)^2 against (1 + q)^3 (1 - q^2)
+        fs = FIELDS["Q_s"]
+        s1, s2, _ = fs.gens()
+        onepq = Polynomial(fs, [1, 1])
+        num = (Polynomial(fs, [0, 1, -1]) * onepq ** 2).scale(
+            (s1 + s2) / 12)
+        den = onepq ** 3 * Polynomial(fs, [1, 0, -1])
+        g = Polynomial.gcd(num, den)
+        assert g == Polynomial(fs, [1, 1]) ** 2 * Polynomial(fs, [1, -1])
+        assert num.exact_div(g) == Polynomial(fs, [0, 1]).scale(
+            (s1 + s2) / 12)
+
+
+class TestComponents:
+    def test_round_trip(self):
+        fs = FIELDS["Q_s"]
+        s1, s2, s3 = fs.gens()
+        coeffs = (Fraction(3, 4) * s1 * s2 - s3 / 6, fs.zero,
+                  fs.one * 5, s1 * s1 / 10)
+        rows, scale = to_components(fs, coeffs)
+        assert scale == 60
+        assert rows == {(1, 1, 0): [45], (0, 0, 1): [-10],
+                        (0, 0, 0): [0, 0, 300], (2, 0, 0): [0, 0, 0, 6]}
+        assert tuple(from_components(fs, rows, scale)) == coeffs
+        # a negative scale and cancelling rows normalise on the way back
+        back = from_components(fs, {(0, 0, 0): [2, 0, -4]}, -4)
+        assert tuple(back) == (Fraction(-1, 2) * fs.one, fs.zero, fs.one)
+        assert back[0].den == {(0, 0, 0): Fraction(2)}
+
+    def test_q_is_the_one_component_case(self):
+        coeffs = (Fraction(1, 2), Fraction(0), Fraction(-2, 3))
+        assert to_components(Q, coeffs) == ({(): [3, 0, -4]}, 6)
+        assert from_components(Q, {(): [3, 0, -4]}, 6) == list(coeffs)
+        assert to_components(Q, ()) == ({}, 1)
+
+    def test_declined_inputs(self):
+        assert to_components(FIELDS["Qi"], (Fraction(1),)) is None
+        fs = FIELDS["Q_s"]
+        s1 = fs.gen("s1")
+        assert to_components(fs, (fs.one, 1 / (s1 + 1))) is None
+        assert to_components(fs, (1 / s1,)) is None

@@ -5,6 +5,7 @@ change in how terms, signs, coefficients or powers are formatted shows up
 here byte for byte.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from pdc.fields import QI, QLAMBDA, GaussianRational
 from pdc.laurent import laurent_expand, u_expand
 from pdc.polynomial import Polynomial
 from pdc.ratfun import parse_rf
-from pdc.series import builtin_db, cap_series, key_from_str, local_curve_series
+from pdc.series import (SeriesRecord, builtin_db, cap_series, key_from_str,
+                        local_curve_series, make_key, records_to_json)
 from pdc.virasoro import (build_constraint, commutator, multiplication_op,
                           shift_op)
 
@@ -28,6 +30,7 @@ def _objects():
     l3 = QLAMBDA.gen("lam3")
     return {
         "cap2": cap_series(2),
+        "cap5": cap_series(5),
         "lc2": local_curve_series(2),
         "lam": _lam(),
         "lam_poly": Polynomial(QLAMBDA, [_lam(), -1, l3, 0, Fraction(2, 5)]),
@@ -49,6 +52,14 @@ def _objects():
 GOLDEN = {
     "cap2": "(((s1 + s2)/2)*q^2 + ((-s1 - s2)/2)*q^3 + ((s1 + s2)/2)*q^4)"
             "/(1 - q^2)",
+    "cap5": "(((s1 + s2)/48)*q^5 + ((-s1 - s2)/20)*q^6 "
+            "+ ((23*s1 + 23*s2)/240)*q^7 + ((-11*s1 - 11*s2)/80)*q^8 "
+            "+ ((7*s1 + 7*s2)/40)*q^9 + ((-11*s1 - 11*s2)/60)*q^10 "
+            "+ ((7*s1 + 7*s2)/40)*q^11 + ((-11*s1 - 11*s2)/80)*q^12 "
+            "+ ((23*s1 + 23*s2)/240)*q^13 + ((-s1 - s2)/20)*q^14 "
+            "+ ((s1 + s2)/48)*q^15)"
+            "/(1 - 2*q + 3*q^2 - 3*q^3 + 2*q^4 - 2*q^6 + 3*q^7 - 3*q^8 "
+            "+ 2*q^9 - q^10)",
     "lc2": "(-2*q^3)/(1 + 2*q - q^2 - 4*q^3 - q^4 + 2*q^5 + q^6)",
     "lam": "(2*lam0 - 4*lam1 + 3)/(2*lam0*lam1 + 2*lam2^2 - 6)",
     "lam_poly": "((2*lam0 - 4*lam1 + 3)/(2*lam0*lam1 + 2*lam2^2 - 6)) - q "
@@ -75,3 +86,27 @@ def test_zero_objects_print_zero():
     assert str(Polynomial.zero(QI)) == "0"
     assert str(parse_element("ch3(p) - ch3(p)")) == "0"
     assert str(laurent_expand(parse_rf("q^9"), 2)) == "0 + O(q^3)"
+
+
+def test_parameter_export_row():
+    # the db export text of a Q_s record: json.dumps(rows, indent=2,
+    # sort_keys=True), so the row below pins it byte for byte
+    one = {"den": {"1": "1"}, "num": {"1": "1"}}
+    zero = {"den": {"1": "1"}, "num": {}}
+
+    def half(sign):
+        return {"den": {"1": "2"}, "num": {"s1": sign, "s2": sign}}
+
+    row = {
+        "boundary": "(2)", "degree": 2, "geometry": "Cap",
+        "insertions": "ch4(p)", "provenance": "evaluator",
+        "value": {
+            "den": [one, zero, {"den": {"1": "1"}, "num": {"1": "-1"}}],
+            "field": "Q_s",
+            "num": [zero, zero, half("1"), half("-1"), half("1")],
+        },
+    }
+    record = SeriesRecord(make_key("Cap", 2, "ch4(p)", "(2)"), cap_series(2),
+                          "evaluator")
+    assert records_to_json([record]) == (
+        json.dumps([row], indent=2, sort_keys=True) + "\n")

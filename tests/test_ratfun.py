@@ -96,6 +96,19 @@ class TestScaleMonomial:
         assert G.num == Polynomial(fs, [0, 0, s1 + s2])
         assert G.den == Polynomial(fs, [1, 1])
 
+    def test_parameter_scalar_lifts_from_q(self):
+        # over Q a parameter scalar moves the function into its field,
+        # where the lifted pair is still canonical
+        fs = FIELDS["Q_s"]
+        s1, s2, _ = fs.gens()
+        F = parse_rf("(2 - 2*q)/(q*(3 + q))")
+        G = F.scale_monomial((s1 + s2) / 4, 2)
+        assert G.field.tag == "Q_s"
+        assert G == RationalFunction(
+            Polynomial(fs, [0, 2, -2]).scale((s1 + s2) / 4),
+            Polynomial(fs, [3, 1]))
+        assert G.den.coeffs[0] == fs.one
+
 
 class TestInversionAndDerivation:
     def test_invert_q_involution_random(self):

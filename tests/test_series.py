@@ -297,6 +297,27 @@ class TestSerialization:
         again = records_to_json(records_from_json(text))
         assert again == text
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_cap_record_round_trip(self, d):
+        # an imported cap record is canonicalised over Q_s; its gcd takes
+        # the integer core, so the cost stays bounded in d
+        record = SeriesRecord(make_key("Cap", d, f"ch{d + 2}(p)", f"({d})"),
+                              cap_series(d), "evaluator")
+        text = records_to_json([record])
+        back = records_from_json(text)
+        assert back == [record]
+        assert records_to_json(back) == text
+
+    def test_spelled_out_zero_parameter_entries(self):
+        # zero entries in an imported parameter coefficient are dropped,
+        # so the record reads back as the canonical one
+        record = builtin_db().get(key_from_str("Cap:1:ch4(p):(1)"))
+        rows = json.loads(records_to_json([record]))
+        rows[0]["value"]["num"].append({"num": {"s1": "0"},
+                                        "den": {"1": "1"}})
+        rows[0]["value"]["den"][1]["num"]["s2"] = "0"
+        assert records_from_json(json.dumps(rows)) == [record]
+
     def test_records_from_json_requires_list(self):
         with pytest.raises(ValueError):
             records_from_json('{"geometry": "P3"}')
