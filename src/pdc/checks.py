@@ -150,7 +150,7 @@ def check_lowest_constraint_annihilates() -> tuple[bool, str]:
     op = build_constraint(-1)
     monomials = generator_monomials(6, 3)
     bad = sum(1 for m in monomials
-              if not apply_op(op, DescElement({m: Fraction(1)})).is_zero)
+              if not apply_op(op, DescElement({m: 1})).is_zero)
     if bad:
         return False, f"{bad} of {len(monomials)} monomials not annihilated"
     return True, f"annihilates all {len(monomials)} monomials (<=3 factors)"
@@ -191,18 +191,9 @@ def check_point_multiplication_bracket() -> tuple[bool, str]:
 
 
 def check_constraint_construction_routes() -> tuple[bool, str]:
-    monomials = generator_monomials(4, 2)
-    pairs = []
-    for k in range(-1, 5):
-        direct = build_constraint(k)
-        composed = build_constraint_composed(k)
-        same_ops = direct == composed
-        same_action = all(
-            apply_op(direct, DescElement({m: Fraction(1)}))
-            == apply_op(composed, DescElement({m: Fraction(1)}))
-            for m in monomials)
-        pairs.append((f"k={k}", same_ops and same_action))
-    return _failures(pairs)
+    # equal operators act equally, so comparing the operators suffices
+    return _failures((f"k={k}", build_constraint(k)
+                      == build_constraint_composed(k)) for k in range(-1, 5))
 
 
 # -- 5: reduction rules --------------------------------------------------------

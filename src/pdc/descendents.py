@@ -4,8 +4,10 @@ Generators are ch_i(c) with subscript i >= 0 and a cohomology class c from
 {1, H, L, p}, where H is the hyperplane, L = H^2 the line class and p the
 point class; an extra class token p0 names the torus-fixed point insertion
 used by the equivariant series table.  Elements are finite sums of
-monomials in the generators with exact rational coefficients; no relations
-are imposed until normalize is applied.
+monomials in the generators with exact coefficients: ints, and Fractions
+only where fractional input (a parsed "3/4", say) brings them in, so the
+operator algebra, whose coefficients are factorials, runs on ints.  No
+relations are imposed until normalize is applied.
 
 normalize implements the boundary conventions: each factor ch_0(p) turns
 into the scalar -1, while ch_0 of any lower class and every ch_1 kill the
@@ -61,6 +63,7 @@ def generator_degree(g: Generator) -> int:
 
 
 Monomial = tuple  # sorted tuple of Generators
+Coeff = int | Fraction
 
 
 def monomial(factors: Iterable[Generator]) -> Monomial:
@@ -71,20 +74,28 @@ def monomial_degree(factors: Monomial) -> int:
     return sum(generator_degree(g) for g in factors)
 
 
+def int_or_fraction(c) -> Coeff:
+    """c (int, Fraction or a string like "3/4"): an int if integral."""
+    if type(c) is int:
+        return c
+    c = rat(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class DescElement:
     """Finite rational combination of generator monomials."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean = accumulate({}, ((monomial(factors), rat(c))
+        clean = accumulate({}, ((monomial(factors), int_or_fraction(c))
                                 for factors, c in (terms or {}).items()))
         object.__setattr__(self, "terms", clean)
 
     @classmethod
     def _from_terms(cls, terms: dict) -> "DescElement":
         # Internal: terms must already map sorted monomials to nonzero
-        # Fractions, as accumulate leaves them.
+        # ints or Fractions, as accumulate leaves them.
         obj = object.__new__(cls)
         object.__setattr__(obj, "terms", terms)
         return obj
@@ -100,11 +111,11 @@ class DescElement:
 
     @classmethod
     def constant(cls, c) -> "DescElement":
-        return cls({(): rat(c)})
+        return cls({(): c})
 
     @classmethod
     def of(cls, *gens: Generator, coeff=1) -> "DescElement":
-        return cls({monomial(gens): rat(coeff)})
+        return cls({monomial(gens): coeff})
 
     # -- structure --------------------------------------------------------------
 
@@ -148,11 +159,11 @@ class DescElement:
         return self.scale(other)
 
     def scale(self, c) -> "DescElement":
-        c = rat(c)
+        c = int_or_fraction(c)
         if not c:
             return DescElement.zero()
         return DescElement._from_terms(
-            {f: c * v for f, v in self.terms.items()})
+            {f: int_or_fraction(c * v) for f, v in self.terms.items()})
 
     # -- display -----------------------------------------------------------------
 
@@ -251,23 +262,7 @@ class _DescParser(Scanner):
     def _factor(self) -> DescElement:
         if self.peek().isalpha():
             return DescElement.of(self._generator())
-        numerator = self.digits()
-        if not numerator:
-            self.unexpected()
-        return DescElement.constant(self._rational(int(numerator)))
-
-    def _rational(self, numerator: int) -> Fraction:
-        """numerator, or numerator/denominator when "/" and digits follow."""
-        mark = self.pos
-        if self.accept("/"):
-            start = self.skip_space()
-            denominator = self.digits()
-            if denominator:
-                if int(denominator) == 0:
-                    self.fail("zero denominator", start)
-                return Fraction(numerator, int(denominator))
-        self.pos = mark
-        return Fraction(numerator)
+        return DescElement.constant(self.rational())
 
     def _generator(self) -> Generator:
         start = self.skip_space()

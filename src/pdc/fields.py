@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .text import power, signed_sum
+from .text import Scanner, power, signed_sum
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -121,29 +121,22 @@ I = GaussianRational(0, 1)
 
 
 def parse_gaussian(s: str) -> GaussianRational:
-    """Parse "3/4", "3/4+1/2*i", "-2*i", "0-2/3*i" back to an element."""
-    t = s.replace(" ", "")
-    if "i" not in t:
-        return GaussianRational(Fraction(t))
-    # any '+' or '-' past position 0 separates the real and imaginary parts,
-    # since the rational parts themselves contain only digits and '/'
-    split = None
-    for pos in range(1, len(t)):
-        if t[pos] in "+-":
-            split = pos
-            break
-    if split is None:
-        re_part, im_part = "0", t
-    else:
-        re_part, im_part = t[:split], t[split:]
-    im_part = im_part.rstrip("i").rstrip("*")
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = Fraction(im_part)
-    return GaussianRational(Fraction(re_part), im)
+    """Parse what str() prints, such as "3/4", "3/4+1/2*i", "-2*i",
+    "0-2/3*i" or "i": a signed sum of such terms.  Anything else raises
+    text.ParseError, a ValueError."""
+    scanner = Scanner(s)
+
+    def term() -> GaussianRational:
+        # i, or a rational a or a/b, optionally followed by *i
+        if scanner.accept("i"):
+            return I
+        value = scanner.rational()
+        if scanner.accept("*"):
+            scanner.expect("i")
+            return GaussianRational(0, value)
+        return GaussianRational(value)
+
+    return scanner.finish(scanner.sum_of(term))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ and orders blocks by their least element.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 
@@ -31,9 +30,9 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def zaut(mu: tuple[int, ...]) -> Fraction:
+def zaut(mu: tuple[int, ...]) -> int:
     """Symmetry factor: product of the parts times the multiplicity factorials."""
-    z = Fraction(1)
+    z = 1
     mult: dict[int, int] = {}
     for m in mu:
         if m < 1:

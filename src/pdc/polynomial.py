@@ -51,6 +51,17 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @classmethod
+    def _from_field_coeffs(cls, f: Field, cs: list) -> "Polynomial":
+        # Internal: cs must already hold elements of f, as
+        # from_components builds them; only trailing zeros are stripped.
+        while cs and not cs[-1]:
+            cs.pop()
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "field", f)
+        object.__setattr__(obj, "coeffs", tuple(cs))
+        return obj
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -140,7 +151,8 @@ class Polynomial:
             for eb, rb in b[0].items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 _zz_mul_add(rows.setdefault(e, [0] * n), ra, rb)
-        return Polynomial(f, from_components(f, rows, a[1] * b[1]))
+        return Polynomial._from_field_coeffs(
+            f, from_components(f, rows, a[1] * b[1]))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -213,7 +225,8 @@ class Polynomial:
                 if quo is None:
                     raise ValueError("polynomial division is not exact")
                 rows[e] = [c * b[1] for c in quo]
-            return Polynomial(f, from_components(f, rows, a[1] * content))
+            return Polynomial._from_field_coeffs(
+                f, from_components(f, rows, a[1] * content))
         quo, rem = self.divmod_(other)
         if not rem.is_zero:
             raise ValueError("polynomial division is not exact")
@@ -250,7 +263,8 @@ class Polynomial:
                     g = _zz_gcd(g, _primitive_ints(row))
                 low = next(c for c in g if c)
                 unit = (0,) * len(f.var_names)
-                return Polynomial(f, from_components(f, {unit: g}, low))
+                return Polynomial._from_field_coeffs(
+                    f, from_components(f, {unit: g}, low))
         return _euclid_gcd(a, b)
 
     # -- display -------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Every printed object (polynomials, rational functions, Laurent series,
 parameter-field ratios, descendent elements, operators) is a signed sum
-of coefficient-times-factor terms, and both input languages (rational
-functions of q, descendent expressions) are read by recursive descent
-over the same scanner.
+of coefficient-times-factor terms, and every input language (rational
+functions of q, descendent expressions, Gaussian rationals) is read by
+recursive descent over the same scanner.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def power(var: str, k: int) -> str:
@@ -113,6 +115,24 @@ class Scanner:
         rejects without a position.
         """
         return self.take(_ASCII_DIGITS.__contains__)
+
+    def rational(self) -> int | Fraction:
+        """An unsigned a or a/b: an int, or a Fraction when "/" and digits
+        follow (a "/" without digits after it is left unread)."""
+        self.skip_space()
+        numerator = self.digits()
+        if not numerator:
+            self.unexpected()
+        mark = self.pos
+        if self.accept("/"):
+            start = self.skip_space()
+            denominator = self.digits()
+            if denominator:
+                if not int(denominator):
+                    self.fail("zero denominator", start)
+                return Fraction(int(numerator), int(denominator))
+        self.pos = mark
+        return int(numerator)
 
     def fail(self, message: str, pos: int | None = None):
         raise self.error(message, self.pos if pos is None else pos)

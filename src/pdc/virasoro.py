@@ -29,18 +29,18 @@ relation instead, which is the relation the constraint theory asserts.)
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .descendents import (DescElement, Generator, Monomial, accumulate,
-                          class_degree, format_monomial, gen, kunneth_pairs,
-                          monomial, normal_terms)
+from .descendents import (Coeff, DescElement, Generator, Monomial,
+                          accumulate, class_degree, format_monomial, gen,
+                          int_or_fraction, kunneth_pairs, monomial,
+                          normal_terms)
 from .text import signed_sum
 
 
 class Term(NamedTuple):
-    coeff: Fraction
+    coeff: Coeff  # int, or Fraction from fractional input
     mult: Monomial
     deriv: int | None  # None for identity, k for the shift derivation R_k
 
@@ -54,7 +54,7 @@ def _keyed_terms(terms):
     for coeff, mult, deriv in terms:
         if deriv is not None and deriv < -1:
             raise ValueError("derivation index below -1: malformed operator")
-        yield (monomial(mult), deriv), Fraction(coeff)
+        yield (monomial(mult), deriv), int_or_fraction(coeff)
 
 
 class VirasoroOperator:
@@ -80,7 +80,7 @@ class VirasoroOperator:
         return self + other.scale(-1)
 
     def scale(self, c) -> "VirasoroOperator":
-        c = Fraction(c)
+        c = int_or_fraction(c)
         return VirasoroOperator([Term(c * t.coeff, t.mult, t.deriv)
                                  for t in self.terms])
 
@@ -108,17 +108,17 @@ class VirasoroOperator:
 
 
 def identity_op() -> VirasoroOperator:
-    return VirasoroOperator([Term(Fraction(1), (), None)])
+    return VirasoroOperator([Term(1, (), None)])
 
 
 def multiplication_op(factors: Monomial, coeff=1) -> VirasoroOperator:
     """Multiplication by a fixed monomial, as an operator."""
-    return VirasoroOperator([Term(Fraction(coeff), monomial(factors), None)])
+    return VirasoroOperator([Term(coeff, monomial(factors), None)])
 
 
 def shift_op(k: int) -> VirasoroOperator:
     """The bare shift derivation R_k, as an operator."""
-    return VirasoroOperator([Term(Fraction(1), (), k)])
+    return VirasoroOperator([Term(1, (), k)])
 
 
 def shift_weight(k: int, g: Generator) -> int:
@@ -164,10 +164,6 @@ def apply_op(op: VirasoroOperator, e: DescElement) -> DescElement:
     return DescElement._from_terms(acc)
 
 
-def _fact_or_zero(n: int) -> int:
-    return factorial(n) if n >= 0 else 0
-
-
 def build_quadratic(k: int) -> VirasoroOperator:
     """The weighted quadratic operator of index k >= -1 (written L_k).
 
@@ -183,24 +179,24 @@ def build_quadratic(k: int) -> VirasoroOperator:
     for a in range(k + 3):
         b = k + 2 - a
         for dl, dr in kunneth_pairs(1):
-            w = _fact_or_zero(a + dl - 3) * _fact_or_zero(b + dr - 3)
-            if not w:
-                continue
+            if a + dl < 3 or b + dr < 3:
+                continue  # a factorial of a negative argument vanishes
+            w = factorial(a + dl - 3) * factorial(b + dr - 3)
             sign = (-1) ** (dl * dr)
-            terms.append(Term(Fraction(-2 * sign * w),
+            terms.append(Term(-2 * sign * w,
                               monomial((gen(a, dl), gen(b, dr))), None))
     for a in range(k + 1):
         b = k - a
-        terms.append(Term(Fraction(factorial(a) * factorial(b)),
+        terms.append(Term(factorial(a) * factorial(b),
                           monomial((gen(a, 3), gen(b, 3))), None))
-    terms.append(Term(Fraction(1), (), k))
+    terms.append(Term(1, (), k))
     return VirasoroOperator(terms)
 
 
 def build_constraint(k: int) -> VirasoroOperator:
     """The full constraint operator: the quadratic operator plus
     (k+1)! R_{-1} following multiplication by ch_{k+1}(p)."""
-    extra = Term(Fraction(factorial(k + 1)), (gen(k + 1, 3),), -1)
+    extra = Term(factorial(k + 1), (gen(k + 1, 3),), -1)
     return VirasoroOperator(build_quadratic(k).terms + (extra,))
 
 
@@ -256,21 +252,19 @@ def generator_monomials(gen_bound: int, max_factors: int,
 
 
 def bracket_check(k: int, m: int, gen_bound: int) -> bool:
-    """Compare the symbolic bracket of two quadratic operators with
-    (m-k) times the quadratic operator of index k+m.
+    """Check the symbolic bracket [L_k, L_m] against (m-k) L_{k+m}.
 
-    Both sides are applied to every monomial with at most two factors and
-    subscripts up to gen_bound; actions are compared after normalization.
+    One operator, lhs - rhs, must kill every monomial with at most two
+    factors and subscripts up to gen_bound.  That is exact: apply_op is
+    linear in the operator, so lhs - rhs kills a monomial just when both
+    sides send it to the same normalized element.  Mostly lhs - rhs has
+    no terms at all.
     """
     if k < -1 or m < -1:
         raise ValueError("bracket indices must be at least -1")
-    lhs = commutator(build_quadratic(k), build_quadratic(m))
-    if k == m:
-        rhs = VirasoroOperator(())  # the bracket of an operator with itself
-    else:
-        rhs = build_quadratic(k + m).scale(m - k)
-    for factors in generator_monomials(gen_bound, 2):
-        e = DescElement({factors: 1})
-        if apply_op(lhs, e) != apply_op(rhs, e):
-            return False
-    return True
+    diff = commutator(build_quadratic(k), build_quadratic(m))
+    if k != m:  # the bracket of an operator with itself is zero
+        diff = diff - build_quadratic(k + m).scale(m - k)
+    return diff.is_zero or all(
+        apply_op(diff, DescElement({factors: 1})).is_zero
+        for factors in generator_monomials(gen_bound, 2))

@@ -7,8 +7,10 @@ import pytest
 
 from pdc import cli
 from pdc.cli import main
+from pdc.fields import QI, I
 from pdc.laurent import laurent_expand
-from pdc.ratfun import parse_rf
+from pdc.polynomial import Polynomial
+from pdc.ratfun import RationalFunction, parse_rf
 from pdc.series import (SeriesRecord, builtin_db, cap_series,
                         local_curve_series, make_key, record_from_obj,
                         records_to_json)
@@ -361,6 +363,23 @@ class TestDb:
         assert main(["db", "import", str(path)]) == 0
         assert capsys.readouterr().out == (
             "0 new record(s); merged database holds 8\n")
+
+    @pytest.mark.parametrize("text", ["ii", "2**i", "1+2*ii"])
+    def test_import_malformed_gaussian(self, tmp_path, monkeypatch, capsys,
+                                       text):
+        value = RationalFunction(Polynomial(QI, [0, I, 2 * I]),
+                                 Polynomial(QI, [1, 1]))
+        rows = json.loads(records_to_json(
+            [SeriesRecord(make_key("P3", 1, "ch9(1)"), value, "exact")]))
+        assert rows[0]["value"]["num"] == ["0", "1*i", "2*i"]
+        rows[0]["value"]["num"][1] = text
+        path = tmp_path / "qi.json"
+        path.write_text(json.dumps(rows))
+        assert main(["db", "import", str(path)]) == 2
+        assert "record 0: " in capsys.readouterr().err
+        monkeypatch.setenv("PDC_DB", str(path))
+        assert main(["db", "list"]) == 2
+        assert "record 0: " in capsys.readouterr().err
 
     def test_import_inexact_parameter_coefficient(self, tmp_path, capsys):
         rows = json.loads(records_to_json(builtin_db()))

@@ -53,6 +53,19 @@ class TestElementAlgebra:
         e = DescElement.constant(Fraction(3, 4))
         assert e.terms == {(): Fraction(3, 4)}
 
+    def test_integral_coefficients_are_ints(self):
+        m = monomial((gen(3, "p"),))
+        two = DescElement({m: Fraction(4, 2)})
+        assert two.terms == {m: 2} and type(two.terms[m]) is int
+        assert type(DescElement.constant("6/3").terms[()]) is int
+        assert type(DescElement.of(gen(3, "p"), coeff=Fraction(3))
+                    .terms[m]) is int
+        assert type(two.scale(Fraction(1, 2)).terms[m]) is int
+        parsed = parse_element("3/4*ch3(p)")
+        assert parsed.terms == {m: Fraction(3, 4)}
+        assert type(parsed.terms[m]) is Fraction
+        assert type(parse_element("2*ch3(p)").terms[m]) is int
+
     def test_commutative_ring_ops(self):
         a = DescElement.of(gen(3, "p"))
         b = DescElement.of(gen(4, "1"), coeff=2)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pdc.fields import (FIELDS, GaussianRational, I, ParamRational, field,
                         parse_gaussian, rat)
@@ -50,6 +51,27 @@ class TestGaussianRational:
                  GaussianRational.of(0)]
         for g in cases:
             assert parse_gaussian(str(g)) == g
+
+    @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+    def test_parse_inverts_str(self, re, im):
+        z = GaussianRational(re, im)
+        assert parse_gaussian(str(z)) == z
+
+    def test_parse_documented_forms(self):
+        assert parse_gaussian("3/4") == GaussianRational(Fraction(3, 4))
+        assert parse_gaussian("3/4+1/2*i") == GaussianRational(
+            Fraction(3, 4), Fraction(1, 2))
+        assert parse_gaussian("-2*i") == GaussianRational(0, -2)
+        assert parse_gaussian("0-2/3*i") == GaussianRational(
+            0, Fraction(-2, 3))
+        assert parse_gaussian("i") == I
+        assert parse_gaussian(" 1 - i ") == GaussianRational(1, -1)
+
+    @pytest.mark.parametrize("text", ["ii", "2**i", "1+2*ii", "2i", "",
+                                      "1.5", "3/0", "1+", "i*2"])
+    def test_parse_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            parse_gaussian(text)
 
     def test_division(self):
         a = GaussianRational(1, 1)

@@ -76,6 +76,22 @@ class TestScanner:
         assert s.sum_of(term) == -1 + 20 - 3
         assert s.finish(0) == 0
 
+    def test_rational(self):
+        s = Scanner(" 12 / 8*x")
+        value = s.rational()
+        assert value == Fraction(3, 2) and s.text[s.pos:] == "*x"
+        s = Scanner("6/3")
+        value = s.rational()
+        assert value == 2 and type(value) is Fraction
+        s = Scanner("7/x")
+        value = s.rational()
+        assert value == 7 and type(value) is int
+        assert s.text[s.pos:] == "/x"  # a "/" without digits stays unread
+        with pytest.raises(ParseError, match="zero denominator"):
+            Scanner("1/0").rational()
+        with pytest.raises(ParseError, match="unexpected 'x'"):
+            Scanner("x").rational()
+
     def test_parser_errors_keep_their_classes(self):
         with pytest.raises(DescParseError) as info:
             parse_element("ch3(p")

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdc import virasoro
 from pdc.descendents import (DescElement, gen, generator_degree, monomial,
                              normalize)
 from pdc.virasoro import (Term, VirasoroOperator, apply_op, apply_shift,
@@ -32,6 +33,21 @@ def apply_op_reference(op, e):
             x = apply_shift(deriv, x)
         total = total + normalize(x).scale(coeff)
     return total
+
+
+def bracket_check_reference(k, m, gen_bound):
+    """bracket_check by comparing the actions of both sides on every
+    monomial; reads build_quadratic through the module, so a patched
+    operator reaches it too."""
+    quadratic = virasoro.build_quadratic
+    lhs = commutator(quadratic(k), quadratic(m))
+    rhs = (VirasoroOperator(()) if k == m
+           else quadratic(k + m).scale(m - k))
+    for factors in generator_monomials(gen_bound, 2):
+        e = DescElement({factors: 1})
+        if apply_op(lhs, e) != apply_op(rhs, e):
+            return False
+    return True
 
 
 def rising_factorial(x, k):
@@ -159,6 +175,24 @@ class TestBrackets:
             for m in range(-1, 3):
                 assert bracket_check(k, m, 6)
 
+    def test_agrees_with_two_sided_reference(self):
+        for k in range(-1, 5):
+            for m in range(-1, 5):
+                assert bracket_check(k, m, 6) == bracket_check_reference(
+                    k, m, 6), (k, m)
+
+    def test_detects_a_broken_relation(self, monkeypatch):
+        quadratic = virasoro.build_quadratic
+        stray = VirasoroOperator([Term(1, (gen(3, "p"),), None)])
+
+        def broken(k):
+            return quadratic(k) + stray if k == 3 else quadratic(k)
+
+        monkeypatch.setattr(virasoro, "build_quadratic", broken)
+        assert not bracket_check(1, 2, 6)
+        assert not bracket_check_reference(1, 2, 6)
+        assert bracket_check(0, 1, 6) and bracket_check_reference(0, 1, 6)
+
     def test_bracket_check_validation(self):
         with pytest.raises(ValueError):
             bracket_check(-2, 0, 4)
@@ -186,6 +220,25 @@ class TestBrackets:
                 rhs = multiplication_op((gen(n + k, 3),),
                                         k * factorial(k + n))
                 assert lhs == rhs, (n, k)
+
+
+class TestIntegerCoefficients:
+    def test_constraint_action_stays_integral(self):
+        probes = generator_monomials(4, 2)
+        for k in range(-1, 5):
+            op = build_constraint(k)
+            assert all(type(t.coeff) is int for t in op.terms)
+            for factors in probes:
+                out = apply_op(op, DescElement({factors: Fraction(1)}))
+                assert all(type(c) is int for c in out.terms.values())
+
+    def test_scale_and_commutator_stay_integral(self):
+        ops = [build_quadratic(1).scale(Fraction(6, 3)),
+               commutator(build_quadratic(1), build_quadratic(2))]
+        assert all(type(t.coeff) is int for op in ops for t in op.terms)
+        half = build_quadratic(0).scale(Fraction(1, 2))
+        assert [type(t.coeff) for t in half.terms] == [Fraction, int, int,
+                                                       Fraction]
 
 
 class TestGeneratorMonomials:
