@@ -21,7 +21,7 @@ from .descendents import (DescElement, DescParseError, Generator,
                           kunneth_pairs, monomial, monomial_degree,
                           normalize, parse_element)
 from .fields import (FIELDS, GaussianRational, ParamRational, Q, QI, QLAMBDA,
-                     QS, Field, field, parse_gaussian)
+                     QS, Field, field)
 from .laurent import LaurentSeries, laurent_expand, u_expand
 from .partitions import koszul_sign, partitions_of, set_partitions, zaut
 from .polynomial import Polynomial

@@ -145,7 +145,7 @@ def _cmd_eval(args) -> int:
 def _u_series(args) -> LaurentSeries:
     """The u-expansion of the reduced --series at --degree to --order."""
     value, _ = _reduce_series(args.series, args.degree)
-    if value.field.tag not in ("Q", "Qi"):
+    if value.field.tag != "Q":
         raise CliError("u-expansion needs rational coefficients")
     return u_expand(value, 4 * args.degree, args.order)
 

@@ -7,6 +7,10 @@ Four fields are supported, as a closed enumeration:
     Q_s       rational functions in the tangent weights s1, s2, s3
     Q_lambda  rational functions in the torus weights lam0 .. lam3
 
+Q, Q_s and Q_lambda are the q-side fields of polynomials and records.
+Qi holds only u-side series coefficients (-q = exp(i*u)); it is printed
+and written to JSON, and no record is read over it.
+
 Elements of the two parameter fields are stored as ratios of multivariate
 polynomials over the integers.  A canonical representative clears the
 integer content jointly from numerator and denominator and fixes the sign
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .text import Scanner, power, signed_sum
+from .text import ParseError, Scanner, power, signed_sum
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -118,25 +122,6 @@ class GaussianRational:
 
 
 I = GaussianRational(0, 1)
-
-
-def parse_gaussian(s: str) -> GaussianRational:
-    """Parse what str() prints, such as "3/4", "3/4+1/2*i", "-2*i",
-    "0-2/3*i" or "i": a signed sum of such terms.  Anything else raises
-    text.ParseError, a ValueError."""
-    scanner = Scanner(s)
-
-    def term() -> GaussianRational:
-        # i, or a rational a or a/b, optionally followed by *i
-        if scanner.accept("i"):
-            return I
-        value = scanner.rational()
-        if scanner.accept("*"):
-            scanner.expect("i")
-            return GaussianRational(0, value)
-        return GaussianRational(value)
-
-    return scanner.finish(scanner.sum_of(term))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +297,13 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int] | None:
     rows maps a parameter exponent e to a list of ints P_e, with the
     coefficient of q^k equal to sum_e s^e P_e[k] / L and L > 0.  Over Q
     the only exponent is ().  Rows of a nonzero list end in a nonzero
-    entry; the zero list has no rows.  None over Qi, and for a parameter
-    coefficient whose denominator is not a constant integer.
+    entry; the zero list has no rows.  None for a parameter coefficient
+    whose denominator is not a constant integer.
     """
     if f.tag == "Q":
         scale = lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (scale // c.denominator) for c in coeffs]
         return ({(): ints} if ints else {}), scale
-    if f.tag == "Qi":
-        return None
     unit = (0,) * len(FIELD_VARS[f.tag])
     dens = []
     for c in coeffs:
@@ -378,19 +361,34 @@ def _mono_key(e: tuple, names: tuple, unit: str = "1") -> str:
 
 
 def _mono_from_key(key: str, names: tuple) -> tuple:
+    """The exponent tuple of a monomial key spelled as _mono_key writes
+    it; any other spelling ("s1*s1", "s1^1", "s1^-1") raises ValueError,
+    so no two keys name one monomial."""
     e = [0] * len(names)
-    if key != "1":
-        for part in key.split("*"):
-            name, _, power = part.partition("^")
-            e[names.index(name)] = int(power) if power else 1
+    for part in key.split("*") if key != "1" else ():
+        name, _, k = part.partition("^")
+        if name in names and (not k or k.isascii() and k.isdigit()):
+            e[names.index(name)] = int(k or 1)
+    if _mono_key(tuple(e), names) != key:
+        raise ValueError(f"malformed monomial key {key!r}")
     return tuple(e)
 
 
-def _exact_scalar(v):
-    """v, provided it is a JSON string or integer (not a float or bool)."""
-    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
-        return v
-    raise ValueError(f"coefficient {v!r} is not a string or an integer")
+def _rational_from_json(v) -> Fraction:
+    """A JSON integer, or a string holding an optional sign and a or a/b
+    in ASCII digits, as coeff_to_json writes them.  A float, a boolean
+    or a string such as "0.1", "1e3" or "1_0" raises ValueError."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if not isinstance(v, str):
+        raise ValueError(f"coefficient {v!r} is not a string or an integer")
+    scanner = Scanner(v)
+    try:
+        sign = -1 if scanner.accept("+-") == "-" else 1
+        return Fraction(scanner.finish(sign * scanner.rational()))
+    except ParseError as exc:
+        raise ValueError(
+            f"coefficient {v!r} is not a rational: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -442,23 +440,20 @@ class Field:
     def coeff_from_json(self, v):
         """Read a coefficient written by coeff_to_json.
 
-        Rationals are JSON strings or integers; a float or a boolean
-        raises ValueError, since neither is an exact coefficient.
+        Rationals are JSON integers or strings "a", "-a", "a/b", "-a/b";
+        anything else raises ValueError, and so does a parameter monomial
+        key in any spelling but the one coeff_to_json writes.
         """
-        if self.tag == "Q":
-            return Fraction(_exact_scalar(v))
-        if self.tag == "Qi":
-            v = _exact_scalar(v)
-            return (parse_gaussian(v) if isinstance(v, str)
-                    else GaussianRational(v))
+        if not self.var_names:
+            return self.coerce(_rational_from_json(v))
         if not (isinstance(v, dict) and isinstance(v.get("num"), dict)
                 and isinstance(v.get("den"), dict)):
             raise ValueError(
                 f"a {self.tag} coefficient must be a {{num, den}} object")
         names = self.var_names
-        num = {_mono_from_key(k, names): Fraction(_exact_scalar(c))
+        num = {_mono_from_key(k, names): _rational_from_json(c)
                for k, c in v["num"].items()}
-        den = {_mono_from_key(k, names): Fraction(_exact_scalar(c))
+        den = {_mono_from_key(k, names): _rational_from_json(c)
                for k, c in v["den"].items()}
         return ParamRational.make(self.tag, num, den)
 

@@ -5,16 +5,17 @@ nonzero term, a coefficient window, and the first exponent that is no
 longer known exactly.  Arithmetic is exact on the known window and the
 truncation bound is propagated conservatively.
 
-Two expansion engines live here: laurent_expand turns a rational function
-into its q-expansion by long division, and u_expand performs the exact
-variable change q = -exp(i*u) together with the prefactor
-exp(-i*d_beta*u/2), producing a series over the Gaussian rationals whose
-pole order at u = 0 equals the pole order of the input at q = -1.
+Two expansion engines share one power-series quotient (`_ps_quo`):
+laurent_expand turns a rational function into its q-expansion, and
+u_expand performs the exact variable change q = -exp(i*u) on one over Q,
+together with the prefactor exp(-i*d_beta*u/2), producing a series over
+the Gaussian rationals whose pole order at u = 0 equals the pole order of
+the input at q = -1.
 
-u_expand works in v = i*u: exp(-d_beta*v/2) * F(-exp(v)) has its
-coefficients in F's own field (Q for every stored numeric series), so the
-whole expansion runs there, and only the last step moves to the Gaussian
-rationals, where the coefficient of u**n is i**n times that of v**n.
+u_expand works in v = i*u: exp(-d_beta*v/2) * F(-exp(v)) has rational
+coefficients, so the whole expansion runs over Q, and only the last step
+moves to the Gaussian rationals (the output field alone), where the
+coefficient of u**n is i**n times that of v**n.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from .fields import QI, I, field
+from .polynomial import mul_truncated
 from .ratfun import RationalFunction
 from .text import power, signed_sum
 
@@ -93,16 +95,8 @@ class LaurentSeries:
         self._check_compatible(other)
         lo = self.min_exp + other.min_exp
         order = min(self.order + other.min_exp, other.order + self.min_exp)
-        coeffs = [self.field.zero] * (order - lo)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                n = self.min_exp + i + other.min_exp + j
-                if n < order:
-                    coeffs[n - lo] = coeffs[n - lo] + a * b
+        coeffs = mul_truncated(self.coeffs, other.coeffs, order - lo,
+                               self.field.zero)
         return LaurentSeries(self.var, lo, coeffs, order, self.field)
 
     def scale(self, c) -> "LaurentSeries":
@@ -146,35 +140,21 @@ class LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# power series helpers on plain coefficient lists (index = exponent)
+# the power-series quotient on plain coefficient lists (index = exponent)
 
 
-def _ps_mul(a: list, b: list, n: int, zero) -> list:
-    out = [zero] * n
-    for i, x in enumerate(a):
-        if not x or i >= n:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= n:
+def _ps_quo(num: list, den: list, n: int, zero) -> list:
+    """The first n coefficients of the power series num/den, where
+    den[0] != 0: out[k] = (num[k] - sum_(j>=1) den[j]*out[k-j]) / den[0]."""
+    d0, tail = den[0], [(j, c) for j, c in enumerate(den) if j and c]
+    out = []
+    for k in range(n):
+        acc = num[k] if k < len(num) else zero
+        for j, c in tail:
+            if j > k:
                 break
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _ps_inv(a: list, n: int, one) -> list:
-    """Reciprocal of a power series with invertible constant term."""
-    if not a or not a[0]:
-        raise ZeroDivisionError("series reciprocal needs a unit constant term")
-    inv0 = one / a[0]
-    out = [inv0] + [one * 0 for _ in range(n - 1)]
-    zero = one * 0
-    for k in range(1, n):
-        acc = zero
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j]:
-                acc = acc + a[j] * out[k - j]
-        out[k] = -inv0 * acc
+            acc = acc - c * out[k - j]
+        out.append(acc / d0)
     return out
 
 
@@ -189,25 +169,21 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     count = order - lo
     if count <= 0:
         return LaurentSeries("q", order, [], order, f)
-    num_unit = list(F.num.coeffs[vn:])
-    den_unit = list(F.den.coeffs[vd:])
-    inv_den = _ps_inv(den_unit, count, f.one)
-    coeffs = _ps_mul(num_unit, inv_den, count, f.zero)
+    coeffs = _ps_quo(F.num.coeffs[vn:], F.den.coeffs[vd:], count, f.zero)
     return LaurentSeries("q", lo, coeffs, order, f)
 
 
 def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     """Laurent expansion at u = 0 of exp(-i*d_beta*u/2) * F(-exp(i*u)).
 
-    The result lives over the Gaussian rationals.  Coefficients through
-    u**max_exp are exact; the prefactor implements (-q)**(-d_beta/2) for
-    either parity of d_beta without any branch choice.  The expansion runs
-    in v = i*u over F's own field, and the coefficient of u**n is i**n
-    times that of v**n.
+    F lies over Q; the result lives over the Gaussian rationals.
+    Coefficients through u**max_exp are exact; the prefactor implements
+    (-q)**(-d_beta/2) for either parity of d_beta without any branch
+    choice.  The expansion runs in v = i*u, and the coefficient of u**n
+    is i**n times that of v**n.
     """
-    f = F.field
-    if f.tag not in ("Q", "Qi"):
-        raise TypeError("u_expand needs numeric coefficients (Q or Qi)")
+    if F.field.tag != "Q":
+        raise TypeError("u_expand needs rational coefficients (Q)")
     order = max_exp + 1
     if F.is_zero:
         return LaurentSeries("u", order, [], order, QI)
@@ -217,7 +193,8 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     # the coefficient of v**j in p(-exp(v)) is sum_k (-1)**k k**j c_k / j!
     signed = [[(k, -c if k % 2 else c) for k, c in enumerate(p.coeffs) if c]
               for p in (F.num, F.den)]
-    num_s, den_s = ([sum((c * k ** j for k, c in terms), f.zero)
+    zero = Fraction(0)
+    num_s, den_s = ([sum((c * k ** j for k, c in terms), zero)
                      / factorial(j) for j in range(work)] for terms in signed)
     val_d = next(k for k, c in enumerate(den_s) if c)
     val_n = next((k for k, c in enumerate(num_s) if c), None)
@@ -225,11 +202,10 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
         return LaurentSeries("u", order, [], order, QI)
     lo = val_n - val_d
     count = order - lo
-    inv_den = _ps_inv(den_s[val_d:], count, f.one)
-    quotient = _ps_mul(num_s[val_n:], inv_den, count, f.zero)
+    quotient = _ps_quo(num_s[val_n:], den_s[val_d:], count, zero)
     rate = Fraction(-d_beta, 2)
-    prefactor = [f.coerce(rate ** j / factorial(j)) for j in range(count)]
-    coeffs = _ps_mul(quotient, prefactor, count, f.zero)
+    prefactor = [rate ** j / factorial(j) for j in range(count)]
+    coeffs = mul_truncated(quotient, prefactor, count, zero)
     twist = (1, I, -1, -I)
     return LaurentSeries("u", lo, [QI.coerce(c) * twist[(lo + k) % 4]
                                    for k, c in enumerate(coeffs)], order, QI)

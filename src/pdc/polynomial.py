@@ -1,15 +1,15 @@
-"""Dense univariate polynomials in q over an exact coefficient field.
+"""Dense univariate polynomials in q over Q, Q_s or Q_lambda.
 
+Qi, a field of u-side Laurent series only, raises TypeError.
 Coefficients are stored in ascending powers with a nonzero trailing entry,
-so the representation is canonical.  Division, gcd and exact division all
-work over any of the supported fields.
+so the representation is canonical.
 
-Over Q, Q_s and Q_lambda, multiplication, gcd and exact division run on
-an integer core.  `fields.to_components` writes a coefficient list whose
-parameter denominators are all constant as sum_e s^e P_e(q) / L, with
-integer lists P_e (Q is the case of the single exponent ()).  A product
-multiplies every pair of components over Z.  When one gcd input is a
-single component s^e P(q) / L, the gcd is the integer gcd of P and every
+Multiplication, gcd and exact division run on an integer core.
+`fields.to_components` writes a coefficient list whose parameter
+denominators are all constant as sum_e s^e P_e(q) / L, with integer lists
+P_e (Q is the case of the single exponent ()).  A product multiplies
+every pair of components over Z.  When one gcd input is a single
+component s^e P(q) / L, the gcd is the integer gcd of P and every
 component of the other input: Q is algebraically closed in the purely
 transcendental Q(s), so the factors of P over Q(s) are defined over Q,
 and the monomials s^e are independent over Q(q).  Exact division by a
@@ -22,11 +22,10 @@ only once it divides both primitive inputs exactly over Z; after a fixed
 number of evaluation points the primitive PRS takes over.  This avoids
 the coefficient swell of Euclid over Fractions and over parameter ratios.
 
-Euclid's algorithm and long division over the field stay for the rest:
-the Gaussian rationals, where i is algebraic over Q and a factor of a
-Q[q] polynomial such as q^2 + 1 need not be defined over Q; a parameter
-coefficient with a non-constant denominator (only from imported JSON);
-and a gcd of two inputs that both span several parameter monomials.
+The schoolbook product (`mul_truncated`, which Laurent series share),
+long division and Euclid's algorithm over the field stay for the rest: a
+parameter coefficient with a non-constant denominator (only from imported
+JSON), and a gcd of two inputs that both span several parameter monomials.
 """
 
 from __future__ import annotations
@@ -37,11 +36,21 @@ from .fields import Field, field, from_components, to_components
 from .text import power, signed_sum
 
 
+def q_field(f: Field | str) -> Field:
+    """The coefficient field f (a Field or its tag), provided it is one
+    of the q-side fields Q, Q_s and Q_lambda; Qi raises TypeError."""
+    f = f if isinstance(f, Field) else field(f)
+    if f.tag == "Qi":
+        raise TypeError("series in q have coefficients in Q, Q_s or "
+                        "Q_lambda; Qi is only a u-side field")
+    return f
+
+
 class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, f: Field | str, coeffs=()):
-        f = field(f) if isinstance(f, str) else f
+        f = q_field(f)
         cs = [f.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
@@ -285,16 +294,23 @@ class Polynomial:
 # does not take
 
 
+def mul_truncated(a, b, n: int, zero) -> list:
+    """The first n coefficients of a * b for coefficient lists a and b
+    (index = exponent), by the schoolbook product over their field."""
+    out = [zero] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i], i):
+                if y:
+                    out[j] = out[j] + x * y
+    return out
+
+
 def _mul_by_coeffs(a: Polynomial, b: Polynomial) -> Polynomial:
     """a * b by the schoolbook product over the coefficient field."""
-    out = [a.field.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return Polynomial(a.field, out)
+    n = len(a.coeffs) + len(b.coeffs) - 1
+    return Polynomial(a.field, mul_truncated(a.coeffs, b.coeffs, n,
+                                             a.field.zero))
 
 
 def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -1,4 +1,4 @@
-"""Rational functions of q with exact coefficients.
+"""Rational functions of q over Q, Q_s or Q_lambda, with exact coefficients.
 
 The canonical representative has coprime numerator and denominator and a
 denominator whose lowest-order nonzero coefficient equals one, so series
@@ -36,11 +36,7 @@ class RationalFunction:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            low = den.coeffs[den.valuation]
-            if low != f.one:
-                inv = 1 / low
-                num = num.scale(inv)
-                den = den.scale(inv)
+            num, den = _lowest_den_coeff_one(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -197,6 +193,16 @@ class RationalFunction:
         return f"RationalFunction[{self.field.tag}]({self.to_str()})"
 
 
+def _lowest_den_coeff_one(num: Polynomial,
+                          den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num and den scaled so that den's lowest nonzero coefficient is one."""
+    low = den.coeffs[den.valuation]
+    if low == den.field.one:
+        return num, den
+    inv = 1 / low
+    return num.scale(inv), den.scale(inv)
+
+
 def invert_q(F: RationalFunction) -> RationalFunction:
     """Exact substitution q -> 1/q, cleared back to polynomial form.
 
@@ -206,18 +212,13 @@ def invert_q(F: RationalFunction) -> RationalFunction:
     """
     if F.is_zero:
         return F
-    f = F.field
     num, den = F.num.reversed_(), F.den.reversed_()
     e = F.den.degree - F.num.degree
     if e >= 0:
         num = num.shift(e)
     else:
         den = den.shift(-e)
-    low = den.coeffs[den.valuation]
-    if low != f.one:
-        inv = 1 / low
-        num, den = num.scale(inv), den.scale(inv)
-    return RationalFunction._from_canonical(num, den)
+    return RationalFunction._from_canonical(*_lowest_den_coeff_one(num, den))
 
 
 def q_ddq(F: RationalFunction) -> RationalFunction:

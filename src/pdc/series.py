@@ -34,9 +34,9 @@ from typing import NamedTuple
 
 from .descendents import (DescElement, Monomial, format_monomial,
                           monomial, monomial_degree, normalize, parse_element)
-from .fields import FIELDS, field
+from .fields import FIELDS
 from .partitions import partitions_of, zaut
-from .polynomial import Polynomial
+from .polynomial import Polynomial, q_field
 from .ratfun import RationalFunction, fe_check, q_ddq
 from .virasoro import apply_op, build_constraint
 
@@ -517,7 +517,7 @@ def rf_to_obj(value: RationalFunction) -> dict:
 
 def rf_from_obj(obj: dict) -> RationalFunction:
     try:
-        f = field(obj["field"])
+        f = q_field(obj["field"])
         num = Polynomial(f, [f.coeff_from_json(v) for v in obj["num"]])
         den = Polynomial(f, [f.coeff_from_json(v) for v in obj["den"]])
         return RationalFunction(num, den)
@@ -559,8 +559,16 @@ def records_to_json(records) -> str:
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct (json.loads keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("duplicate JSON key in an object")
+    return obj
+
+
 def records_from_json(text: str) -> list[SeriesRecord]:
-    rows = json.loads(text)
+    rows = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(rows, list):
         raise ValueError("expected a JSON list of series records")
     records = []

@@ -1,10 +1,11 @@
 """The text boundary: one signed-sum printer and one parse scanner.
 
 Every printed object (polynomials, rational functions, Laurent series,
-parameter-field ratios, descendent elements, operators) is a signed sum
-of coefficient-times-factor terms, and every input language (rational
-functions of q, descendent expressions, Gaussian rationals) is read by
-recursive descent over the same scanner.
+parameter-field ratios, Gaussian rationals, descendent elements,
+operators) is a signed sum of coefficient-times-factor terms, and every
+input language (rational functions of q, descendent expressions, the
+rational coefficients of JSON records) is read by recursive descent over
+the same scanner; `Scanner.rational` is the one reader of a or a/b.
 """
 
 from __future__ import annotations

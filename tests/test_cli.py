@@ -7,10 +7,8 @@ import pytest
 
 from pdc import cli
 from pdc.cli import main
-from pdc.fields import QI, I
 from pdc.laurent import laurent_expand
-from pdc.polynomial import Polynomial
-from pdc.ratfun import RationalFunction, parse_rf
+from pdc.ratfun import parse_rf
 from pdc.series import (SeriesRecord, builtin_db, cap_series,
                         local_curve_series, make_key, record_from_obj,
                         records_to_json)
@@ -364,22 +362,82 @@ class TestDb:
         assert capsys.readouterr().out == (
             "0 new record(s); merged database holds 8\n")
 
+    @staticmethod
+    def assert_rejected(path, message, monkeypatch, capsys):
+        """db import and PDC_DB of path both exit 2 with message."""
+        assert main(["db", "import", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        monkeypatch.setenv("PDC_DB", str(path))
+        assert main(["db", "list"]) == 2
+        assert message in capsys.readouterr().err
+
+    @staticmethod
+    def qi_rows(num):
+        """A P3 record row over Qi, with the given numerator strings."""
+        record = SeriesRecord(make_key("P3", 1, "ch9(1)"),
+                              parse_rf("q/(1+q)"), "exact")
+        rows = json.loads(records_to_json([record]))
+        rows[0]["value"].update(field="Qi", num=num)
+        return rows
+
+    @pytest.mark.parametrize("num", [["0", "1*i", "2*i"], ["0", "1", "2"]])
+    def test_import_gaussian_record(self, tmp_path, monkeypatch, capsys,
+                                    num):
+        # Qi is the field of u-side series only; no q-side record has it
+        path = tmp_path / "qi.json"
+        path.write_text(json.dumps(self.qi_rows(num)))
+        self.assert_rejected(path, "record 0: malformed record: series in q "
+                             "have coefficients in Q, Q_s or Q_lambda",
+                             monkeypatch, capsys)
+
     @pytest.mark.parametrize("text", ["ii", "2**i", "1+2*ii"])
     def test_import_malformed_gaussian(self, tmp_path, monkeypatch, capsys,
                                        text):
-        value = RationalFunction(Polynomial(QI, [0, I, 2 * I]),
-                                 Polynomial(QI, [1, 1]))
-        rows = json.loads(records_to_json(
-            [SeriesRecord(make_key("P3", 1, "ch9(1)"), value, "exact")]))
-        assert rows[0]["value"]["num"] == ["0", "1*i", "2*i"]
-        rows[0]["value"]["num"][1] = text
         path = tmp_path / "qi.json"
+        path.write_text(json.dumps(self.qi_rows(["0", text, "2*i"])))
+        self.assert_rejected(path, "record 0: ", monkeypatch, capsys)
+
+    @pytest.mark.parametrize("text", ["0.1", "1e3", "1_0", "-0.5e-2"])
+    def test_import_decimal_spellings(self, tmp_path, monkeypatch, capsys,
+                                      text):
+        rows = json.loads(records_to_json(builtin_db()))
+        rows[1]["value"]["num"][1] = text
+        path = tmp_path / "decimal.json"
         path.write_text(json.dumps(rows))
-        assert main(["db", "import", str(path)]) == 2
-        assert "record 0: " in capsys.readouterr().err
-        monkeypatch.setenv("PDC_DB", str(path))
-        assert main(["db", "list"]) == 2
-        assert "record 0: " in capsys.readouterr().err
+        self.assert_rejected(path, f"record 1: coefficient {text!r} is not "
+                             "a rational", monkeypatch, capsys)
+        cap = next(i for i, r in enumerate(rows) if r["geometry"] == "Cap")
+        rows = json.loads(records_to_json(builtin_db()))
+        coeff = rows[cap]["value"]["num"][2]["num"]
+        coeff[next(iter(coeff))] = text
+        path.write_text(json.dumps(rows))
+        self.assert_rejected(path, f"record {cap}: coefficient {text!r} is "
+                             "not a rational", monkeypatch, capsys)
+
+    @pytest.mark.parametrize("num", [{"s1*s1": "1"},
+                                     {"s1": "1", "s1^1": "2"},
+                                     {"s1^-1": "1"}])
+    def test_import_misspelled_monomial_key(self, tmp_path, monkeypatch,
+                                            capsys, num):
+        record = SeriesRecord(make_key("Cap", 1, "ch3(p)", "(1)"),
+                              cap_series(1), "evaluator")
+        rows = json.loads(records_to_json([record]))
+        rows[0]["value"]["num"][1] = {"num": num, "den": {"1": "1"}}
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps(rows))
+        self.assert_rejected(path, "record 0: malformed monomial key",
+                             monkeypatch, capsys)
+
+    def test_import_repeated_json_key(self, tmp_path, monkeypatch, capsys):
+        # json.loads would keep the last of two equal keys; reading a
+        # record must not drop a coefficient that way
+        record = SeriesRecord(make_key("Cap", 1, "ch3(p)", "(1)"),
+                              cap_series(1), "evaluator")
+        text = records_to_json([record])
+        assert text.count('"s1": "1"') == 1
+        path = tmp_path / "dup.json"
+        path.write_text(text.replace('"s1": "1"', '"s1": "1", "s1": "2"'))
+        self.assert_rejected(path, "duplicate JSON key", monkeypatch, capsys)
 
     def test_import_inexact_parameter_coefficient(self, tmp_path, capsys):
         rows = json.loads(records_to_json(builtin_db()))

@@ -2,17 +2,149 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from pdc.fields import QI, GaussianRational, I, Q
-from pdc.laurent import LaurentSeries, laurent_expand, u_expand
+from pdc.fields import FIELDS, QI, GaussianRational, I, Q
+from pdc.laurent import LaurentSeries, _ps_quo, laurent_expand, u_expand
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, parse_rf
-from pdc.series import builtin_db, key_from_str
+from pdc.series import builtin_db, local_curve_series
 
 U, X = sympy.symbols("u q")
+
+
+# ---------------------------------------------------------------------------
+# reference: the inverse-then-product route both expansions took before
+# the quotient recurrence (reciprocal of the denominator, then a product)
+
+
+def reference_mul(a: list, b: list, n: int, zero) -> list:
+    out = [zero] * n
+    for i, x in enumerate(a):
+        if not x or i >= n:
+            continue
+        for j, y in enumerate(b):
+            if i + j >= n:
+                break
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def reference_inverse(a: list, n: int, one) -> list:
+    inv0 = one / a[0]
+    zero = one * 0
+    out = [inv0] + [zero] * (n - 1)
+    for k in range(1, n):
+        acc = zero
+        for j in range(1, min(k, len(a) - 1) + 1):
+            if a[j]:
+                acc = acc + a[j] * out[k - j]
+        out[k] = -inv0 * acc
+    return out
+
+
+def reference_quotient(num: list, den: list, n: int, f) -> list:
+    return reference_mul(num, reference_inverse(den, n, f.one), n, f.zero)
+
+
+def reference_laurent(num: list, den: list, max_exp: int, f):
+    """The q-expansion of num/den through q**max_exp, from coefficient
+    lists that need not be coprime or normalised."""
+    vn = next(k for k, c in enumerate(num) if c)
+    vd = next(k for k, c in enumerate(den) if c)
+    lo, order = vn - vd, max_exp + 1
+    if lo >= order:
+        return LaurentSeries("q", order, [], order, f)
+    return LaurentSeries("q", lo, reference_quotient(num[vn:], den[vd:],
+                                                     order - lo, f),
+                         order, f)
+
+
+def reference_u_expand(F, d_beta: int, max_exp: int):
+    """u_expand by the reference route, over F's field."""
+    f = F.field
+    order = max_exp + 1
+    if F.is_zero:
+        return LaurentSeries("u", order, [], order, QI)
+    work = max(0, max_exp) + 2 * F.den.degree + F.num.degree + 2
+    signed = [[(k, -c if k % 2 else c) for k, c in enumerate(p.coeffs) if c]
+              for p in (F.num, F.den)]
+    num_s, den_s = ([sum((c * k ** j for k, c in terms), f.zero)
+                     / factorial(j) for j in range(work)] for terms in signed)
+    val_d = next(k for k, c in enumerate(den_s) if c)
+    val_n = next((k for k, c in enumerate(num_s) if c), None)
+    if val_n is None or val_n - val_d > max_exp:
+        return LaurentSeries("u", order, [], order, QI)
+    lo = val_n - val_d
+    count = order - lo
+    quotient = reference_quotient(num_s[val_n:], den_s[val_d:], count, f)
+    rate = Fraction(-d_beta, 2)
+    prefactor = [f.coerce(rate ** j / factorial(j)) for j in range(count)]
+    coeffs = reference_mul(quotient, prefactor, count, f.zero)
+    twist = (1, I, -1, -I)
+    return LaurentSeries("u", lo, [QI.coerce(c) * twist[(lo + k) % 4]
+                                   for k, c in enumerate(coeffs)], order, QI)
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def q_scalar(tag):
+    """A coefficient over Q, or over Q_s a combination a + b*s1 + c*s2."""
+    if tag == "Q":
+        return small_fractions
+    s1, s2, _ = FIELDS["Q_s"].gens()
+    return st.tuples(small_fractions, small_fractions, small_fractions).map(
+        lambda abc: abc[0] + abc[1] * s1 + abc[2] * s2)
+
+
+@st.composite
+def q_quotient(draw, tag):
+    """(field, num, den), with coefficient lists over Q or Q_s.  Either
+    list may start with up to two zeros, so F can have a pole at q = 0,
+    and its lowest nonzero coefficient is any nonzero scalar.  The
+    denominator is read from Q[q], as every evaluator's is: with
+    parameters there, every step of an expansion over Q_s would multiply
+    parameter denominators that nothing cancels."""
+    f = FIELDS[tag]
+
+    def side(scalar):
+        low = draw(scalar.filter(bool))
+        tail = draw(st.lists(scalar, max_size=3))
+        return [f.coerce(c) for c in [0] * draw(st.integers(0, 2))
+                + [low] + tail]
+
+    return f, side(q_scalar(tag)), side(small_fractions)
+
+
+class TestQuotientKernel:
+    @given(st.lists(small_fractions, max_size=6),
+           st.lists(small_fractions, min_size=1, max_size=5).filter(
+               lambda d: d[0]), st.integers(0, 12))
+    def test_matches_inverse_then_product(self, num, den, n):
+        assert _ps_quo(num, den, n, Fraction(0)) == reference_quotient(
+            num, den, n, Q)
+
+    @settings(max_examples=40)
+    @given(st.sampled_from(["Q", "Q_s"]).flatmap(q_quotient),
+           st.integers(-3, 8))
+    def test_laurent_expand_matches_reference(self, case, max_exp):
+        f, num, den = case
+        F = RationalFunction(Polynomial(f, num), Polynomial(f, den))
+        assert laurent_expand(F, max_exp) == reference_laurent(
+            num, den, max_exp, f)
+
+    @given(q_quotient("Q"), st.integers(0, 8), st.integers(-3, 8))
+    def test_u_expand_matches_reference(self, case, d_beta, max_exp):
+        _, num, den = case
+        F = RationalFunction(Polynomial(Q, num), Polynomial(Q, den))
+        assert u_expand(F, d_beta, max_exp) == reference_u_expand(
+            F, d_beta, max_exp)
 
 
 def sympy_laurent_coeffs(expr, var, lo, order):
@@ -79,34 +211,12 @@ def assert_u_expand_matches_sympy(F, d):
         assert sympy.simplify(got - expect[n]) == 0, (F, n)
 
 
-def over_qi(F, scale=1):
-    """F with coefficients in Qi and its numerator multiplied by scale."""
-    return RationalFunction(Polynomial(QI, [scale * c for c in F.num.coeffs]),
-                            Polynomial(QI, F.den.coeffs))
-
-
 class TestUExpand:
     def test_matches_sympy_oracle(self):
         cases = [("q + 2*q^2 + q^3", 4), ("q/(1+q)^2", 0),
                  ("q*(1-q)/(1+q)^3", 4), ("(1+q^2)/(1+q)^2", 2)]
         for text, d in cases:
             assert_u_expand_matches_sympy(parse_rf(text), d)
-
-    def test_gaussian_input_matches_sympy_oracle(self):
-        F = RationalFunction(
-            Polynomial(QI, [0, GaussianRational(1, 2),
-                            GaussianRational(3, -1), GaussianRational(0, -1)]),
-            Polynomial(QI, [1, 2, 1]))
-        for d in (0, 3):
-            assert_u_expand_matches_sympy(F, d)
-
-    def test_gaussian_input_is_i_times_rational_input(self):
-        db = builtin_db()
-        for text, d in [("P3:1:ch7(1)", 4), ("P3:1:ch2(p)*ch2(p)", 4),
-                        ("P3:2:ch11(1)", 8)]:
-            F = db.get(key_from_str(text)).value
-            assert u_expand(over_qi(F, I), d, 7) == u_expand(F, d, 7).scale(I)
-            assert u_expand(over_qi(F), d, 7) == u_expand(F, d, 7)
 
     def test_two_minus_two_cos(self):
         S = u_expand(parse_rf("q + 2*q^2 + q^3"), 4, 10)
@@ -136,6 +246,14 @@ class TestUExpand:
         F = RationalFunction.one("Q_s")
         with pytest.raises(TypeError):
             u_expand(F, 0, 4)
+
+    def test_matches_stored_records_and_local_curves(self):
+        # every Q record and local curve, against the reference route
+        records = [r.value for r in builtin_db().records()
+                   if r.value.field.tag == "Q"]
+        for F in records + [local_curve_series(d) for d in range(1, 6)]:
+            for d, n in ((0, 5), (4, 3), (7, -2)):
+                assert u_expand(F, d, n) == reference_u_expand(F, d, n)
 
 
 class TestSeriesArithmetic:

@@ -11,6 +11,7 @@ from pdc import polynomial
 from pdc.fields import (FIELDS, Q, ParamRational, from_components,
                         to_components)
 from pdc.polynomial import Polynomial
+from pdc.ratfun import RationalFunction
 
 
 def rand_poly(rng, max_deg=6):
@@ -78,6 +79,14 @@ class TestArithmetic:
         assert (p ** 3).coeffs == (1, 3, 3, 1)
         assert (p ** 0).coeffs == (1,)
 
+    def test_gaussian_field_is_refused(self):
+        # Qi is only the field of u-side Laurent series
+        for f in ("Qi", FIELDS["Qi"]):
+            with pytest.raises(TypeError, match="Qi is only a u-side field"):
+                Polynomial(f, [1])
+        with pytest.raises(TypeError, match="Qi is only a u-side field"):
+            RationalFunction.one("Qi")
+
 
 class TestDivision:
     def test_divmod_identity_random(self):
@@ -111,18 +120,6 @@ class TestDivision:
             # our normalization: lowest-order nonzero coefficient is one
             assert g.coeffs[g.valuation] == Fraction(1)
             assert g.divides(a) and g.divides(b)
-
-    def test_gcd_over_gaussian_field(self):
-        f = FIELDS["Qi"]
-        from pdc.fields import I, GaussianRational
-        # (q - i)(q + i) = q^2 + 1 shares (q - i) with (q - i)(q - 1)
-        qi = Polynomial(f, [-I + 0, f.one])      # q - i
-        a = qi * Polynomial(f, [I + 0, f.one])   # q^2 + 1
-        b = qi * Polynomial(f, [-f.one, f.one])
-        g = Polynomial.gcd(a, b)
-        assert g.degree == 1
-        scaled = qi.scale(1 / (-I + 0))
-        assert g == scaled
 
 
 small_polys = st.lists(
@@ -214,6 +211,13 @@ class TestIntegerProduct:
     @given(small_polys, small_polys)
     def test_q_product_matches_fraction_schoolbook(self, a, b):
         assert a * b == polynomial._mul_by_coeffs(a, b)
+
+    @given(small_polys, small_polys, st.integers(0, 14))
+    def test_truncated_product_is_a_prefix(self, a, b, n):
+        zero = Fraction(0)
+        full = list((a * b).coeffs) + [zero] * n
+        assert polynomial.mul_truncated(a.coeffs, b.coeffs, n, zero) == (
+            full[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +391,6 @@ class TestComponents:
         assert to_components(Q, ()) == ({}, 1)
 
     def test_declined_inputs(self):
-        assert to_components(FIELDS["Qi"], (Fraction(1),)) is None
         fs = FIELDS["Q_s"]
         s1 = fs.gen("s1")
         assert to_components(fs, (fs.one, 1 / (s1 + 1))) is None

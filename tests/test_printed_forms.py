@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 from pdc.descendents import gen, parse_element
-from pdc.fields import QI, QLAMBDA, GaussianRational
-from pdc.laurent import laurent_expand, u_expand
+from pdc.fields import QI, QLAMBDA, GaussianRational, Q
+from pdc.laurent import LaurentSeries, laurent_expand, u_expand
 from pdc.polynomial import Polynomial
 from pdc.ratfun import parse_rf
 from pdc.series import (SeriesRecord, builtin_db, cap_series, key_from_str,
@@ -34,9 +34,11 @@ def _objects():
         "lc2": local_curve_series(2),
         "lam": _lam(),
         "lam_poly": Polynomial(QLAMBDA, [_lam(), -1, l3, 0, Fraction(2, 5)]),
-        "qi_poly": Polynomial(QI, [GaussianRational(1, -2), -1,
-                                   GaussianRational(0, 1), Fraction(-3, 2),
-                                   GaussianRational(0, -1), 1]),
+        "qi_series": LaurentSeries("u", 0, [GaussianRational(1, -2), -1,
+                                            GaussianRational(0, 1),
+                                            Fraction(-3, 2),
+                                            GaussianRational(0, -1), 1],
+                                   6, QI),
         "laurent": laurent_expand(parse_rf("(1-2*q)/(q^3*(1+q)^2)"), 3),
         "u": u_expand(builtin_db().get(key_from_str("P3:1:ch7(1)")).value,
                       4, 6),
@@ -64,7 +66,8 @@ GOLDEN = {
     "lam": "(2*lam0 - 4*lam1 + 3)/(2*lam0*lam1 + 2*lam2^2 - 6)",
     "lam_poly": "((2*lam0 - 4*lam1 + 3)/(2*lam0*lam1 + 2*lam2^2 - 6)) - q "
                 "+ (lam3)*q^2 + 2/5*q^4",
-    "qi_poly": "(1-2*i) - q + (1*i)*q^2 - 3/2*q^3 + (-1*i)*q^4 + q^5",
+    "qi_series": "(1-2*i) - u + (1*i)*u^2 - 3/2*u^3 + (-1*i)*u^4 + u^5 "
+                 "+ O(u^6)",
     "laurent": "q^-3 - 4*q^-2 + 7*q^-1 - 10 + 13*q - 16*q^2 + 19*q^3 "
                "+ O(q^4)",
     "u": "(10/3*i)*u^-3 + (5/9*i)*u^-1 + (-61/216*i)*u + (319/9072*i)*u^3 "
@@ -82,8 +85,39 @@ def test_printed_form(name):
     assert str(_objects()[name]) == GOLDEN[name]
 
 
+# str(laurent_expand(cap_series(d), d + 3)): expansions over Q_s, at the
+# orders the series_eval benchmark workload uses
+CAP_EXPANSIONS = {
+    1: ('((s1 + s2)/2)*q + (-s1 - s2)*q^2 + (s1 + s2)*q^3 '
+        '+ (-s1 - s2)*q^4 + O(q^5)'),
+    2: ('((s1 + s2)/2)*q^2 + ((-s1 - s2)/2)*q^3 + (s1 + s2)*q^4 '
+        '+ ((-s1 - s2)/2)*q^5 + O(q^6)'),
+    3: ('((s1 + s2)/4)*q^3 + ((-s1 - s2)/6)*q^4 + ((s1 + s2)/3)*q^5 '
+        '+ ((-s1 - s2)/3)*q^6 + O(q^7)'),
+    4: ('((s1 + s2)/12)*q^4 + ((-s1 - s2)/24)*q^5 '
+        '+ ((s1 + s2)/12)*q^6 + ((-s1 - s2)/12)*q^7 + O(q^8)'),
+    5: ('((s1 + s2)/48)*q^5 + ((-s1 - s2)/120)*q^6 '
+        '+ ((s1 + s2)/60)*q^7 + ((-s1 - s2)/60)*q^8 + O(q^9)'),
+    6: ('((s1 + s2)/240)*q^6 + ((-s1 - s2)/720)*q^7 '
+        '+ ((s1 + s2)/360)*q^8 + ((-s1 - s2)/360)*q^9 + O(q^10)'),
+    7: ('((s1 + s2)/1440)*q^7 + ((-s1 - s2)/5040)*q^8 '
+        '+ ((s1 + s2)/2520)*q^9 + ((-s1 - s2)/2520)*q^10 + O(q^11)'),
+    8: ('((s1 + s2)/10080)*q^8 + ((-s1 - s2)/40320)*q^9 '
+        '+ ((s1 + s2)/20160)*q^10 + ((-s1 - s2)/20160)*q^11 + O(q^12)'),
+    9: ('((s1 + s2)/80640)*q^9 + ((-s1 - s2)/362880)*q^10 '
+        '+ ((s1 + s2)/181440)*q^11 + ((-s1 - s2)/181440)*q^12 '
+        '+ O(q^13)'),
+}
+
+
+@pytest.mark.parametrize("d", sorted(CAP_EXPANSIONS))
+def test_cap_expansion(d):
+    assert str(laurent_expand(cap_series(d), d + 3)) == CAP_EXPANSIONS[d]
+
+
 def test_zero_objects_print_zero():
-    assert str(Polynomial.zero(QI)) == "0"
+    assert str(Polynomial.zero(Q)) == "0"
+    assert str(LaurentSeries("u", 3, [], 3, QI)) == "0 + O(u^3)"
     assert str(parse_element("ch3(p) - ch3(p)")) == "0"
     assert str(laurent_expand(parse_rf("q^9"), 2)) == "0 + O(q^3)"
 

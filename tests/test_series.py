@@ -4,15 +4,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdc.checks import _local_curve_brute_coeffs
 from pdc.descendents import DescElement, gen, parse_element
-from pdc.fields import FIELDS
+from pdc.fields import FIELDS, ParamRational
 from pdc.laurent import laurent_expand
 from pdc.partitions import partitions_of, zaut
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, fe_check, parse_rf, q_ddq
-from pdc.series import (CobordismSeries, SeriesDB, SeriesKey,
+from pdc.series import (GEOMETRIES, PROVENANCES, CobordismSeries, SeriesDB,
+                        SeriesKey,
                         SeriesRecord, UnknownSeriesError, builtin_db,
                         canonical_insertions, cap_series, cobordism_example,
                         cobordism_fe_check, dump_db, key_from_str, key_str,
@@ -279,6 +281,42 @@ class TestCobordism:
             partition_from_label("[0]")
 
 
+INSERTIONS = ["1", "ch3(p)", "ch4(H)*ch5(p)", "ch2(L)*ch2(L)", "ch7(1)"]
+fractions = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+
+@st.composite
+def param_scalar(draw, tag, ratios):
+    """A parameter-field element: up to three monomials of degree at most
+    two per variable, over a constant or, when ratios is set and one time
+    in two, over c*(1 + first variable)."""
+    nvars = len(FIELDS[tag].var_names)
+    unit = (0,) * nvars
+    num = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars),
+                               fractions, max_size=3))
+    den = {unit: draw(fractions.filter(bool))}
+    if ratios and draw(st.booleans()):
+        den[tuple(int(t == 0) for t in range(nvars))] = den[unit]
+    return ParamRational.make(tag, num, den)
+
+
+@st.composite
+def ratfun_over(draw, tag):
+    """A rational function over Q or a parameter field, with its
+    denominator in Q[q].  A numerator coefficient with a non-constant
+    parameter denominator comes with a constant denominator in q: the
+    canonical form's gcd is then Euclid's over the field, which costs
+    one division by a constant, not an unbounded remainder sequence."""
+    f = FIELDS[tag]
+    ratios = tag != "Q" and draw(st.booleans())
+    scalar = fractions if tag == "Q" else param_scalar(tag, ratios)
+    num = Polynomial(f, draw(st.lists(scalar, max_size=4)))
+    den = Polynomial(f, draw(st.lists(fractions, min_size=1,
+                                      max_size=1 if ratios else 4)
+                             .filter(any)))
+    return RationalFunction(num, den)
+
+
 class TestSerialization:
     def test_rf_round_trip_all_fields(self):
         samples = [builtin_db().lookup("P3", 1, "ch4(p)"),
@@ -333,6 +371,24 @@ class TestSerialization:
             records_from_json(json.dumps(rows))
         with pytest.raises(ValueError, match="missing field 'num'"):
             rf_from_obj({"field": "Q", "den": ["1"]})
+
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.sampled_from(GEOMETRIES),
+                              st.integers(1, 4),
+                              st.sampled_from(INSERTIONS),
+                              st.sampled_from([None, "(1)", "(2,1)"]),
+                              st.sampled_from(PROVENANCES),
+                              st.sampled_from(["Q", "Q_s", "Q_lambda"])
+                              .flatmap(ratfun_over)),
+                    max_size=4, unique_by=lambda r: r[:4]))
+    def test_random_records_round_trip(self, rows):
+        # the readers accept every record the writer emits, byte for byte
+        records = [SeriesRecord(make_key(g, d, ins, b), value, prov)
+                   for g, d, ins, b, prov, value in rows]
+        text = records_to_json(records)
+        back = records_from_json(text)
+        assert records_to_json(back) == text
+        assert sorted(map(str, back)) == sorted(map(str, records))
 
     def test_dump_and_load(self, tmp_path):
         path = tmp_path / "db.json"
