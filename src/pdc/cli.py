@@ -12,17 +12,23 @@ records use the same schema as `db export`, so they round-trip.  The
 environment variable PDC_DB may name a JSON file of extra series records
 that is merged over the built-in database for every command that reads
 series.
+
+`main` can be called many times in one process.  The argparse tree is
+built on the first call and reused; a subcommand records the name of
+its handler, which is looked up in this module when the call runs, so
+each call pays only for its own command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .correspondence import expand_bar, format_expansion
-from .descendents import DescParseError, gen, parse_element
+from .descendents import DescElement, DescParseError, gen, parse_element
 from .laurent import LaurentSeries, laurent_expand, u_expand
 from .ratfun import RationalFunction, RFParseError, fe_check, pole_check
 from .series import (PROVENANCES, SeriesDB, SeriesRecord, UnknownSeriesError,
@@ -58,10 +64,9 @@ def _parse_series_arg(text: str):
         raise CliError(f"descendent syntax error: {exc}") from exc
 
 
-def _reduce_series(text: str,
+def _reduce_series(element: DescElement,
                    degree: int) -> tuple[RationalFunction, list[SeriesRecord]]:
     """The reduced series and the database records it rests on."""
-    element = _parse_series_arg(text)
     try:
         return reduce_with_records(element, degree, _current_db())
     except (UnknownSeriesError, ValueError) as exc:
@@ -103,10 +108,9 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _insertion_sign(text: str) -> int:
+def _insertion_sign(element: DescElement) -> int:
     """Functional-equation sign of an insertion monomial: parity of the
     sum of the shifted subscripts (each factor ch_i contributes i)."""
-    element = _parse_series_arg(text)
     signs = {(-1) ** sum(g.i for g in factors)
              for factors in element.terms}
     if len(signs) != 1:
@@ -115,10 +119,9 @@ def _insertion_sign(text: str) -> int:
     return signs.pop()
 
 
-def _point_partition(text: str) -> tuple:
+def _point_partition(element: DescElement) -> tuple:
     """The partition labeling a product of point insertions: one part
     per factor ch_i(p), each part i - 1."""
-    element = _parse_series_arg(text)
     if len(element.terms) != 1:
         raise CliError("expansion labels need a single insertion monomial")
     (factors,) = element.terms
@@ -142,27 +145,29 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _u_series(args) -> LaurentSeries:
-    """The u-expansion of the reduced --series at --degree to --order."""
-    value, _ = _reduce_series(args.series, args.degree)
+def _u_series(element: DescElement, args) -> LaurentSeries:
+    """The u-expansion of the reduced series at --degree to --order."""
+    value, _ = _reduce_series(element, args.degree)
     if value.field.tag != "Q":
         raise CliError("u-expansion needs rational coefficients")
     return u_expand(value, 4 * args.degree, args.order)
 
 
 def _cmd_expand(args) -> int:
+    element = _parse_series_arg(args.series)
     if args.var == "u":
-        series = _u_series(args)
+        series = _u_series(element, args)
     else:
-        value, _ = _reduce_series(args.series, args.degree)
+        value, _ = _reduce_series(element, args.degree)
         series = laurent_expand(value, args.order)
     _emit(args, _laurent_json(series), str(series))
     return 0
 
 
 def _cmd_fe_check(args) -> int:
-    value, records = _reduce_series(args.series, args.degree)
-    sign = _insertion_sign(args.series)
+    element = _parse_series_arg(args.series)
+    value, records = _reduce_series(element, args.degree)
+    sign = _insertion_sign(element)
     d_beta = 4 * args.degree
     ok = fe_check(value, d_beta, sign)
     verdict, sources = _verdict(ok, records)
@@ -175,10 +180,13 @@ def _cmd_fe_check(args) -> int:
 
 
 def _cmd_pole_check(args) -> int:
-    value, records = _reduce_series(args.series, args.degree)
-    div = args.div if args.div is not None else args.degree
-    if div < 1:
+    # a bad --div is a usage error, reported before any reduction; without
+    # --div the bound is the degree, which the reduction checks
+    if args.div is not None and args.div < 1:
         raise CliError("--div must be a positive integer")
+    value, records = _reduce_series(_parse_series_arg(args.series),
+                                    args.degree)
+    div = args.degree if args.div is None else args.div
     ok = pole_check(value, div)
     verdict, sources = _verdict(ok, records)
     _emit(args,
@@ -220,11 +228,12 @@ def _cmd_bracket_check(args) -> int:
 
 
 def _cmd_gw_expand(args) -> int:
-    series = _u_series(args)
+    element = _parse_series_arg(args.series)
+    series = _u_series(element, args)
     lines = [str(series)]
     payload = _laurent_json(series)
     if args.show_bar:
-        alpha = _point_partition(args.series)
+        alpha = _point_partition(element)
         terms = expand_bar(alpha)
         lines.append("symbolic expansion of the insertion product:")
         lines.append(format_expansion(alpha, terms))
@@ -294,7 +303,10 @@ def _cmd_check_all(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # handlers are stored by name, not as functions, so that a cached tree
+    # runs whatever the module holds under that name at call time
     parser = argparse.ArgumentParser(
         prog="pdc",
         description="Exact checks and evaluations for stable-pairs "
@@ -306,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a closed-form series family")
     p.add_argument("family", choices=["local-curve", "cap"])
     p.add_argument("--d", type=int, required=True, help="curve degree")
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(fn="_cmd_eval")
 
     p = sub.add_parser("expand", help="Laurent-expand a reduced series")
     p.add_argument("--series", required=True,
@@ -315,13 +327,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True,
                    help="highest exponent to report")
     p.add_argument("--var", choices=["q", "u"], default="q")
-    p.set_defaults(fn=_cmd_expand)
+    p.set_defaults(fn="_cmd_expand")
 
     p = sub.add_parser("fe-check",
                        help="functional-equation check for an insertion")
     p.add_argument("--series", required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(fn=_cmd_fe_check)
+    p.set_defaults(fn="_cmd_fe_check")
 
     p = sub.add_parser("pole-check",
                        help="pole-confinement check for an insertion")
@@ -329,14 +341,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--div", type=int, default=None,
                    help="divisor bound (defaults to the degree)")
-    p.set_defaults(fn=_cmd_pole_check)
+    p.set_defaults(fn="_cmd_pole_check")
 
     p = sub.add_parser("virasoro-check",
                        help="constraint-operator check against the database")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--D", required=True, help="descendent insertion")
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(fn=_cmd_virasoro_check)
+    p.set_defaults(fn="_cmd_virasoro_check")
 
     p = sub.add_parser("bracket-check",
                        help="operator bracket relation on monomials")
@@ -344,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, default=8,
                    help="largest generator subscript tested")
-    p.set_defaults(fn=_cmd_bracket_check)
+    p.set_defaults(fn="_cmd_bracket_check")
 
     p = sub.add_parser("gw-expand",
                        help="u-variable expansion an insertion predicts")
@@ -353,33 +365,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--show-bar", action="store_true",
                    help="also print the symbolic set-partition expansion")
-    p.set_defaults(fn=_cmd_gw_expand)
+    p.set_defaults(fn="_cmd_gw_expand")
 
     p = sub.add_parser("db", help="inspect or exchange stored series")
     dbsub = p.add_subparsers(dest="db_action", required=True)
-    dbsub.add_parser("list").set_defaults(fn=_cmd_db)
+    dbsub.add_parser("list").set_defaults(fn="_cmd_db")
     q = dbsub.add_parser("show")
     q.add_argument("key", help="geometry:degree:insertions[:boundary]")
-    q.set_defaults(fn=_cmd_db)
+    q.set_defaults(fn="_cmd_db")
     q = dbsub.add_parser("import")
     q.add_argument("file")
-    q.set_defaults(fn=_cmd_db)
+    q.set_defaults(fn="_cmd_db")
     q = dbsub.add_parser("export")
     q.add_argument("file")
-    q.set_defaults(fn=_cmd_db)
+    q.set_defaults(fn="_cmd_db")
 
     p = sub.add_parser("check-all",
                        help="run every acceptance check, sorted by id")
-    p.set_defaults(fn=_cmd_check_all)
+    p.set_defaults(fn="_cmd_check_all")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ coefficient of u**n is i**n times that of v**n.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .fields import QI, I, field
 from .polynomial import mul_truncated
@@ -173,6 +173,20 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     return LaurentSeries("q", lo, coeffs, order, f)
 
 
+def _power_sums(coeffs, scale: int, n: int) -> list[Fraction]:
+    """[sum_k (-1)**k k**j scale*c_k / j! for j < n], where scale*c_k
+    is an integer: each power sum runs over Z, then one Fraction per j."""
+    terms = [(-1) ** k * c.numerator * (scale // c.denominator)
+             for k, c in enumerate(coeffs)]
+    out, fact = [], 1
+    for j in range(n):
+        if j:
+            fact *= j
+            terms = [k * t for k, t in enumerate(terms)]
+        out.append(Fraction(sum(terms), fact))
+    return out
+
+
 def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     """Laurent expansion at u = 0 of exp(-i*d_beta*u/2) * F(-exp(i*u)).
 
@@ -181,6 +195,12 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     (-q)**(-d_beta/2) for either parity of d_beta without any branch
     choice.  The expansion runs in v = i*u, and the coefficient of u**n
     is i**n times that of v**n.
+
+    The coefficients of F(-exp(v)) are power sums of the coefficients of
+    F.  The numerator and the denominator are first scaled by one common
+    integer, the lcm of all their coefficient denominators, which leaves
+    the ratio unchanged; each power sum is then a sum of integers, and
+    only its division by j! makes a Fraction.
     """
     if F.field.tag != "Q":
         raise TypeError("u_expand needs rational coefficients (Q)")
@@ -191,17 +211,15 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     # deepest possible vanishing at u = 0 (order at most deg den)
     work = max(0, max_exp) + 2 * F.den.degree + F.num.degree + 2
     # the coefficient of v**j in p(-exp(v)) is sum_k (-1)**k k**j c_k / j!
-    signed = [[(k, -c if k % 2 else c) for k, c in enumerate(p.coeffs) if c]
-              for p in (F.num, F.den)]
-    zero = Fraction(0)
-    num_s, den_s = ([sum((c * k ** j for k, c in terms), zero)
-                     / factorial(j) for j in range(work)] for terms in signed)
+    scale = lcm(*(c.denominator for p in (F.num, F.den) for c in p.coeffs))
+    num_s, den_s = (_power_sums(p.coeffs, scale, work) for p in (F.num, F.den))
     val_d = next(k for k, c in enumerate(den_s) if c)
     val_n = next((k for k, c in enumerate(num_s) if c), None)
     if val_n is None or val_n - val_d > max_exp:
         return LaurentSeries("u", order, [], order, QI)
     lo = val_n - val_d
     count = order - lo
+    zero = Fraction(0)
     quotient = _ps_quo(num_s[val_n:], den_s[val_d:], count, zero)
     rate = Fraction(-d_beta, 2)
     prefactor = [rate ** j / factorial(j) for j in range(count)]

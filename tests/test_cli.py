@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, exact output forms, JSON payloads."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +91,86 @@ class TestInternalErrors:
             cli.main_entry()
         assert exc.value.code == code
         assert "internal error" not in capsys.readouterr().err
+
+
+# (a call with a flag, or an argparse usage error, its exit code, and a
+# plain call of the same command that must not see the flag)
+FLAGGED_THEN_PLAIN = [
+    (["--json", "db", "show", "P3:1:ch4(p)"], 0,
+     ["db", "show", "P3:1:ch4(p)"]),
+    (["pole-check", "--series", "ch11(1)", "--degree", "2", "--div", "1"], 1,
+     ["pole-check", "--series", "ch11(1)", "--degree", "2"]),
+    (["gw-expand", "--series", "ch4(p)", "--degree", "1", "--order", "3",
+      "--show-bar"], 0,
+     ["gw-expand", "--series", "ch4(p)", "--degree", "1", "--order", "3"]),
+    (["expand", "--series", "ch4(p)", "--degree", "1", "--order", "3",
+      "--var", "u"], 0,
+     ["expand", "--series", "ch4(p)", "--degree", "1", "--order", "3"]),
+    (["pole-check", "--series", "ch4(p)", "--degree", "x"], 2,
+     ["pole-check", "--series", "ch4(p)", "--degree", "1"]),
+]
+
+
+class TestParserReuse:
+    """One parser serves every call in a process: handlers are looked up
+    when a call runs, and no parsed value carries over to the next call."""
+
+    @pytest.mark.parametrize("handler, argv", [
+        ("_cmd_db", ["db", "list"]),
+        ("_cmd_eval", ["eval", "cap", "--d", "1"]),
+        ("_cmd_gw_expand", ["gw-expand", "--series", "ch4(p)", "--degree",
+                            "1", "--order", "2"]),
+    ])
+    def test_handler_patched_after_warm_parser(self, monkeypatch, capsys,
+                                               handler, argv):
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        def crash(args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, handler, crash)
+        monkeypatch.setattr(sys, "argv", ["pdc"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main_entry()
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            "internal error: TypeError: unsupported operand\n")
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("flagged, code, plain", FLAGGED_THEN_PLAIN)
+    def test_no_flag_leaks_into_the_next_call(self, capsys, flagged, code,
+                                              plain):
+        before = self.run(plain, capsys)
+        assert before[0] == 0
+        assert self.run(flagged, capsys)[0] == code
+        assert self.run(plain, capsys) == before
+
+    def test_mixed_sequence_in_one_process(self, capsys):
+        plains = {tuple(plain): self.run(plain, capsys)
+                  for _, _, plain in FLAGGED_THEN_PLAIN}
+        for flagged, code, plain in FLAGGED_THEN_PLAIN * 2:
+            assert self.run(flagged, capsys)[0] == code
+            assert self.run(plain, capsys) == plains[tuple(plain)]
+
+
+class TestModuleEntry:
+    def test_python_m_pdc_help(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "pdc", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: pdc ")
 
 
 class TestProvenance:

@@ -1,9 +1,12 @@
 """Coefficient fields: rationals, Gaussian rationals, parameter ratios."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pdc.fields import (FIELDS, GaussianRational, I, ParamRational,
                         _mono_from_key, field, rat)
@@ -178,3 +181,63 @@ class TestFieldWrapper:
     def test_coerce_rejects_cross_field(self):
         with pytest.raises((TypeError, ValueError)):
             FIELDS["Q"].coerce(I)
+
+
+# ---------------------------------------------------------------------------
+# ring axioms of the q-side scalar fields
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def scalar(tag):
+    """An element of Q, or of Q_s / Q_lambda: a sum of up to three terms
+    c * (monomial of degree <= 2 in the parameters), over 1 or over
+    1 + c * (one parameter)."""
+    f = FIELDS[tag]
+    if tag == "Q":
+        return small_fractions
+    gens = f.gens()
+    monomial = st.lists(st.sampled_from(gens), max_size=2).map(
+        lambda gs: functools.reduce(operator.mul, gs, f.one))
+    numerator = st.lists(st.tuples(small_fractions, monomial),
+                         max_size=3).map(
+        lambda terms: sum((c * m for c, m in terms), f.zero))
+    denominator = st.one_of(
+        st.just(f.one),
+        st.tuples(small_fractions.filter(bool), st.sampled_from(gens)).map(
+            lambda cg: f.one + cg[0] * cg[1]))
+    return st.tuples(numerator, denominator).map(lambda nd: nd[0] / nd[1])
+
+
+def scalar_triple(tag):
+    return st.tuples(st.just(FIELDS[tag]), scalar(tag), scalar(tag),
+                     scalar(tag))
+
+
+class TestRingAxioms:
+    """Q, Q_s and Q_lambda are fields.  A parameter ratio is not reduced
+    by a gcd, so its equality is cross-multiplication; a Fraction and the
+    printed form of a sum or product of parameter ratios are canonical."""
+
+    @given(st.sampled_from(["Q", "Q_s", "Q_lambda"]).flatmap(scalar_triple))
+    def test_axioms(self, case):
+        f, a, b, c = case
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        assert a + f.zero == a and a * f.one == a
+        assert a - a == f.zero and (a - b) + b == a
+        assert a - b == -(b - a)
+        if a:
+            assert a * (f.one / a) == f.one
+            assert (b / a) * a == b
+            assert (b * a) / a == b
+            # signs and contents are normalised
+            assert str((-b) / (-a)) == str(b / a)
+            assert str((3 * b) / (3 * a)) == str(b / a)
+        # the canonical form does not depend on the order of the operands
+        assert str(a + b) == str(b + a)
+        assert str(a * b) == str(b * a)
+        assert str(a - b) == str(-(b - a))

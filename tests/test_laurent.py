@@ -122,6 +122,21 @@ def q_quotient(draw, tag):
     return f, side(q_scalar(tag)), side(small_fractions)
 
 
+@st.composite
+def vanishing_quotient(draw):
+    """A rational function over Q whose numerator and denominator are
+    random lists times (1+q)**a and (1+q)**b, a, b <= 3, so either side
+    may vanish at q = -1 to any of these orders."""
+    one_plus_q = Polynomial(Q, [1, 1])
+
+    def side():
+        coeffs = draw(st.lists(small_fractions, min_size=1, max_size=5)
+                      .filter(any))
+        return Polynomial(Q, coeffs) * one_plus_q ** draw(st.integers(0, 3))
+
+    return RationalFunction(side(), side())
+
+
 class TestQuotientKernel:
     @given(st.lists(small_fractions, max_size=6),
            st.lists(small_fractions, min_size=1, max_size=5).filter(
@@ -254,6 +269,16 @@ class TestUExpand:
         for F in records + [local_curve_series(d) for d in range(1, 6)]:
             for d, n in ((0, 5), (4, 3), (7, -2)):
                 assert u_expand(F, d, n) == reference_u_expand(F, d, n)
+
+    @settings(max_examples=60)
+    @given(vanishing_quotient(), st.integers(0, 9), st.integers(-3, 9))
+    def test_integer_power_sums_match_reference(self, F, d_beta, max_exp):
+        # fractional and negative coefficients, zeros and poles at q = -1
+        # (u = 0), and both parities of d_beta
+        got = u_expand(F, d_beta, max_exp)
+        want = reference_u_expand(F, d_beta, max_exp)
+        assert got == want
+        assert str(got) == str(want)
 
 
 class TestSeriesArithmetic:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from pdc.fields import FIELDS, Q
 from pdc.polynomial import Polynomial
@@ -69,6 +70,54 @@ class TestCanonicalForm:
     def test_pow_negative(self):
         F = parse_rf("q/(1+q)")
         assert F ** -2 == parse_rf("(1+q)^2/q^2")
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# factors that numerators and denominators may share, so that a sum,
+# product or quotient has something to cancel
+SHARED = [Polynomial(Q, c) for c in ([1], [0, 1], [1, 1], [-1, 0, 1])]
+
+
+@st.composite
+def rational_function(draw):
+    def side(nonzero):
+        coeffs = st.lists(small_fractions, min_size=1, max_size=4)
+        p = Polynomial(Q, draw(coeffs.filter(any) if nonzero else coeffs))
+        return p * draw(st.sampled_from(SHARED))
+
+    return RationalFunction(side(False), side(True))
+
+
+def assert_canonical(F):
+    """Coprime parts, the denominator's lowest coefficient one, 0 as 0/1."""
+    assert Polynomial.gcd(F.num, F.den).degree == 0
+    assert F.den.coeffs[F.den.valuation] == 1
+    if F.is_zero:
+        assert F.den == Polynomial.one(Q)
+
+
+class TestRingAxioms:
+    """Q(q) is a field, and its canonical form is unique: equality is
+    structural, so every law below also checks the canonical form."""
+
+    @settings(max_examples=60)
+    @given(rational_function(), rational_function(), rational_function())
+    def test_axioms(self, a, b, c):
+        zero, one = RationalFunction.zero(Q), RationalFunction.one(Q)
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a
+        assert a - a == zero and (a - b) + b == a
+        for F in (a + b, a - b, a * b, a * (b + c)):
+            assert_canonical(F)
+            assert str(F) == str(RationalFunction(F.num, F.den))
+        if a:
+            assert a * (one / a) == one
+            assert (b / a) * a == b and (b * a) / a == b
+            assert_canonical(b / a)
+            assert str((b * a) / a) == str(b)
 
 
 class TestScaleMonomial:
