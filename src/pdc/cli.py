@@ -121,12 +121,16 @@ def _insertion_sign(element: DescElement) -> int:
 
 def _point_partition(element: DescElement) -> tuple:
     """The partition labeling a product of point insertions: one part
-    per factor ch_i(p), each part i - 1."""
+    per factor ch_i(p), each part i - 1, so each i must be at least 2."""
     if len(element.terms) != 1:
         raise CliError("expansion labels need a single insertion monomial")
     (factors,) = element.terms
     if not factors or any(g.cls != 3 for g in factors):
         raise CliError("expansion labels need point-class insertions only")
+    for g in factors:
+        if g.i < 2:
+            raise CliError(f"expansion labels need ch_i(p) with i >= 2; "
+                           f"{g} gives no partition part")
     return tuple(sorted((g.i - 1 for g in factors), reverse=True))
 
 
@@ -229,11 +233,11 @@ def _cmd_bracket_check(args) -> int:
 
 def _cmd_gw_expand(args) -> int:
     element = _parse_series_arg(args.series)
+    alpha = _point_partition(element) if args.show_bar else None
     series = _u_series(element, args)
     lines = [str(series)]
     payload = _laurent_json(series)
-    if args.show_bar:
-        alpha = _point_partition(element)
+    if alpha is not None:
         terms = expand_bar(alpha)
         lines.append("symbolic expansion of the insertion product:")
         lines.append(format_expansion(alpha, terms))

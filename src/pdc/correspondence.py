@@ -4,7 +4,9 @@ The matrix coefficients relating the two descendent theories are not
 known in closed form; what is known is exactly their support: the
 coefficient attached to a source partition alpha and target partition
 alpha_hat vanishes unless |alpha_hat| <= |alpha| and a homogeneity number
-is nonnegative.  This module implements the coefficients as opaque
+is nonnegative.  Both tests read only |alpha|, len(alpha), |alpha_hat|
+and len(alpha_hat), so the support of a block depends only on its size
+and length.  This module implements the coefficients as opaque
 symbols carrying those constraints, the set-partition expansion of a
 product of insertions with its sign rule, the leading term of that
 expansion, and the parity/reality test that mirrors the functional
@@ -38,6 +40,42 @@ def _validate_partition(parts, what: str) -> tuple:
     return parts
 
 
+def _homogeneity(size: int, length: int, hat_size: int,
+                 hat_length: int) -> int:
+    """|alpha| + len(alpha) - |alpha_hat| - len(alpha_hat)
+    - 3*(len(alpha) - 1), from the sizes and lengths alone."""
+    return size + length - hat_size - hat_length - 3 * (length - 1)
+
+
+def _vanishes(size: int, length: int, hat_size: int,
+              hat_length: int) -> bool:
+    """Is the symbol of a source of this size and length and a target of
+    this size and length forced to vanish?"""
+    return (hat_size > size
+            or _homogeneity(size, length, hat_size, hat_length) < 0)
+
+
+def _block_targets(size: int, length: int) -> list[tuple]:
+    """Every target partition whose symbol does not vanish for a source
+    block of the given size and length, in increasing target size.
+
+    The vanishing test only gets stricter as the target grows, so the
+    sizes stop at the first one where even a one-part target vanishes."""
+    targets = []
+    for hat_size in range(1, size + 1):
+        if _vanishes(size, length, hat_size, 1):
+            break
+        targets.extend(hat for hat in partitions_of(hat_size)
+                       if not _vanishes(size, length, hat_size, len(hat)))
+    return targets
+
+
+def _k_symbol(alpha: Partition, alpha_hat: Partition) -> str:
+    a = ",".join(str(p) for p in alpha)
+    ah = ",".join(str(p) for p in alpha_hat)
+    return f"K{{({a})->({ah})}}"
+
+
 @dataclass(frozen=True)
 class KCoefficient:
     """Opaque correspondence-matrix symbol for a (source, target) pair.
@@ -61,17 +99,15 @@ class KCoefficient:
     @property
     def homogeneity(self) -> int:
         a, ah = self.alpha, self.alpha_hat
-        return (sum(a) + len(a) - sum(ah) - len(ah) - 3 * (len(a) - 1))
+        return _homogeneity(sum(a), len(a), sum(ah), len(ah))
 
     @property
     def is_zero(self) -> bool:
-        return (sum(self.alpha_hat) > sum(self.alpha)
-                or self.homogeneity < 0)
+        a, ah = self.alpha, self.alpha_hat
+        return _vanishes(sum(a), len(a), sum(ah), len(ah))
 
     def __str__(self):
-        a = ",".join(str(p) for p in self.alpha)
-        ah = ",".join(str(p) for p in self.alpha_hat)
-        return f"K{{({a})->({ah})}}"
+        return _k_symbol(self.alpha, self.alpha_hat)
 
 
 class CorrespondenceTerm(NamedTuple):
@@ -104,6 +140,11 @@ def expand_bar(alpha: Partition, degrees=None) -> list[CorrespondenceTerm]:
     whose symbol is not forced to vanish; each term carries the koszul
     sign of its block ordering against the mod-2 insertion degrees
     (all even when degrees is omitted).  Deterministic order.
+
+    Whether a symbol vanishes depends only on the block's size |alpha_S|
+    and length, so each call lists the targets once per (size, length)
+    and drops a set partition at its first block with no target, before
+    building its blocks or its sign.
     """
     alpha = _validate_partition(alpha, "alpha")
     if degrees is None:
@@ -111,28 +152,23 @@ def expand_bar(alpha: Partition, degrees=None) -> list[CorrespondenceTerm]:
     if len(degrees) != len(alpha):
         raise ValueError("need one mod-2 degree per part of alpha")
     degrees = [d % 2 for d in degrees]
+    targets_of: dict[tuple[int, int], list[tuple]] = {}
     terms = []
     for blocks in set_partitions(len(alpha)):
-        blocks = tuple(tuple(b) for b in blocks)
         choices = []
         for block in blocks:
-            alpha_s = tuple(sorted((alpha[i - 1] for i in block),
-                                   reverse=True))
-            block_targets = [
-                hat
-                for size in range(1, sum(alpha_s) + 1)
-                for hat in partitions_of(size)
-                if not KCoefficient(alpha_s, tuple(hat)).is_zero
-            ]
-            if not block_targets:
-                choices = None
+            shape = (sum(alpha[i - 1] for i in block), len(block))
+            targets = targets_of.get(shape)
+            if targets is None:
+                targets = targets_of[shape] = _block_targets(*shape)
+            if not targets:
                 break
-            choices.append([tuple(hat) for hat in block_targets])
-        if choices is None:
-            continue
-        sign = koszul_sign(blocks, degrees)
-        for targets in product(*choices):
-            terms.append(CorrespondenceTerm(blocks, targets, sign))
+            choices.append(targets)
+        else:
+            blocks = tuple(tuple(b) for b in blocks)
+            sign = koszul_sign(blocks, degrees)
+            for targets in product(*choices):
+                terms.append(CorrespondenceTerm(blocks, targets, sign))
     terms.sort(key=lambda t: (t.blocks, t.targets))
     return terms
 
@@ -147,21 +183,28 @@ def leading_term(alpha: Partition) -> CorrespondenceTerm:
                               iu_exponent=len(alpha) - sum(alpha))
 
 
-def format_term(term: CorrespondenceTerm, alpha: Partition) -> str:
-    alpha = _validate_partition(alpha, "alpha")
-    pieces = [str(c) for c in term.coefficients(alpha)]
-    body = "*".join(pieces)
+def _format_term(term: CorrespondenceTerm, alpha: Partition) -> str:
+    # alpha must already be validated; the symbols are printed without
+    # building a KCoefficient per block
+    body = "*".join(_k_symbol(tuple(alpha[i - 1] for i in block), target)
+                    for block, target in zip(term.blocks, term.targets))
     if term.iu_exponent is not None and term.iu_exponent != 0:
         body = f"(iu)^{term.iu_exponent} {body}"
     prefix = "-" if term.sign < 0 else "+"
     return f"{prefix} {body}"
 
 
+def format_term(term: CorrespondenceTerm, alpha: Partition) -> str:
+    return _format_term(term, _validate_partition(alpha, "alpha"))
+
+
 def format_expansion(alpha: Partition, terms=None) -> str:
-    """Readable one-term-per-line rendering of an expansion."""
+    """Readable one-term-per-line rendering of an expansion; alpha is
+    validated once, not once per term."""
+    alpha = _validate_partition(alpha, "alpha")
     if terms is None:
         terms = expand_bar(alpha)
-    return "\n".join(format_term(t, alpha) for t in terms)
+    return "\n".join(_format_term(t, alpha) for t in terms)
 
 
 def parity_reality_check(S: LaurentSeries, sign: int) -> bool:

@@ -342,6 +342,20 @@ class TestGwExpand:
                      "--order", "4", "--show-bar"]) == 2
         assert "point-class" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("series,factor", [
+        ("ch1(p)", "ch1(p)"), ("ch0(p)*ch3(p)", "ch0(p)"),
+        # no series is stored for ch9(p): the label is checked first
+        ("ch0(p)*ch9(p)", "ch0(p)")])
+    def test_show_bar_names_a_factor_without_a_part(self, capsys, series,
+                                                    factor):
+        assert main(["gw-expand", "--series", series, "--degree", "1",
+                     "--order", "4", "--show-bar"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: expansion labels need ch_i(p) with i >= 2; {factor} "
+            "gives no partition part\n")
+
 
 class TestDb:
     def test_list_lines(self, capsys):

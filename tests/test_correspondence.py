@@ -1,15 +1,59 @@
 """Correspondence symbols, set-partition expansions, and parity checks."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pdc.correspondence import (CorrespondenceTerm, KCoefficient, expand_bar,
                                 format_expansion, format_term, leading_term,
                                 parity_reality_check)
 from pdc.laurent import LaurentSeries, u_expand
-from pdc.partitions import partitions_of
+from pdc.partitions import koszul_sign, partitions_of, set_partitions
 from pdc.ratfun import parse_rf
+
+
+def expand_bar_reference(alpha, degrees):
+    """expand_bar by building and testing one KCoefficient per block and
+    candidate target, every target size up to the block size."""
+    terms = []
+    for blocks in set_partitions(len(alpha)):
+        blocks = tuple(tuple(b) for b in blocks)
+        choices = []
+        for block in blocks:
+            alpha_s = tuple(sorted((alpha[i - 1] for i in block),
+                                   reverse=True))
+            choices.append([
+                hat for size in range(1, sum(alpha_s) + 1)
+                for hat in partitions_of(size)
+                if not KCoefficient(alpha_s, hat).is_zero])
+        sign = koszul_sign(blocks, [d % 2 for d in degrees])
+        for targets in product(*choices):
+            terms.append(CorrespondenceTerm(blocks, targets, sign))
+    terms.sort(key=lambda t: (t.blocks, t.targets))
+    return terms
+
+
+def format_expansion_reference(alpha, terms):
+    """format_expansion through str() of each term's KCoefficients."""
+    return "\n".join(
+        ("- " if t.sign < 0 else "+ ")
+        + "*".join(str(c) for c in t.coefficients(alpha)) for t in terms)
+
+
+def assert_matches_reference(alpha, degrees):
+    terms = expand_bar(alpha, degrees)
+    assert terms == expand_bar_reference(alpha, degrees), (alpha, degrees)
+    assert format_expansion(alpha, terms) == format_expansion_reference(
+        alpha, terms), (alpha, degrees)
+
+
+# sizes up to 14, past the exhaustive check's 9, with at most 4 parts so
+# the reference stays cheap
+partitions = st.lists(st.integers(1, 6), min_size=1, max_size=4).filter(
+    lambda parts: sum(parts) <= 14).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
 
 
 class TestKCoefficient:
@@ -111,6 +155,27 @@ class TestExpandBar:
         assert len(expand_bar((2,))) == 2
         assert len(expand_bar((2, 1))) == 3
         assert len(expand_bar((2, 2))) > len(expand_bar((2, 1)))
+
+
+class TestExpandBarReference:
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_every_small_partition(self, parity):
+        for size in range(1, 10):
+            for alpha in partitions_of(size):
+                if len(alpha) <= 7:
+                    assert_matches_reference(alpha, [parity] * len(alpha))
+
+    def test_odd_degrees_give_both_signs(self):
+        terms = expand_bar((3, 3, 3), degrees=[1, 1, 1])
+        assert len(terms) == 146
+        assert {t.sign for t in terms} == {1, -1}
+        assert "\n- K{" in format_expansion((3, 3, 3), terms)
+
+    @given(partitions, st.data())
+    def test_random_alpha_and_degrees(self, alpha, data):
+        degrees = data.draw(st.lists(st.integers(0, 3), min_size=len(alpha),
+                                     max_size=len(alpha)))
+        assert_matches_reference(alpha, degrees)
 
 
 class TestLeadingTerm:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from pdc.correspondence import format_expansion
 from pdc.descendents import gen, parse_element
 from pdc.fields import QI, QLAMBDA, GaussianRational, Q
 from pdc.laurent import LaurentSeries, laurent_expand, u_expand
@@ -144,3 +145,105 @@ def test_parameter_export_row():
                           "evaluator")
     assert records_to_json([record]) == (
         json.dumps([row], indent=2, sort_keys=True) + "\n")
+
+
+# format_expansion(alpha), one entry per printed line: the expansions of
+# the operator_algebra benchmark workload with the most repeated blocks
+EXPANSIONS = {
+    (3, 1, 1, 1, 1, 1): [
+        '+ K{(3)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3)->(1,1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3)->(3)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(3,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+        '+ K{(3,1)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}',
+    ],
+    (2, 2, 1, 1, 1): [
+        '+ K{(2)->(1)}*K{(2)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(1)}*K{(2)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(2)}*K{(2)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(2)}*K{(2)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(2)}*K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(2)}*K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(2)}*K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,2)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,2)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2)->(2)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2)->(2)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2)->(1)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2)->(2)}*K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(2,1)->(1)}*K{(1)->(1)}',
+    ],
+    (2, 1, 1, 1, 1, 1, 1): [
+        '+ K{(2)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2)->(2)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+        '+ K{(2,1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+    ],
+    (1, 1, 1, 1, 1, 1, 1): [
+        '+ K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*K{(1)->(1)}*'
+        'K{(1)->(1)}*K{(1)->(1)}',
+    ],
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(EXPANSIONS))
+def test_expansion_text(alpha):
+    assert format_expansion(alpha) == "\n".join(EXPANSIONS[alpha])

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdc import virasoro
+from pdc.cli import main
 from pdc.descendents import (DescElement, gen, generator_degree, monomial,
                              normalize)
-from pdc.virasoro import (Term, VirasoroOperator, apply_op, apply_shift,
-                          bracket_check, build_constraint,
+from pdc.virasoro import (Term, VirasoroOperator, acts_as_zero, apply_op,
+                          apply_shift, bracket_check, build_constraint,
                           build_constraint_composed, build_quadratic,
                           commutator, generator_monomials, identity_op,
                           multiplication_op, shift_op, shift_weight)
@@ -22,6 +23,25 @@ elements = st.dictionaries(
     st.lists(generators, max_size=3).map(tuple),
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
     max_size=4).map(DescElement)
+# a factor the boundary conventions kill: any ch_1, or ch_0 of 1, H or L
+killers = st.one_of(st.builds(gen, st.just(1), st.integers(0, 4)),
+                    st.builds(gen, st.just(0), st.integers(0, 2)))
+dead_terms = st.builds(
+    lambda c, killer, rest: Term(c, monomial((killer,) + tuple(rest)), None),
+    st.integers(-5, 5), killers, st.lists(generators, max_size=2))
+# killers too: a derivation after a killer, R_-1 after ch_1(p) say, is live
+any_terms = st.builds(
+    lambda c, mult, deriv: Term(c, monomial(mult), deriv),
+    st.integers(-5, 5), st.lists(st.one_of(generators, killers), max_size=2),
+    st.one_of(st.none(), st.integers(-1, 3)))
+# mostly operators of dead terms only, some with a live term mixed in
+operators = st.builds(lambda dead, other: VirasoroOperator(dead + other),
+                      st.lists(dead_terms, max_size=3),
+                      st.lists(any_terms, max_size=1))
+
+
+def raise_on_apply(op, e):
+    raise AssertionError("apply_op was called")
 
 
 def apply_op_reference(op, e):
@@ -176,8 +196,8 @@ class TestBrackets:
                 assert bracket_check(k, m, 6)
 
     def test_agrees_with_two_sided_reference(self):
-        for k in range(-1, 5):
-            for m in range(-1, 5):
+        for k in range(-1, 7):
+            for m in range(-1, 7):
                 assert bracket_check(k, m, 6) == bracket_check_reference(
                     k, m, 6), (k, m)
 
@@ -192,6 +212,35 @@ class TestBrackets:
         assert not bracket_check(1, 2, 6)
         assert not bracket_check_reference(1, 2, 6)
         assert bracket_check(0, 1, 6) and bracket_check_reference(0, 1, 6)
+
+    def test_dead_differences_apply_nothing(self, monkeypatch):
+        monkeypatch.setattr(virasoro, "apply_op", raise_on_apply)
+        for m in range(0, 5):
+            assert bracket_check(-1, m, 8)
+
+    def test_cli_dead_difference_at_a_large_bound(self, monkeypatch,
+                                                  capsys):
+        # a monomial sweep at bound 400 would mean about 1.3 million
+        # apply_op calls
+        monkeypatch.setattr(virasoro, "apply_op", raise_on_apply)
+        assert main(["bracket-check", "--k", "-1", "--m", "4",
+                     "--bound", "400"]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
+
+    def test_dead_difference_plus_live_term_fails(self, monkeypatch):
+        # [L_-1, L_4] - 5 L_3 is a dead multiplication; an extra R_2 in
+        # L_3 adds the live term -5 R_2, so the sweep must run and fail
+        quadratic = virasoro.build_quadratic
+
+        def broken(k):
+            return quadratic(k) + shift_op(2) if k == 3 else quadratic(k)
+
+        monkeypatch.setattr(virasoro, "build_quadratic", broken)
+        diff = commutator(broken(-1), broken(4)) - broken(3).scale(5)
+        assert not acts_as_zero(diff)
+        assert Term(-5, (), 2) in diff.terms
+        assert not bracket_check(-1, 4, 6)
+        assert not bracket_check_reference(-1, 4, 6)
 
     def test_bracket_check_validation(self):
         with pytest.raises(ValueError):
@@ -220,6 +269,31 @@ class TestBrackets:
                 rhs = multiplication_op((gen(n + k, 3),),
                                         k * factorial(k + n))
                 assert lhs == rhs, (n, k)
+
+
+class TestActsAsZero:
+    def test_examples(self):
+        dead = (commutator(build_quadratic(-1), build_quadratic(4))
+                - build_quadratic(3).scale(5))
+        assert str(dead) == "-96*ch0(L)*ch5(L) + 96*ch1(H)*ch4(p)"
+        assert acts_as_zero(dead)
+        assert acts_as_zero(VirasoroOperator(()))
+        assert acts_as_zero(multiplication_op((gen(1, "p0"), gen(3, "p"))))
+        # ch_0(p) is the scalar -1 and ch_0(p0) is kept: both live
+        assert not acts_as_zero(multiplication_op((gen(0, "p"),)))
+        assert not acts_as_zero(multiplication_op((gen(0, "p0"),)))
+        # R_-1 after ch_1(p) contributes ch_0(p), the scalar -1
+        down = VirasoroOperator([Term(1, (gen(1, "p"),), -1)])
+        assert not acts_as_zero(down)
+        assert apply_op(down, DescElement.of(gen(3, "p"))) == (
+            DescElement.of(gen(3, "p"), coeff=-1))
+        assert not acts_as_zero(dead + shift_op(0))
+
+    @settings(max_examples=150)
+    @given(operators, elements)
+    def test_dead_operators_kill_every_element(self, op, e):
+        if acts_as_zero(op):
+            assert apply_op(op, e).is_zero
 
 
 class TestIntegerCoefficients:
