@@ -111,6 +111,9 @@ def _emit(args, payload: dict, text: str) -> None:
 def _insertion_sign(element: DescElement) -> int:
     """Functional-equation sign of an insertion monomial: parity of the
     sum of the shifted subscripts (each factor ch_i contributes i)."""
+    if not element.terms:
+        raise CliError("insertion is zero; it has no functional-equation "
+                       "sign")
     signs = {(-1) ** sum(g.i for g in factors)
              for factors in element.terms}
     if len(signs) != 1:

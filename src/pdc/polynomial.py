@@ -15,6 +15,12 @@ transcendental Q(s), so the factors of P over Q(s) are defined over Q,
 and the monomials s^e are independent over Q(q).  Exact division by a
 polynomial in Q[q] divides each component over Z by its primitive part.
 
+`_zz_mul` multiplies two integer lists by Kronecker substitution (Harvey,
+arXiv 0712.4046): both are packed into one int with byte limbs through
+int.to_bytes/int.from_bytes, multiplied once, and read back as balanced
+digits.  The closed-form evaluators of `pdc.series` run every product
+through it; `Polynomial.__mul__` keeps the schoolbook `_zz_mul_add`.
+
 Two integer lists get their gcd from the heuristic gcd of Char, Geddes
 and Gonnet (evaluate at a large integer, take the integer gcd, read the
 polynomial back from balanced base-x digits).  A candidate is accepted
@@ -345,6 +351,39 @@ def _zz_mul_add(out: list[int], f: list[int], g: list[int]) -> None:
     for i, a in enumerate(f):
         if a:
             out[i:i + n] = [c + a * b for c, b in zip(out[i:i + n], g)]
+
+
+def _zz_mul(f: list[int], g: list[int]) -> list[int]:
+    """f * g, all len(f) + len(g) - 1 entries, by Kronecker substitution.
+
+    Each list is packed into one int with fixed-width byte limbs, the two
+    ints are multiplied once, and the limbs of the product are read back.
+    A limb holds w bits with 2^(w-1) above every product coefficient, so
+    the coefficients are balanced digits.  Adding 2^(w-1) to every limb
+    makes each digit nonnegative with nothing borrowed from the limb
+    above, so packing and unpacking run through int.to_bytes and
+    int.from_bytes, linear in the total size.
+    """
+    if not f or not g:
+        return []
+    # the product's coefficients are at most bound; an all-zero list
+    # counts as norm one, so its own entries fit the limbs too
+    bound = (min(len(f), len(g)) * (max(map(abs, f)) or 1)
+             * (max(map(abs, g)) or 1))
+    nb = bound.bit_length() // 8 + 1
+    half = 1 << (8 * nb - 1)
+    limb = half.to_bytes(nb, "little")
+
+    def pack(p: list[int]) -> int:
+        biased = b"".join((c + half).to_bytes(nb, "little") for c in p)
+        return (int.from_bytes(biased, "little")
+                - int.from_bytes(limb * len(p), "little"))
+
+    n = len(f) + len(g) - 1
+    buf = (pack(f) * pack(g)
+           + int.from_bytes(limb * n, "little")).to_bytes(n * nb, "little")
+    return [int.from_bytes(buf[i:i + nb], "little") - half
+            for i in range(0, n * nb, nb)]
 
 
 def _zz_quo(f: list[int], g: list[int]) -> list[int] | None:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import Field, ParamRational, field
+from .fields import (Field, ParamRational, field, from_components,
+                     to_components)
 from .polynomial import Polynomial
 from .text import ParseError, Scanner
 
@@ -149,16 +150,20 @@ class RationalFunction:
 
         Over Q, c may lie in a parameter field, and the product lies
         there: Q is algebraically closed in Q(s), so a pair coprime over
-        Q stays coprime over Q(s).
+        Q stays coprime over Q(s).  Both sides are lifted through their
+        integer components (`_lift`), not coefficient by coefficient.
         """
         f, num, den = self.field, self.num, self.den
         if f.tag == "Q" and isinstance(c, ParamRational):
             f = field(c.tag)
-            num, den = Polynomial(f, num.coeffs), Polynomial(f, den.coeffs)
-        c = f.coerce(c)
-        if self.is_zero or c == f.zero:
-            return RationalFunction.zero(f)
-        num = num.scale(c)
+            if self.is_zero or not c:
+                return RationalFunction.zero(f)
+            num, den = _lift(num, c), _lift(den, f.one)
+        else:
+            c = f.coerce(c)
+            if self.is_zero or c == f.zero:
+                return RationalFunction.zero(f)
+            num = num.scale(c)
         if k > 0:
             t = min(k, den.valuation)
             num = num.shift(k - t)
@@ -201,6 +206,24 @@ def _lowest_den_coeff_one(num: Polynomial,
         return num, den
     inv = 1 / low
     return num.scale(inv), den.scale(inv)
+
+
+def _lift(p: Polynomial, c: ParamRational) -> Polynomial:
+    """c * p over c's parameter field, for p over Q.
+
+    The integer components of p and of c are multiplied and read back
+    once by `from_components`, which writes each coefficient in canonical
+    form; a c with a non-constant parameter denominator takes the
+    per-coefficient route.
+    """
+    f = field(c.tag)
+    pc = to_components(f, [c])
+    if pc is None:
+        return Polynomial(f, p.coeffs).scale(c)
+    (rows, lc), (ints, lp) = pc, to_components(p.field, p.coeffs)
+    row = ints[()]
+    return Polynomial._from_field_coeffs(f, from_components(
+        f, {e: [x * r[0] for x in row] for e, r in rows.items()}, lc * lp))
 
 
 def invert_q(F: RationalFunction) -> RationalFunction:

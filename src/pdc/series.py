@@ -8,9 +8,10 @@ The module holds four things:
   relative-boundary label;
 
 * closed-form evaluators for two families: the degree-d local-curve
-  series (a sum over partitions of d) and the equivariant cap series with
-  a point-class descendent (a finite sum with prefactor over the
-  two-parameter tangent field);
+  series (the degree-d coefficient of an exponential, by its recurrence)
+  and the equivariant cap series with a point-class descendent (a finite
+  sum with prefactor over the two-parameter tangent field); both run on
+  integer coefficient lists and build one rational function at the end;
 
 * `reduce`, which evaluates a descendent element against the database by
   applying the dimension, string, divisor, and dilaton rules, plus the
@@ -35,8 +36,7 @@ from typing import NamedTuple
 from .descendents import (DescElement, Monomial, format_monomial,
                           monomial, monomial_degree, normalize, parse_element)
 from .fields import FIELDS
-from .partitions import partitions_of, zaut
-from .polynomial import Polynomial, q_field
+from .polynomial import Polynomial, _zz_mul, q_field
 from .ratfun import RationalFunction, fe_check, q_ddq
 from .virasoro import apply_op, build_constraint
 
@@ -95,7 +95,7 @@ def make_key(geometry: str, degree: int, insertions,
              boundary: str | None = None) -> SeriesKey:
     if geometry not in GEOMETRIES:
         raise ValueError(f"unknown geometry {geometry!r}")
-    if degree < 1:
+    if type(degree) is not int or degree < 1:
         raise ValueError("degree must be a positive integer")
     return SeriesKey(geometry, degree, canonical_insertions(insertions),
                      boundary)
@@ -113,8 +113,11 @@ def key_from_str(text: str) -> SeriesKey:
     if len(parts) not in (3, 4):
         raise ValueError(
             "key format is geometry:degree:insertions[:boundary]")
+    degree = parts[1]
+    if not (degree.isascii() and degree.isdigit()) or int(degree) < 1:
+        raise ValueError(f"key degree {degree!r} is not a positive integer")
     boundary = parts[3] if len(parts) == 4 else None
-    return make_key(parts[0], int(parts[1]), parts[2], boundary)
+    return make_key(parts[0], int(degree), parts[2], boundary)
 
 
 def _record_sort_key(record: SeriesRecord):
@@ -254,40 +257,66 @@ def builtin_db() -> SeriesDB:
 # closed-form evaluators
 
 
+def _times_binomial(p: list[int], m: int, c: int) -> None:
+    """p *= 1 + c*q^m in place, for an integer list p."""
+    p.extend([0] * m)
+    for k in range(len(p) - 1, m - 1, -1):
+        p[k] += c * p[k - m]
+
+
+def _running_products(ms) -> list[list[int]]:
+    """The products of the first 0, 1, 2, ... factors 1-(-q)^m, m in ms,
+    as integer lists."""
+    out = [[1]]
+    for m in ms:
+        p = list(out[-1])
+        _times_binomial(p, m, -(-1) ** m)
+        out.append(p)
+    return out
+
+
 def local_curve_series(d: int) -> RationalFunction:
     """Degree-d series of the local Calabi-Yau curve geometry.
 
-    Sum over partitions mu of d of (-1)^len(mu)/zaut(mu) times the product
-    over parts m of (-q)^m / (1-(-q)^m)^2, computed exactly.
+    The sum over partitions mu of d of (-1)^len(mu)/zaut(mu) times the
+    product over parts m of y_m = (-q)^m / (1-(-q)^m)^2, computed exactly.
+    That sum is [t^d] exp(-sum_m y_m t^m / m) (Macdonald, I.2), so it is
+    b_d / d! for the integer series b_0 = 1 and
+    b_n = -sum_{m=1..n} (n-1)!/(n-m)! * y_m * b_(n-m),
+    with y_m = sum_k k (-q)^(mk).
 
-    The parts of mu sum to d, so over the one denominator
-    prod_m (1-(-q)^m)^(2*floor(d/m)) the term of mu has the numerator
-    (-q)^d * (-1)^len(mu)/zaut(mu) * prod_m (1-(-q)^m)^(2*(floor(d/m)-k_m)),
-    k_m the multiplicity of m in mu.  One gcd then cancels the sum.
+    Over D_d = prod_m (1-(-q)^m)^(2*floor(d/m)) the sum has a numerator
+    of degree at most deg D_d - d, so b_d * D_d truncated after that
+    degree, over d! * D_d, is the series.  The series run on integer
+    lists truncated there, every product through `_zz_mul`; one gcd then
+    cancels the quotient.
     """
     if d < 1:
         raise ValueError("degree must be a positive integer")
-    f = FIELDS["Q"]
-    one = Polynomial.one(f)
-    squares = [None] + [(one - Polynomial.monomial(f, (-1) ** m, m)) ** 2
-                        for m in range(1, d + 1)]
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def power(m: int, e: int) -> Polynomial:
-        if (m, e) not in powers:
-            powers[m, e] = squares[m] ** e
-        return powers[m, e]
-
-    num = Polynomial.zero(f)
-    for mu in partitions_of(d):
-        term = Polynomial.const(f, Fraction((-1) ** len(mu)) / zaut(mu))
-        for m in range(1, d + 1):
-            term = term * power(m, d // m - mu.count(m))
-        num = num + term
-    den = one
+    den = [1]
     for m in range(1, d + 1):
-        den = den * power(m, d // m)
-    return RationalFunction(num.shift(d).scale((-1) ** d), den)
+        for _ in range(2 * (d // m)):
+            _times_binomial(den, m, -(-1) ** m)
+    terms = len(den) - d   # q^0 .. q^(deg D_d - d)
+    # y[m] and b[k] hold the series divided by q^m and q^k, with the
+    # terms from q^terms on dropped
+    y = [None] + [[0] * (terms - m) for m in range(1, d + 1)]
+    for m in range(1, d + 1):
+        for k in range(1, (terms - 1) // m + 1):
+            y[m][m * (k - 1)] = k * (-1) ** (m * k)
+    b = [[1] + [0] * (terms - 1)]
+    for k in range(1, d + 1):
+        size = terms - k
+        acc = [0] * size
+        for m in range(1, k + 1):
+            c = factorial(k - 1) // factorial(k - m)
+            prod = _zz_mul(y[m][:size], b[k - m][:size])
+            acc = [a - c * x for a, x in zip(acc, prod)]
+        b.append(acc)
+    num = [0] * d + _zz_mul(b[d], den[:terms - d])[:terms - d]
+    f, scale = FIELDS["Q"], factorial(d)
+    return RationalFunction(Polynomial(f, [Fraction(c, scale) for c in num]),
+                            Polynomial(f, den))
 
 
 def cap_series(d: int) -> RationalFunction:
@@ -296,25 +325,26 @@ def cap_series(d: int) -> RationalFunction:
 
     (q^d / d!) * ((s1+s2)/2) * sum_{i=1..d} (1+(-q)^i)/(1-(-q)^i), exact
     over the tangent-weight field.
+
+    Over prod_i (1-(-q)^i) the numerator is
+    sum_i (1+(-q)^i) * prod_(j<i) (1-(-q)^j) * prod_(j>i) (1-(-q)^j),
+    built on integer lists from the prefix and suffix products: d
+    products by `_zz_mul`.  The quotient is cancelled once over Q and
+    lifted into Q_s by `RationalFunction.scale_monomial`.
     """
     if d < 1:
         raise ValueError("degree must be a positive integer")
-    f = FIELDS["Q"]
-    one = Polynomial.one(f)
-    factors = [one - Polynomial.monomial(f, (-1) ** i, i)
-               for i in range(1, d + 1)]
-    num = Polynomial.zero(f)
-    den = one
+    prefix = _running_products(range(1, d + 1))
+    suffix = _running_products(range(d, 1, -1))
+    num = [0] * len(prefix[d])
     for i in range(1, d + 1):
-        term = one + Polynomial.monomial(f, (-1) ** i, i)
-        for j in range(d):
-            if j != i - 1:
-                term = term * factors[j]
-        num = num + term
-        den = den * factors[i - 1]
+        term = _zz_mul(prefix[i - 1], suffix[d - i])
+        _times_binomial(term, i, (-1) ** i)
+        num = [a + t for a, t in zip(num, term)]
+    f = FIELDS["Q"]
+    value = RationalFunction(Polynomial(f, num), Polynomial(f, prefix[d]))
     s1, s2, _ = FIELDS["Q_s"].gens()
-    return RationalFunction(num, den).scale_monomial(
-        (s1 + s2) / (2 * factorial(d)), d)
+    return value.scale_monomial((s1 + s2) / (2 * factorial(d)), d)
 
 
 # ---------------------------------------------------------------------------

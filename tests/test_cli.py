@@ -255,6 +255,11 @@ class TestErrors:
         assert main(["eval", "local-curve", "--d", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_fe_check_zero_insertion(self, capsys):
+        assert main(["fe-check", "--series", "0", "--degree", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: insertion is zero; it has no functional-equation sign\n")
+
 
 class TestEval:
     def test_local_curve_text(self, capsys):
@@ -375,6 +380,22 @@ class TestDb:
         assert "no stored series" in capsys.readouterr().err
         assert main(["db", "show", "P3:1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("degree", ["x", "0_1", " 1 ", "+1", "0"])
+    def test_show_bad_key_degree(self, degree, capsys):
+        assert main(["db", "show", f"P3:{degree}:ch4(p)"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: key degree {degree!r} is not a positive integer\n")
+
+    @pytest.mark.parametrize("degree", [True, 1.0, 1.5])
+    def test_import_non_integer_degree(self, degree, tmp_path, capsys):
+        rows = json.loads(records_to_json(builtin_db()))
+        rows[0]["degree"] = degree
+        path = tmp_path / "degree.json"
+        path.write_text(json.dumps(rows))
+        assert main(["db", "import", str(path)]) == 2
+        assert ("record 0: degree must be a positive integer"
+                in capsys.readouterr().err)
 
     def test_export_import_round_trip(self, tmp_path, capsys):
         path = tmp_path / "out.json"

@@ -220,6 +220,40 @@ class TestIntegerProduct:
             full[:n])
 
 
+def schoolbook(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    polynomial._zz_mul_add(out, f, g)
+    return out
+
+
+# signed coefficients up to 2^260, with zeros, short and empty lists
+signed_ints = st.lists(st.one_of(st.just(0), st.integers(-9, 9),
+                                 st.integers(-2 ** 260, 2 ** 260)),
+                       max_size=12)
+
+
+class TestKroneckerProduct:
+    @settings(max_examples=300)
+    @given(signed_ints, signed_ints)
+    def test_matches_schoolbook(self, f, g):
+        assert polynomial._zz_mul(f, g) == schoolbook(f, g)
+
+    @pytest.mark.parametrize("f, g", [
+        ([], []), ([], [1, 2]), ([3], []), ([0], [5]), ([0, 0], [0]),
+        ([-1], [1]), ([-(2 ** 200)], [2 ** 200 + 1]),
+        # every product coefficient negative, the top limb too
+        ([-1, -1, -1], [1, 1]),
+        # a negative digit below a positive one: the limb above must
+        # give back what the negative digit borrowed
+        ([1, -(2 ** 203)], [2 ** 205, 3]),
+        ([2 ** 200, -1, 0, -(2 ** 201)], [-(2 ** 207), 0, 1]),
+        # coefficients that fill their limb exactly
+        ([255] * 5, [255] * 5), ([-128] * 4, [127] * 3),
+    ])
+    def test_edge_cases(self, f, g):
+        assert polynomial._zz_mul(f, g) == schoolbook(f, g)
+
+
 # ---------------------------------------------------------------------------
 # the integer core over the parameter fields, against the per-coefficient
 # route (which stays the fallback) and against sympy over QQ(s)

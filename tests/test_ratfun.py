@@ -158,6 +158,29 @@ class TestScaleMonomial:
             Polynomial(fs, [3, 1]))
         assert G.den.coeffs[0] == fs.one
 
+    @pytest.mark.parametrize("tag, scalar", [
+        ("Q_s", lambda s: (s[0] + s[1]) / 24),
+        ("Q_s", lambda s: 3 * s[2] * s[2] - s[0] / 7),
+        ("Q_s", lambda s: s[0] / (s[0] + s[1])),
+        ("Q_lambda", lambda s: (3 * s[0] - s[1] - s[2] - s[3]) / 24),
+        ("Q_lambda", lambda s: s[0] - 1),
+    ])
+    def test_lift_matches_per_coefficient_route(self, tag, scalar):
+        # the component lift writes every coefficient in the canonical
+        # form the field's own arithmetic gives
+        f = FIELDS[tag]
+        c = scalar(f.gens())
+        F = parse_rf("(1/2 - 3*q + 5/3*q^3)/(1 + 2/5*q - q^4)")
+        for k in (-2, 0, 3):
+            G = F.scale_monomial(c, k)
+            want = RationalFunction(Polynomial(f, F.num.coeffs).scale(c),
+                                    Polynomial(f, F.den.coeffs))
+            want = want.scale_monomial(1, k)
+            assert str(G) == str(want)
+            for got_p, want_p in ((G.num, want.num), (G.den, want.den)):
+                assert [(x.num, x.den) for x in got_p.coeffs] == [
+                    (x.num, x.den) for x in want_p.coeffs]
+
 
 class TestInversionAndDerivation:
     def test_invert_q_involution_random(self):

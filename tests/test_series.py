@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from pdc.fields import FIELDS, ParamRational
 from pdc.laurent import laurent_expand
 from pdc.partitions import partitions_of, zaut
 from pdc.polynomial import Polynomial
-from pdc.ratfun import RationalFunction, fe_check, parse_rf, q_ddq
+from pdc.ratfun import (RationalFunction, fe_check, parse_rf, pole_check,
+                        q_ddq)
 from pdc.series import (GEOMETRIES, PROVENANCES, CobordismSeries, SeriesDB,
                         SeriesKey,
                         SeriesRecord, UnknownSeriesError, builtin_db,
@@ -46,6 +48,27 @@ class TestKeys:
             make_key("P4", 1, "ch4(p)")
         with pytest.raises(ValueError):
             make_key("P3", 0, "ch4(p)")
+
+    @pytest.mark.parametrize("degree", [True, False, 1.0, 1.5, "1", None])
+    def test_make_key_takes_int_degrees_only(self, degree):
+        with pytest.raises(ValueError, match="degree must be a positive"):
+            make_key("Cap", degree, "ch3(p)", "(1)")
+
+    @pytest.mark.parametrize("degree", ["0_1", " 1 ", "+1", "-1", "0",
+                                        "x", "", "\u0661", "1.0"])
+    def test_key_from_str_reads_ascii_digits_only(self, degree):
+        with pytest.raises(ValueError) as info:
+            key_from_str(f"P3:{degree}:ch4(p)")
+        assert str(info.value) == (
+            f"key degree {degree!r} is not a positive integer")
+
+    @pytest.mark.parametrize("degree", [True, 1.0, 1.5, "1"])
+    def test_imported_degrees_must_be_ints(self, degree):
+        rows = json.loads(records_to_json(builtin_db()))
+        rows[0]["degree"] = degree
+        with pytest.raises(ValueError, match="record 0: degree must be a "
+                                             "positive integer"):
+            records_from_json(json.dumps(rows))
 
     def test_key_str_round_trip(self):
         k = make_key("Cap", 2, "ch4(p)", "(2)")
@@ -123,12 +146,78 @@ def local_curve_term_by_term(d: int) -> RationalFunction:
     return total
 
 
+def local_curve_partition_sum(d: int) -> RationalFunction:
+    """The local-curve evaluator as a sum over partitions: one numerator
+    polynomial per partition over the one denominator
+    prod_m (1-(-q)^m)^(2*floor(d/m)), cancelled once."""
+    f = FIELDS["Q"]
+    one = Polynomial.one(f)
+    squares = [None] + [(one - Polynomial.monomial(f, (-1) ** m, m)) ** 2
+                        for m in range(1, d + 1)]
+    num = Polynomial.zero(f)
+    for mu in partitions_of(d):
+        term = Polynomial.const(f, Fraction((-1) ** len(mu)) / zaut(mu))
+        for m in range(1, d + 1):
+            term = term * squares[m] ** (d // m - mu.count(m))
+        num = num + term
+    den = one
+    for m in range(1, d + 1):
+        den = den * squares[m] ** (d // m)
+    return RationalFunction(num.shift(d).scale((-1) ** d), den)
+
+
+def cap_series_quadratic(d: int) -> RationalFunction:
+    """The cap evaluator with each numerator term multiplied out factor
+    by factor over Q, O(d^2) products; the quotient is cancelled over
+    Q_s and scaled there coefficient by coefficient."""
+    f = FIELDS["Q"]
+    one = Polynomial.one(f)
+    factors = [one - Polynomial.monomial(f, (-1) ** i, i)
+               for i in range(1, d + 1)]
+    num = Polynomial.zero(f)
+    den = one
+    for i in range(1, d + 1):
+        term = one + Polynomial.monomial(f, (-1) ** i, i)
+        for j in range(d):
+            if j != i - 1:
+                term = term * factors[j]
+        num = num + term
+        den = den * factors[i - 1]
+    fs = FIELDS["Q_s"]
+    s1, s2, _ = fs.gens()
+    value = RationalFunction(Polynomial(fs, num.coeffs),
+                             Polynomial(fs, den.coeffs))
+    return value.scale_monomial((s1 + s2) / (2 * factorial(d)), d)
+
+
+def assert_same_series(got: RationalFunction, want: RationalFunction):
+    assert got == want
+    assert str(got) == str(want)
+    assert rf_to_obj(got) == rf_to_obj(want)
+
+
 class TestEvaluators:
     @pytest.mark.parametrize("d", range(1, 8))
     def test_local_curve_matches_term_by_term_sum(self, d):
         assert local_curve_series(d) == local_curve_term_by_term(d)
 
-    @pytest.mark.parametrize("d", [8, 9, 10])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_local_curve_matches_partition_sum(self, d):
+        assert_same_series(local_curve_series(d), local_curve_partition_sum(d))
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_cap_matches_quadratic_reference(self, d):
+        assert_same_series(cap_series(d), cap_series_quadratic(d))
+
+    @pytest.mark.parametrize("d", [*range(11, 17), 20])
+    def test_local_curve_rationality_and_functional_equation(self, d):
+        # the paper's rationality and q -> 1/q symmetry at sizes the
+        # partition-sum evaluator did not reach
+        value = local_curve_series(d)
+        assert fe_check(value, 0, 1)
+        assert pole_check(value, d)
+
+    @pytest.mark.parametrize("d", range(8, 13))
     def test_local_curve_matches_brute_force_expansion(self, d):
         order = 2 * d + 4
         got = laurent_expand(local_curve_series(d), order).as_dict()
