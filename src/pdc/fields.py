@@ -14,10 +14,12 @@ and written to JSON, and no record is read over it.
 Elements of the two parameter fields are stored as ratios of multivariate
 polynomials over the integers.  A canonical representative clears the
 integer content jointly from numerator and denominator and fixes the sign
-of the denominator's lexicographically leading term; equality is decided
-by cross multiplication.  The fields themselves never take a gcd of
-parameter polynomials, so a ratio with a non-constant denominator keeps
-whatever common factor its numerator and denominator share.
+of the denominator's lexicographically leading term.  That form is
+unique when the denominator is constant, and equality compares it there;
+otherwise equality is cross multiplication.  The fields themselves never
+take a gcd of parameter polynomials, so a ratio with a non-constant
+denominator keeps whatever common factor its numerator and denominator
+share.
 
 Polynomials in q over Q, Q_s and Q_lambda reach the integer core of
 `pdc.polynomial` through `to_components` and `from_components`: a
@@ -266,6 +268,10 @@ class ParamRational:
             o = self._of(other)
         except TypeError:
             return NotImplemented
+        # the canonical form with a constant denominator is unique
+        unit = (0,) * len(FIELD_VARS[self.tag])
+        if list(self.den) == list(o.den) == [unit]:
+            return self.num == o.num and self.den == o.den
         return _mv_mul(self.num, o.den) == _mv_mul(o.num, self.den)
 
     def __hash__(self):

@@ -6,7 +6,8 @@ longer known exactly.  Arithmetic is exact on the known window and the
 truncation bound is propagated conservatively.
 
 Two expansion engines share one power-series quotient (`_ps_quo`):
-laurent_expand turns a rational function into its q-expansion, and
+laurent_expand turns a rational function into its q-expansion (over Q,
+row by row, when the denominator lies in Q[q]), and
 u_expand performs the exact variable change q = -exp(i*u) on one over Q,
 together with the prefactor exp(-i*d_beta*u/2), producing a series over
 the Gaussian rationals whose pole order at u = 0 equals the pole order of
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .fields import QI, I, field
+from .fields import QI, I, field, from_components, to_components
 from .polynomial import mul_truncated
 from .ratfun import RationalFunction
 from .text import power, signed_sum
@@ -159,7 +160,14 @@ def _ps_quo(num: list, den: list, n: int, zero) -> list:
 
 
 def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
-    """Expand a rational function around q = 0 through the given exponent."""
+    """Expand a rational function around q = 0 through the given exponent.
+
+    When the coefficients the quotient reads have constant parameter
+    denominators, and those of the denominator lie in Q, the quotient
+    runs over Q on each integer row of the numerator (`to_components`),
+    and each coefficient is built once by `from_components`; otherwise
+    it runs over the field.
+    """
     f = F.field
     order = max_exp + 1
     if F.is_zero:
@@ -169,8 +177,21 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     count = order - lo
     if count <= 0:
         return LaurentSeries("q", order, [], order, f)
-    coeffs = _ps_quo(F.num.coeffs[vn:], F.den.coeffs[vd:], count, f.zero)
-    return LaurentSeries("q", lo, coeffs, order, f)
+    # the quotient reads count coefficients of each side
+    num, den = F.num.coeffs[vn:vn + count], F.den.coeffs[vd:vd + count]
+    rn, rd = to_components(f, num), to_components(f, den)
+    if rn is None or rd is None or list(rd[0]) != [(0,) * len(f.var_names)]:
+        return LaurentSeries("q", lo, _ps_quo(num, den, count, f.zero),
+                             order, f)
+    (den,) = rd[0].values()
+    # Fraction entries: with ints throughout, acc / d0 would be a float
+    den = [Fraction(c, rd[1]) for c in den]
+    quos = {e: _ps_quo(r, den, count, 0) for e, r in rn[0].items()}
+    scale = lcm(*(c.denominator for quo in quos.values() for c in quo))
+    rows = {e: [c.numerator * (scale // c.denominator) for c in quo]
+            for e, quo in quos.items()}
+    return LaurentSeries("q", lo, from_components(f, rows, scale * rn[1]),
+                         order, f)
 
 
 def _power_sums(coeffs, scale: int, n: int) -> list[Fraction]:

@@ -18,8 +18,9 @@ polynomial in Q[q] divides each component over Z by its primitive part.
 `_zz_mul` multiplies two integer lists by Kronecker substitution (Harvey,
 arXiv 0712.4046): both are packed into one int with byte limbs through
 int.to_bytes/int.from_bytes, multiplied once, and read back as balanced
-digits.  The closed-form evaluators of `pdc.series` run every product
-through it; `Polynomial.__mul__` keeps the schoolbook `_zz_mul_add`.
+digits.  The closed-form evaluators of `pdc.series` and the checks of
+`pdc.ratfun` run every product through it; `Polynomial.__mul__` keeps the
+schoolbook `_zz_mul_add`, which is faster on short lists.
 
 Two integer lists get their gcd from the heuristic gcd of Char, Geddes
 and Gonnet (evaluate at a large integer, take the integer gcd, read the
@@ -384,6 +385,26 @@ def _zz_mul(f: list[int], g: list[int]) -> list[int]:
            + int.from_bytes(limb * n, "little")).to_bytes(n * nb, "little")
     return [int.from_bytes(buf[i:i + nb], "little") - half
             for i in range(0, n * nb, nb)]
+
+
+def _zz_mul_rows(a: dict, b: dict) -> dict:
+    """The components (as `fields.to_components` writes them) of the
+    product of two component dicts: every pair of rows goes through
+    `_zz_mul`; trailing zeros and zero rows are dropped."""
+    out: dict = {}
+    for ea, ra in a.items():
+        for eb, rb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            p, acc = _zz_mul(ra, rb), out.get(e, [])
+            if len(acc) > len(p):
+                p, acc = acc, p
+            out[e] = [x + y for x, y in zip(acc, p)] + p[len(acc):]
+    for e, row in list(out.items()):
+        while row and not row[-1]:
+            row.pop()
+        if not row:
+            del out[e]
+    return out
 
 
 def _zz_quo(f: list[int], g: list[int]) -> list[int] | None:

@@ -9,6 +9,9 @@ Besides field arithmetic the module provides the operations that the
 series checks are built from: substitution q -> 1/q, the operator q d/dq,
 the functional-equation test F(1/q) == sign * q^(-d) * F(q), and the
 divisibility test confining poles to q = 0 and roots of 1 - (-q)^m.
+Both tests read the integer rows of numerator and denominator once
+(`fields.to_components`) and run on them; a coefficient with a
+non-constant parameter denominator keeps them over the field.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from fractions import Fraction
 
 from .fields import (Field, ParamRational, field, from_components,
                      to_components)
-from .polynomial import Polynomial
+from .polynomial import (Polynomial, _primitive_ints, _zz_gcd, _zz_mul,
+                         _zz_mul_rows, _zz_quo)
 from .text import ParseError, Scanner
 
 
@@ -257,23 +261,33 @@ def fe_check(F: RationalFunction, d_beta: int, sign: int) -> bool:
     and revP = q**deg(P) * P(1/q), the identity is equivalent to the
     polynomial identity q**(m-n+d_beta) * revN * D == sign * N * revD
     (the power of q moves to the right-hand side when the exponent is
-    negative).  No cancellation is attempted, so the test stays cheap
-    over the parameter fields.
+    negative).  Both sides are formed on the integer rows of N and D
+    (`to_components`); they share the scale L_N * L_D, so their rows are
+    compared directly.  A non-constant parameter denominator keeps the
+    products over the field.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if F.is_zero:
         return True
-    lhs = F.num.reversed_() * F.den
-    rhs = F.num * F.den.reversed_()
-    if sign == -1:
-        rhs = -rhs
-    e = F.den.degree - F.num.degree + d_beta
-    if e >= 0:
-        lhs = lhs.shift(e)
-    else:
-        rhs = rhs.shift(-e)
-    return lhs == rhs
+    num, den, f = F.num, F.den, F.field
+    e = den.degree - num.degree + d_beta
+    rn, rd = to_components(f, num.coeffs), to_components(f, den.coeffs)
+    if rn is None or rd is None:
+        lhs, rhs = num.reversed_() * den, num * den.reversed_()
+        return lhs.shift(max(e, 0)) == rhs.scale(sign).shift(max(-e, 0))
+    lhs = _zz_mul_rows(_reversed_rows(rn[0], num.degree), rd[0])
+    rhs = _zz_mul_rows(rn[0], _reversed_rows(rd[0], den.degree))
+    return ({k: [0] * max(e, 0) + r for k, r in lhs.items()}
+            == {k: [0] * max(-e, 0) + [sign * c for c in r]
+                for k, r in rhs.items()})
+
+
+def _reversed_rows(rows: dict, degree: int) -> dict:
+    # each row is padded at its top to degree + 1 before it is reversed:
+    # to_components drops trailing zeros, row by row
+    return {e: (r + [0] * (degree + 1 - len(r)))[::-1]
+            for e, r in rows.items()}
 
 
 def pole_check(F: RationalFunction, d: int) -> bool:
@@ -281,22 +295,53 @@ def pole_check(F: RationalFunction, d: int) -> bool:
 
     Equivalently: every pole of F lies at q = 0 or at a root of some
     1 - (-q)**m with m <= d.  Decided by repeatedly dividing out
-    gcd(den, q * prod(1 - (-q)**m)); no factorization is needed.
+    gcd(den, q * prod(1 - (-q)**m)); no factorization is needed.  The
+    loop runs on the primitive integer rows of den (`to_components`),
+    whose common factor with that product is the gcd, as in
+    `Polynomial.gcd`; a non-constant parameter denominator keeps the
+    loop over the field.  A factor Phi_k(-q) of den has phi(k) <= deg den,
+    so d is first cut to the largest such k (`_cyclotomic_reach`).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    f = F.field
-    allowed = Polynomial.q(f)
-    for m in range(1, d + 1):
-        factor = Polynomial.one(f) - Polynomial.monomial(f, (-1) ** m, m)
-        allowed = allowed * factor
     den = F.den
-    while den.degree > 0:
-        g = Polynomial.gcd(den, allowed)
-        if g.degree < 1:
+    if den.degree < 1:
+        return True
+    if d > den.degree + 1:
+        d = min(d, _cyclotomic_reach(den.degree))
+    allowed = [0, 1]
+    for m in range(1, d + 1):
+        allowed = _zz_mul(allowed, [1] + [0] * (m - 1) + [-(-1) ** m])
+    comps = to_components(den.field, den.coeffs)
+    if comps is None:
+        allowed = Polynomial(den.field, allowed)
+        while den.degree > 0:
+            g = Polynomial.gcd(den, allowed)
+            if g.degree < 1:
+                return False
+            den = den.exact_div(g)
+        return True
+    rows = [_primitive_ints(r) for r in comps[0].values()]
+    while max(map(len, rows)) > 1:
+        g = allowed
+        for r in rows:
+            g = _zz_gcd(g, r)
+        if len(g) == 1:
             return False
-        den = den.exact_div(g)
+        rows = [_zz_quo(r, g) for r in rows]
     return True
+
+
+def _cyclotomic_reach(n: int) -> int:
+    """The largest k with phi(k) <= n, for n >= 1.  Since phi(k) >=
+    sqrt(k) for k > 6, a sieve of phi up to max(6, n*n) finds it."""
+    top = max(6, n * n)
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    return max(k for k in range(1, top + 1) if phi[k] <= n)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,22 @@ class TestCheckCommands:
         assert main(["pole-check", "--series", "ch7(1)", "--degree", "1",
                      "--div", "0"]) == 2
 
+    @pytest.mark.parametrize("series, degree, reach", [
+        ("ch7(1)", "1", "6"),      # denominator (1+q)^3: phi(k) <= 3
+        ("ch11(1)", "2", "18"),    # (1-q^2)^3: phi(k) <= 6
+        ("ch4(p)", "1", "1"),      # denominator 1
+    ])
+    def test_pole_check_huge_divisor_bound(self, capsys, series, degree,
+                                           reach):
+        # a factor Phi_k(-q) of the denominator has phi(k) <= its degree,
+        # so any bound past the largest such k gives the same verdict
+        runs = []
+        for div in (reach, "1000000"):
+            code = main(["--json", "pole-check", "--series", series,
+                         "--degree", degree, "--div", div])
+            runs.append((code, json.loads(capsys.readouterr().out)["pass"]))
+        assert runs[0] == runs[1] == (0, True)
+
 
 class TestInternalErrors:
     def test_crash_exits_3_with_one_line(self, monkeypatch, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdc.fields import (FIELDS, GaussianRational, I, ParamRational,
-                        _mono_from_key, field, rat)
+                        _mono_from_key, _mv_mul, field, rat)
 
 
 def test_rat_accepts_int_str_fraction():
@@ -241,3 +241,19 @@ class TestRingAxioms:
         assert str(a + b) == str(b + a)
         assert str(a * b) == str(b * a)
         assert str(a - b) == str(-(b - a))
+
+
+class TestEquality:
+    """A canonical ratio with a constant denominator is unique, so == reads
+    the stored dicts there; it must agree with cross-multiplication."""
+
+    @given(st.sampled_from(["Q_s", "Q_lambda"]).flatmap(scalar_triple))
+    def test_matches_cross_multiplication(self, case):
+        _, a, b, c = case
+        pairs = [(a, b), (a, a + b - b), (a * c, c * a), (-a, a * -1)]
+        if c:
+            pairs.append(((a * c) / c, a))
+        for x, y in pairs:
+            crossed = _mv_mul(x.num, y.den) == _mv_mul(y.num, x.den)
+            assert (x == y) == crossed
+            assert (x == y) == (y == x)

@@ -255,6 +255,45 @@ class TestPoleCheck:
         with pytest.raises(ValueError):
             pole_check(parse_rf("q"), 0)
 
+    @pytest.mark.parametrize("tag", ["Q_s", "Q_lambda"])
+    def test_parameter_fields(self, tag):
+        f = FIELDS[tag]
+        g = f.gens()
+        one_plus_q = Polynomial(f, [1, 1])
+        # c(s) * P(q): one parameter monomial over a Q[q] factor
+        for c in (g[1], 3 * g[0] * g[1], g[0] + 2 * g[1]):
+            den = one_plus_q * one_plus_q * Polynomial(f, [0, c])
+            F = RationalFunction._from_canonical(Polynomial.one(f), den)
+            assert pole_check(F, 1)
+        P = Polynomial(f, [1, 0, 1])              # 1 + q^2 = Phi_4(-q)
+        F = RationalFunction._from_canonical(Polynomial.one(f),
+                                             P.scale(g[0] + 1))
+        assert not pole_check(F, 3) and pole_check(F, 4)
+        # rows that are not proportional: the poles move with s
+        for coeffs in ([1, g[0]], [1, 1 + g[0], g[1]], [1, 2, 1 + g[0]]):
+            F = RationalFunction(Polynomial.one(f), Polynomial(f, coeffs))
+            assert not pole_check(F, 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 6), max_size=3),
+           st.lists(small_fractions, min_size=1, max_size=3).filter(any),
+           st.integers(1, 6))
+    def test_matches_sympy_divisibility(self, ms, extra, d):
+        # den divides q^a * prod_{m<=d} (1 - (-q)^m)^n, a = n = deg den
+        den = Polynomial(Q, [0, 1])
+        for m in ms:
+            den = den * Polynomial(Q, [1] + [0] * (m - 1) + [-(-1) ** m])
+        den = den * Polynomial(Q, extra)
+        F = RationalFunction(Polynomial.one(Q), den)
+        x = sympy.symbols("q")
+        n = F.den.degree
+        target = sympy.Poly(x ** n, x, domain="QQ")
+        for m in range(1, d + 1):
+            target *= sympy.Poly(1 - (-x) ** m, x) ** n
+        den_poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                               for c in reversed(F.den.coeffs)], x)
+        assert pole_check(F, d) == target.rem(den_poly).is_zero
+
 
 class TestParser:
     def test_round_trip_through_str(self):
