@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pdc.fields import FIELDS, to_components
 from pdc.laurent import LaurentSeries, _ps_quo, laurent_expand
 from pdc.polynomial import Polynomial
-from pdc.ratfun import (RationalFunction, _cyclotomic_reach, fe_check,
-                        invert_q, pole_check)
+from pdc.ratfun import RationalFunction, fe_check, invert_q, pole_check
 from pdc.series import builtin_db, cap_series, local_curve_series
 
 # ---------------------------------------------------------------------------
@@ -216,35 +215,3 @@ class TestStoredAndEvaluatedSeries:
                 assert pole_check(F, k) == reference_pole_check(F, k)
             for max_exp in (-1, d + 3, 2 * d + 4):
                 assert_same_expansion(F, max_exp)
-
-
-class TestPoleCheckReach:
-    def test_cyclotomic_reach(self):
-        # the largest k with phi(k) <= n
-        assert [_cyclotomic_reach(n) for n in (1, 2, 4, 9, 28)] == [
-            2, 6, 12, 30, 90]
-
-    def test_huge_bound_matches_the_reach(self):
-        cases = [(cap_series(d), d) for d in (3, 6)] + [
-            (local_curve_series(4), 4)] + [
-            (r.value, r.key.degree) for r in builtin_db().records()]
-        cases.append((RationalFunction(Polynomial.one(FIELDS["Q"]),
-                                       Polynomial(FIELDS["Q"], [1, 3, 1])),
-                       1))
-        for F, _ in cases:
-            if F.den.degree < 1:
-                assert pole_check(F, 10 ** 6)
-                continue
-            reach = _cyclotomic_reach(F.den.degree)
-            assert pole_check(F, 10 ** 6) == pole_check(F, reach) == (
-                reference_pole_check(F, reach))
-
-    def test_reach_decides_a_late_cyclotomic_factor(self):
-        # Phi_7(-q) has degree 6 = phi(7): allowed from d = 7 on
-        f = FIELDS["Q"]
-        phi7 = Polynomial(f, [(-1) ** k for k in range(7)])
-        F = RationalFunction(Polynomial.one(f), phi7)
-        assert _cyclotomic_reach(6) == 18
-        assert not pole_check(F, 6)
-        assert pole_check(F, 7) and pole_check(F, 10 ** 6)
-        assert reference_pole_check(F, 7) and not reference_pole_check(F, 6)

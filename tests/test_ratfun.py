@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from pdc.fields import FIELDS, Q
 from pdc.polynomial import Polynomial
-from pdc.ratfun import (RationalFunction, RFParseError, fe_check, invert_q,
-                        parse_rf, pole_check, q_ddq)
+from pdc.ratfun import (RationalFunction, RFParseError, _cyclotomic_reach,
+                        fe_check, invert_q, parse_rf, pole_check, q_ddq)
+from pdc.series import builtin_db, cap_series, local_curve_series
 
 
 def rand_rf(rng):
@@ -293,6 +294,24 @@ class TestPoleCheck:
         den_poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                                for c in reversed(F.den.coeffs)], x)
         assert pole_check(F, d) == target.rem(den_poly).is_zero
+
+    def test_cyclotomic_reach(self):
+        # the largest k with phi(k) <= n
+        assert [_cyclotomic_reach(n) for n in (1, 2, 4, 6, 9, 28)] == [
+            2, 6, 12, 18, 30, 90]
+
+    def test_huge_bound_matches_the_reach(self):
+        # a factor Phi_k(-q) of den has phi(k) <= deg den, so no bound
+        # past the reach changes the verdict
+        cases = [cap_series(3), cap_series(6), local_curve_series(4),
+                 parse_rf("1/(1 + 3*q + q^2)"),
+                 parse_rf("1/(1 - q + q^2 - q^3 + q^4 - q^5 + q^6)")]
+        cases += [r.value for r in builtin_db().records()]
+        for F in cases:
+            reach = _cyclotomic_reach(max(F.den.degree, 1))
+            assert pole_check(F, 10 ** 6) == pole_check(F, reach)
+        # Phi_7(-q), degree phi(7) = 6, is allowed from d = 7 on
+        assert not pole_check(cases[4], 6) and pole_check(cases[4], 7)
 
 
 class TestParser:
