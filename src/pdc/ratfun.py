@@ -11,14 +11,15 @@ the functional-equation test F(1/q) == sign * q^(-d) * F(q), and the
 divisibility test confining poles to q = 0 and roots of 1 - (-q)^m.
 Both tests read the integer rows of numerator and denominator once
 (`fields.to_components`) and run on them; a coefficient with a
-non-constant parameter denominator keeps them over the field.
+non-constant parameter denominator keeps the functional-equation test
+over the field, while the pole test clears those denominators first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import (Field, ParamRational, field, from_components,
+from .fields import (Field, ParamRational, _mv_mul, field, from_components,
                      to_components)
 from .polynomial import (Polynomial, _primitive_ints, _zz_gcd, _zz_mul,
                          _zz_mul_rows, _zz_quo)
@@ -298,9 +299,10 @@ def pole_check(F: RationalFunction, d: int) -> bool:
     gcd(den, q * prod(1 - (-q)**m)); no factorization is needed.  The
     loop runs on the primitive integer rows of den (`to_components`),
     whose common factor with that product is the gcd, as in
-    `Polynomial.gcd`; a non-constant parameter denominator keeps the
-    loop over the field.  A factor Phi_k(-q) of den has phi(k) <= deg den,
-    so d is first cut to the largest such k (`_cyclotomic_reach`).
+    `Polynomial.gcd`; non-constant parameter denominators are first
+    cleared (`_param_dens_cleared`), so no gcd runs over the field.  A
+    factor Phi_k(-q) of den has phi(k) <= deg den, so d is first cut to
+    the largest such k (`_cyclotomic_reach`).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -314,13 +316,7 @@ def pole_check(F: RationalFunction, d: int) -> bool:
         allowed = _zz_mul(allowed, [1] + [0] * (m - 1) + [-(-1) ** m])
     comps = to_components(den.field, den.coeffs)
     if comps is None:
-        allowed = Polynomial(den.field, allowed)
-        while den.degree > 0:
-            g = Polynomial.gcd(den, allowed)
-            if g.degree < 1:
-                return False
-            den = den.exact_div(g)
-        return True
+        comps = to_components(den.field, _param_dens_cleared(den))
     rows = [_primitive_ints(r) for r in comps[0].values()]
     while max(map(len, rows)) > 1:
         g = allowed
@@ -330,6 +326,27 @@ def pole_check(F: RationalFunction, d: int) -> bool:
             return False
         rows = [_zz_quo(r, g) for r in rows]
     return True
+
+
+def _param_dens_cleared(p: Polynomial) -> list:
+    """The coefficients of p times the product of their distinct parameter
+    denominators.  That product is a nonzero constant in q, so the roots
+    in q stay, and each coefficient becomes a polynomial in the
+    parameters.  The parameters are transcendental over Q, so a factor of
+    an integer polynomial in q divides p exactly when it divides every
+    parameter row of the result."""
+    dens = []
+    for c in p.coeffs:
+        if c and c.den not in dens:
+            dens.append(c.den)
+    out = []
+    for c in p.coeffs:
+        num = c.num
+        for d in dens:
+            if d != c.den:
+                num = _mv_mul(num, d)
+        out.append(ParamRational.make(c.tag, num, p.field.one.den))
+    return out
 
 
 def _cyclotomic_reach(n: int) -> int:

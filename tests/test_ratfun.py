@@ -274,6 +274,18 @@ class TestPoleCheck:
         for coeffs in ([1, g[0]], [1, 1 + g[0], g[1]], [1, 2, 1 + g[0]]):
             F = RationalFunction(Polynomial.one(f), Polynomial(f, coeffs))
             assert not pole_check(F, 6)
+        # coefficients with non-constant parameter denominators, cleared
+        # before the integer rows are read: no gcd runs over the field
+        r = g[1] / (g[0] + 1)
+        F = RationalFunction._from_canonical(Polynomial.one(f),
+                                             P.scale(r).shift(1))
+        assert not pole_check(F, 3) and pole_check(F, 4)
+        a = (3 * g[0] - 2 * g[0] * g[-1] + 1) / (g[0] + 1)
+        for coeffs in ([1 / (g[0] + 1), 1 / (g[1] + 2)],
+                       [0, a, (g[0] + g[1]) / 2]):
+            F = RationalFunction._from_canonical(Polynomial.one(f),
+                                                 Polynomial(f, coeffs))
+            assert not pole_check(F, 6)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(1, 6), max_size=3),
