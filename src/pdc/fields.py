@@ -22,9 +22,14 @@ denominator keeps whatever common factor its numerator and denominator
 share.
 
 Polynomials in q over Q, Q_s and Q_lambda reach the integer core of
-`pdc.polynomial` through `to_components` and `from_components`: a
-coefficient list whose parameter denominators are all constant is
-sum_e s^e P_e(q) / L, with integer lists P_e and one integer L.
+`pdc.polynomial` through `to_components` and `from_components`, for
+every coefficient list: a list whose parameter denominators are all
+constant is sum_e s^e P_e(q) / L, with integer lists P_e and one
+integer L; any other list is first multiplied through by its distinct
+parameter denominators d_i, and its scale is L * prod d_i
+(`ParamScale`).  `from_components` cancels each d_i that divides a
+coefficient's numerator exactly (`_mv_quo`), so a product or quotient
+built on the rows prints without a spurious common factor.
 """
 
 from __future__ import annotations
@@ -155,6 +160,33 @@ def _mv_mul(a: dict, b: dict) -> dict:
             elif e in out:
                 del out[e]
     return out
+
+
+def _mv_quo(a: dict, b: dict) -> dict | None:
+    """a / b when the nonzero polynomial b divides a exactly, else None.
+
+    Long division by b's lexicographically leading term.  If a = b * h,
+    the degree of h in each variable is that of a minus that of b, so a
+    quotient monomial outside that box proves that b does not divide a;
+    the quotient monomials fall strictly in lex order, so the loop ends
+    after at most as many steps as the box has monomials.
+    """
+    if not a:
+        return {}
+    lead = max(b)
+    top = [max(e[t] for e in a) - max(e[t] for e in b)
+           for t in range(len(lead))]
+    rem, quo = a, {}
+    while rem:
+        e = max(rem)
+        m = tuple(x - y for x, y in zip(e, lead))
+        if any(k < 0 or k > t for k, t in zip(m, top)):
+            return None
+        c = rem[e] / b[lead]
+        quo[m] = c
+        rem = _mv_add(rem, {tuple(x + y for x, y in zip(m, eb)): -c * cb
+                            for eb, cb in b.items()})
+    return quo
 
 
 def _mv_canonical(num: dict, den: dict, nvars: int) -> tuple[dict, dict]:
@@ -290,21 +322,43 @@ class ParamRational:
         ds = self._poly_str(self.den)
         if len(self.num) > 1:
             ns = f"({ns})"
-        if len(self.den) > 1:
+        # a product denominator needs them too: 1/s1*s2 reads as s2/s1
+        if len(self.den) > 1 or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
     __repr__ = __str__
 
 
-def to_components(f: "Field", coeffs) -> tuple[dict, int] | None:
-    """The coefficient list coeffs (ascending in q) as (rows, L).
+class ParamScale:
+    """The scale L * prod(dens) of a coefficient list that has a
+    non-constant parameter denominator: a nonzero int L and the distinct
+    parameter denominators (multivariate polynomials) that
+    `to_components` cleared.  Scales multiply with each other and with
+    ints, as the scales of products and quotients do."""
+
+    __slots__ = ("L", "dens")
+
+    def __init__(self, L: int, dens: tuple):
+        self.L, self.dens = L, dens
+
+    def __mul__(self, other):
+        if isinstance(other, ParamScale):
+            return ParamScale(self.L * other.L, self.dens + other.dens)
+        return ParamScale(self.L * other, self.dens)
+
+    __rmul__ = __mul__
+
+
+def to_components(f: "Field", coeffs) -> tuple[dict, int | ParamScale]:
+    """The coefficient list coeffs (ascending in q) as (rows, scale).
 
     rows maps a parameter exponent e to a list of ints P_e, with the
-    coefficient of q^k equal to sum_e s^e P_e[k] / L and L > 0.  Over Q
-    the only exponent is ().  Rows of a nonzero list end in a nonzero
-    entry; the zero list has no rows.  None for a parameter coefficient
-    whose denominator is not a constant integer.
+    coefficient of q^k equal to sum_e s^e P_e[k] / scale.  Over Q the
+    only exponent is ().  Rows of a nonzero list end in a nonzero entry;
+    the zero list has no rows.  When every parameter denominator is a
+    constant integer, scale is an int L > 0; otherwise
+    `_cleared_components` writes the list with a `ParamScale`.
     """
     if f.tag == "Q":
         scale = lcm(*(c.denominator for c in coeffs))
@@ -315,7 +369,7 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int] | None:
     for c in coeffs:
         d = c.den.get(unit) if len(c.den) == 1 else None
         if d is None or d.denominator != 1:
-            return None
+            return _cleared_components(f, coeffs)
         dens.append(d.numerator)
     scale = lcm(*dens)
     rows: dict = {}
@@ -323,7 +377,7 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int] | None:
         m = scale // d
         for e, v in c.num.items():
             if v.denominator != 1:
-                return None
+                return _cleared_components(f, coeffs)
             row = rows.get(e)
             if row is None:
                 row = rows[e] = [0] * len(coeffs)
@@ -334,9 +388,51 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int] | None:
     return rows, scale
 
 
-def from_components(f: "Field", rows: dict, scale: int) -> list:
+def _cleared_components(f: "Field", coeffs) -> tuple[dict, ParamScale]:
+    """to_components for a list with a non-constant parameter denominator.
+
+    Each numerator is multiplied by the distinct non-constant
+    denominators d_i other than its own, over its constant denominator,
+    which the constant-denominator loop then writes as rows over L; the
+    scale is L * prod d_i.  prod d_i is a nonzero constant in q, so the
+    rows have the roots in q of the list.
+    """
+    unit = (0,) * len(FIELD_VARS[f.tag])
+    dens = []
+    for c in coeffs:
+        if list(c.den) != [unit] and c.den not in dens:
+            dens.append(c.den)
+    cleared = []
+    for c in coeffs:
+        num, own = c.num, c.den
+        for d in dens:
+            if d != own:
+                num = _mv_mul(num, d)
+        if own in dens:
+            own = {unit: Fraction(1)}
+        cleared.append(ParamRational.make(f.tag, num, own))
+    rows, scale = to_components(f, cleared)
+    return rows, ParamScale(scale, tuple(dens))
+
+
+def from_components(f: "Field", rows: dict, scale) -> list:
     """The coefficient list of sum_e s^e P_e(q) / scale; the inverse of
-    to_components.  scale is a nonzero int, rows may hold zeros."""
+    to_components.  scale is a nonzero int or a `ParamScale`; rows may
+    hold zeros.  Over a ParamScale each coefficient over L is divided by
+    every d_i: exactly (`_mv_quo`) where d_i divides its numerator, and
+    otherwise by keeping d_i in its denominator."""
+    if isinstance(scale, ParamScale):
+        out = []
+        for c in from_components(f, rows, scale.L):
+            num, den = c.num, c.den
+            for d in scale.dens if num else ():
+                quo = _mv_quo(num, d)
+                if quo is None:
+                    den = _mv_mul(den, d)
+                else:
+                    num = quo
+            out.append(ParamRational.make(f.tag, num, den))
+        return out
     if f.tag == "Q":
         return [Fraction(c, scale) for c in rows.get((), ())]
     unit = (0,) * len(FIELD_VARS[f.tag])

@@ -7,7 +7,8 @@ truncation bound is propagated conservatively.
 
 Two expansion engines share one power-series quotient (`_ps_quo`):
 laurent_expand turns a rational function into its q-expansion (over Q,
-row by row, when the denominator lies in Q[q]), and
+row by row, when the denominator lies in Q[q]; over the field when it
+depends on the parameters), and
 u_expand performs the exact variable change q = -exp(i*u) on one over Q,
 together with the prefactor exp(-i*d_beta*u/2), producing a series over
 the Gaussian rationals whose pole order at u = 0 equals the pole order of
@@ -162,11 +163,12 @@ def _ps_quo(num: list, den: list, n: int, zero) -> list:
 def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     """Expand a rational function around q = 0 through the given exponent.
 
-    When the coefficients the quotient reads have constant parameter
-    denominators, and those of the denominator lie in Q, the quotient
-    runs over Q on each integer row of the numerator (`to_components`),
-    and each coefficient is built once by `from_components`; otherwise
-    it runs over the field.
+    When the denominator coefficients the quotient reads lie in Q, the
+    quotient runs over Q on each integer row of the numerator
+    (`to_components`, which clears any parameter denominator of the
+    numerator into its scale), and each coefficient is built once by
+    `from_components`; when they depend on the parameters it runs over
+    the field.
     """
     f = F.field
     order = max_exp + 1
@@ -180,7 +182,8 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     # the quotient reads count coefficients of each side
     num, den = F.num.coeffs[vn:vn + count], F.den.coeffs[vd:vd + count]
     rn, rd = to_components(f, num), to_components(f, den)
-    if rn is None or rd is None or list(rd[0]) != [(0,) * len(f.var_names)]:
+    if (list(rd[0]) != [(0,) * len(f.var_names)]
+            or not isinstance(rd[1], int)):
         return LaurentSeries("q", lo, _ps_quo(num, den, count, f.zero),
                              order, f)
     (den,) = rd[0].values()

@@ -5,14 +5,16 @@ Coefficients are stored in ascending powers with a nonzero trailing entry,
 so the representation is canonical.
 
 Multiplication, gcd and exact division run on an integer core.
-`fields.to_components` writes a coefficient list whose parameter
-denominators are all constant as sum_e s^e P_e(q) / L, with integer lists
-P_e (Q is the case of the single exponent ()).  A product multiplies
-every pair of components over Z.  When one gcd input is a single
-component s^e P(q) / L, the gcd is the integer gcd of P and every
-component of the other input: Q is algebraically closed in the purely
-transcendental Q(s), so the factors of P over Q(s) are defined over Q,
-and the monomials s^e are independent over Q(q).  Exact division by a
+`fields.to_components` writes every coefficient list as
+sum_e s^e P_e(q) / L, with integer lists P_e (Q is the case of the single
+exponent ()); L is an int when the parameter denominators are constant,
+and otherwise also carries the cleared parameter denominators, which are
+constants in q.  A product multiplies every pair of components over Z.
+When one gcd input is a single component s^e P(q) / L, the gcd is the
+integer gcd of P and every component of the other input: Q is
+algebraically closed in the purely transcendental Q(s), so the factors
+of P over Q(s) are defined over Q, and the monomials s^e are independent
+over Q(q).  Exact division by a
 polynomial in Q[q] divides each component over Z by its primitive part.
 
 `_zz_mul` multiplies two integer lists by Kronecker substitution (Harvey,
@@ -29,10 +31,11 @@ only once it divides both primitive inputs exactly over Z; after a fixed
 number of evaluation points the primitive PRS takes over.  This avoids
 the coefficient swell of Euclid over Fractions and over parameter ratios.
 
-The schoolbook product (`mul_truncated`, which Laurent series share),
-long division and Euclid's algorithm over the field stay for the rest: a
-parameter coefficient with a non-constant denominator (only from imported
-JSON), and a gcd of two inputs that both span several parameter monomials.
+Three routes stay over the field: the schoolbook product
+`mul_truncated`, which Laurent series use; long division (`divmod_`), for
+an exact division by a divisor that is not one integer row in Q[q]; and
+Euclid's algorithm, for a gcd of two inputs that both span several
+parameter monomials.
 """
 
 from __future__ import annotations
@@ -159,8 +162,6 @@ class Polynomial:
         if self.is_zero or other.is_zero:
             return Polynomial.zero(f)
         a, b = to_components(f, self.coeffs), to_components(f, other.coeffs)
-        if a is None or b is None:
-            return _mul_by_coeffs(self, other)
         n = len(self.coeffs) + len(other.coeffs) - 1
         rows: dict = {}
         for ea, ra in a[0].items():
@@ -223,15 +224,16 @@ class Polynomial:
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """self / other, which must be exact.
 
-        When other lies in Q[q] and self has constant parameter
-        denominators, each component of self is divided over Z by the
-        primitive part of other (Gauss's lemma: a quotient by a primitive
-        divisor is integral); otherwise by long division over the field.
+        When other is one integer row in Q[q] (an int scale), each
+        component of self is divided over Z by the primitive part of
+        other (Gauss's lemma: a quotient by a primitive divisor is
+        integral); otherwise by long division over the field.
         """
         f = self.field
         a, b = to_components(f, self.coeffs), to_components(f, other.coeffs)
-        in_q = b is not None and list(b[0]) == [(0,) * len(f.var_names)]
-        if self and a is not None and in_q:
+        in_q = (list(b[0]) == [(0,) * len(f.var_names)]
+                and isinstance(b[1], int))
+        if self and in_q:
             (g,) = b[0].values()
             content = gcd(*g)
             g = [c // content for c in g]
@@ -259,16 +261,16 @@ class Polynomial:
         """Monic-by-lowest-coefficient gcd over the coefficient field.
 
         The result's lowest-order nonzero coefficient is one; gcd(0, 0) is
-        zero.  When both inputs have constant parameter denominators and
-        one of them is s^e P(q) / L, a single component, the gcd is the
-        integer gcd (`_zz_gcd`) of P and every component of the other:
-        Q is algebraically closed in Q(s), so every factor of P over Q(s)
-        is defined over Q, and it divides sum_e s^e B_e(q) exactly when
-        it divides each B_e.  Every other case runs Euclid's algorithm.
+        zero.  When one input is s^e P(q) / L, a single component, the
+        gcd is the integer gcd (`_zz_gcd`) of P and every component of
+        the other: Q is algebraically closed in Q(s), so every factor of
+        P over Q(s) is defined over Q, and it divides sum_e s^e B_e(q)
+        exactly when it divides each B_e.  The scales are constants in q
+        and play no part.  Every other case runs Euclid's algorithm.
         """
         f = a.field
         pa, pb = to_components(f, a.coeffs), to_components(f, b.coeffs)
-        if a and b and pa is not None and pb is not None:
+        if a and b:
             ra, rb = pa[0], pb[0]
             if len(ra) > 1:
                 ra, rb = rb, ra
@@ -297,8 +299,7 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# the per-coefficient routes, for the coefficient lists the integer core
-# does not take
+# the routes over the field
 
 
 def mul_truncated(a, b, n: int, zero) -> list:
@@ -311,13 +312,6 @@ def mul_truncated(a, b, n: int, zero) -> list:
                 if y:
                     out[j] = out[j] + x * y
     return out
-
-
-def _mul_by_coeffs(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b by the schoolbook product over the coefficient field."""
-    n = len(a.coeffs) + len(b.coeffs) - 1
-    return Polynomial(a.field, mul_truncated(a.coeffs, b.coeffs, n,
-                                             a.field.zero))
 
 
 def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

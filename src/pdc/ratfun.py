@@ -10,16 +10,15 @@ series checks are built from: substitution q -> 1/q, the operator q d/dq,
 the functional-equation test F(1/q) == sign * q^(-d) * F(q), and the
 divisibility test confining poles to q = 0 and roots of 1 - (-q)^m.
 Both tests read the integer rows of numerator and denominator once
-(`fields.to_components`) and run on them; a coefficient with a
-non-constant parameter denominator keeps the functional-equation test
-over the field, while the pole test clears those denominators first.
+(`fields.to_components`, which clears any parameter denominator into
+the rows) and run on them; neither runs arithmetic over the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import (Field, ParamRational, _mv_mul, field, from_components,
+from .fields import (Field, ParamRational, field, from_components,
                      to_components)
 from .polynomial import (Polynomial, _primitive_ints, _zz_gcd, _zz_mul,
                          _zz_mul_rows, _zz_quo)
@@ -205,12 +204,22 @@ class RationalFunction:
 
 def _lowest_den_coeff_one(num: Polynomial,
                           den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """num and den scaled so that den's lowest nonzero coefficient is one."""
+    """num and den scaled so that den's lowest nonzero coefficient is one.
+
+    Over the parameter fields both are multiplied by the constant 1/low
+    on the integer rows, so that `from_components` cancels low's factors
+    against the coefficients they divide; over Q coefficient by
+    coefficient, which is faster there.
+    """
+    f = den.field
     low = den.coeffs[den.valuation]
-    if low == den.field.one:
+    if low == f.one:
         return num, den
-    inv = 1 / low
-    return num.scale(inv), den.scale(inv)
+    if f.tag == "Q":
+        inv = 1 / low
+        return num.scale(inv), den.scale(inv)
+    inv = Polynomial.const(f, 1 / low)
+    return num * inv, den * inv
 
 
 def _lift(p: Polynomial, c: ParamRational) -> Polynomial:
@@ -218,14 +227,11 @@ def _lift(p: Polynomial, c: ParamRational) -> Polynomial:
 
     The integer components of p and of c are multiplied and read back
     once by `from_components`, which writes each coefficient in canonical
-    form; a c with a non-constant parameter denominator takes the
-    per-coefficient route.
+    form.
     """
     f = field(c.tag)
-    pc = to_components(f, [c])
-    if pc is None:
-        return Polynomial(f, p.coeffs).scale(c)
-    (rows, lc), (ints, lp) = pc, to_components(p.field, p.coeffs)
+    (rows, lc), (ints, lp) = to_components(f, [c]), to_components(
+        p.field, p.coeffs)
     row = ints[()]
     return Polynomial._from_field_coeffs(f, from_components(
         f, {e: [x * r[0] for x in row] for e, r in rows.items()}, lc * lp))
@@ -263,9 +269,8 @@ def fe_check(F: RationalFunction, d_beta: int, sign: int) -> bool:
     polynomial identity q**(m-n+d_beta) * revN * D == sign * N * revD
     (the power of q moves to the right-hand side when the exponent is
     negative).  Both sides are formed on the integer rows of N and D
-    (`to_components`); they share the scale L_N * L_D, so their rows are
-    compared directly.  A non-constant parameter denominator keeps the
-    products over the field.
+    (`to_components`); they share the scale of N times that of D, so
+    their rows are compared directly.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -274,9 +279,6 @@ def fe_check(F: RationalFunction, d_beta: int, sign: int) -> bool:
     num, den, f = F.num, F.den, F.field
     e = den.degree - num.degree + d_beta
     rn, rd = to_components(f, num.coeffs), to_components(f, den.coeffs)
-    if rn is None or rd is None:
-        lhs, rhs = num.reversed_() * den, num * den.reversed_()
-        return lhs.shift(max(e, 0)) == rhs.scale(sign).shift(max(-e, 0))
     lhs = _zz_mul_rows(_reversed_rows(rn[0], num.degree), rd[0])
     rhs = _zz_mul_rows(rn[0], _reversed_rows(rd[0], den.degree))
     return ({k: [0] * max(e, 0) + r for k, r in lhs.items()}
@@ -299,8 +301,8 @@ def pole_check(F: RationalFunction, d: int) -> bool:
     gcd(den, q * prod(1 - (-q)**m)); no factorization is needed.  The
     loop runs on the primitive integer rows of den (`to_components`),
     whose common factor with that product is the gcd, as in
-    `Polynomial.gcd`; non-constant parameter denominators are first
-    cleared (`_param_dens_cleared`), so no gcd runs over the field.  A
+    `Polynomial.gcd`; the rows carry any parameter denominators cleared,
+    and those are constants in q, so no gcd runs over the field.  A
     factor Phi_k(-q) of den has phi(k) <= deg den, so d is first cut to
     the largest such k (`_cyclotomic_reach`).
     """
@@ -314,10 +316,8 @@ def pole_check(F: RationalFunction, d: int) -> bool:
     allowed = [0, 1]
     for m in range(1, d + 1):
         allowed = _zz_mul(allowed, [1] + [0] * (m - 1) + [-(-1) ** m])
-    comps = to_components(den.field, den.coeffs)
-    if comps is None:
-        comps = to_components(den.field, _param_dens_cleared(den))
-    rows = [_primitive_ints(r) for r in comps[0].values()]
+    rows = [_primitive_ints(r)
+            for r in to_components(den.field, den.coeffs)[0].values()]
     while max(map(len, rows)) > 1:
         g = allowed
         for r in rows:
@@ -326,27 +326,6 @@ def pole_check(F: RationalFunction, d: int) -> bool:
             return False
         rows = [_zz_quo(r, g) for r in rows]
     return True
-
-
-def _param_dens_cleared(p: Polynomial) -> list:
-    """The coefficients of p times the product of their distinct parameter
-    denominators.  That product is a nonzero constant in q, so the roots
-    in q stay, and each coefficient becomes a polynomial in the
-    parameters.  The parameters are transcendental over Q, so a factor of
-    an integer polynomial in q divides p exactly when it divides every
-    parameter row of the result."""
-    dens = []
-    for c in p.coeffs:
-        if c and c.den not in dens:
-            dens.append(c.den)
-    out = []
-    for c in p.coeffs:
-        num = c.num
-        for d in dens:
-            if d != c.den:
-                num = _mv_mul(num, d)
-        out.append(ParamRational.make(c.tag, num, p.field.one.den))
-    return out
 
 
 def _cyclotomic_reach(n: int) -> int:

@@ -1,5 +1,7 @@
 """fe_check, pole_check and laurent_expand on integer rows, against the
-per-coefficient bodies they replaced (kept here as references)."""
+per-coefficient bodies they replaced (kept here as references), and the
+integer routes of products and exact division against the field routes
+on coefficients with non-constant parameter denominators."""
 
 import json
 from fractions import Fraction
@@ -7,9 +9,9 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from pdc.fields import FIELDS, to_components
+from pdc.fields import FIELDS
 from pdc.laurent import LaurentSeries, _ps_quo, laurent_expand
-from pdc.polynomial import Polynomial
+from pdc.polynomial import Polynomial, mul_truncated
 from pdc.ratfun import RationalFunction, fe_check, invert_q, pole_check
 from pdc.series import builtin_db, cap_series, local_curve_series
 
@@ -139,9 +141,10 @@ def functions(draw, tag, shapes=("q", "param", "ratio")):
       numerator is a single component s^e * P(q), so the gcd of the
       canonical form stays on the one-component route;
     - "ratio": a coefficient has a non-constant parameter denominator,
-      the case the integer rows decline.  It is assembled without a gcd:
-      over such coefficients the gcd is Euclid's, whose cost has no bound,
-      and the checks do not need coprime input.
+      which `to_components` clears into the rows.  It is assembled
+      without a gcd: over such coefficients the gcd of two
+      multi-component inputs is Euclid's, whose cost has no bound, and
+      the checks do not need coprime input.
     """
     f = FIELDS[tag]
     shape = draw(st.sampled_from(shapes if f.gens() else ["q"]))
@@ -174,6 +177,17 @@ def functions(draw, tag, shapes=("q", "param", "ratio")):
 
 
 any_function = st.sampled_from(TAGS).flatmap(functions)
+ratio_function = st.sampled_from(TAGS[1:]).flatmap(
+    lambda tag: functions(tag, ("ratio",)))
+
+
+def has_param_dens(*polys):
+    """Does a coefficient of one of polys have a non-constant parameter
+    denominator?  Over such coefficients the field routes never cancel,
+    so results are compared by value, not by printed form."""
+    return any(p.field.var_names
+               and list(c.den) != [(0,) * len(p.field.var_names)]
+               for p in polys for c in p.coeffs)
 
 
 class TestAgainstReferences:
@@ -195,7 +209,7 @@ class TestAgainstReferences:
     @settings(max_examples=100, deadline=None)
     @given(any_function, st.integers(1, 6))
     def test_pole_check(self, F, d):
-        if to_components(F.field, F.den.coeffs) is None:
+        if has_param_dens(F.den):
             assert pole_check(F, d) == sympy_pole_check(F, d)
         else:
             assert pole_check(F, d) == reference_pole_check(F, d)
@@ -219,9 +233,37 @@ class TestAgainstReferences:
     @settings(max_examples=150, deadline=None)
     @given(any_function, st.integers(-3, 8))
     def test_laurent_expand(self, F, max_exp):
-        if to_components(F.field, F.den.coeffs) is None:
+        if has_param_dens(F.num, F.den):
             max_exp = min(max_exp, 3)  # the ratios swell with the order
-        assert_same_expansion(F, max_exp)
+            assert laurent_expand(F, max_exp) == reference_laurent_expand(
+                F, max_exp)
+        else:
+            assert_same_expansion(F, max_exp)
+
+
+class TestRatioDraws:
+    """Every integer route against its field route, by value, on
+    coefficients with non-constant parameter denominators."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ratio_function, st.integers(1, 3), st.integers(-3, 4),
+           st.sampled_from([1, -1]))
+    def test_integer_routes_equal_field_routes(self, F, m, d_beta, sign):
+        num, den, f = F.num, F.den, F.field
+        prod = num * den
+        n = len(num.coeffs) + len(den.coeffs) - 1
+        assert prod == Polynomial(f, mul_truncated(num.coeffs, den.coeffs,
+                                                   n, f.zero))
+        # exact division by a ratio polynomial runs over the field; by a
+        # polynomial in Q[q], on the rows of the dividend
+        assert prod.exact_div(den) == num
+        cyc = Polynomial(f, [1] + [0] * (m - 1) + [-(-1) ** m])
+        assert (num * cyc).exact_div(cyc) == num
+        assert (num * cyc).exact_div(cyc) == (num * cyc).divmod_(cyc)[0]
+        assert fe_check(F, d_beta, sign) == reference_fe_check(
+            F, d_beta, sign)
+        assert pole_check(F, m) == sympy_pole_check(F, m)
+        assert laurent_expand(F, 3) == reference_laurent_expand(F, 3)
 
 
 def stored_and_evaluated():

@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from pdc.fields import (FIELDS, GaussianRational, I, ParamRational,
-                        _mono_from_key, _mv_mul, field, rat)
+                        _mono_from_key, _mv_mul, _mv_quo, field, rat)
 
 
 def test_rat_accepts_int_str_fraction():
@@ -110,6 +111,65 @@ class TestParamRational:
         f = FIELDS["Q_s"]
         with pytest.raises(TypeError):
             hash(f.one)
+
+    @pytest.mark.parametrize("make, text", [
+        (lambda s1, s2, s3: 1 / (s1 * s2 * s3), "1/(s1*s2*s3)"),
+        (lambda s1, s2, s3: 3 / (2 * s1), "3/(2*s1)"),
+        (lambda s1, s2, s3: -s2 / (s1 * s1 * s3), "-s2/(s1^2*s3)"),
+        (lambda s1, s2, s3: 1 / s1, "1/s1"),
+        (lambda s1, s2, s3: 1 / (s1 * s1), "1/s1^2"),
+        (lambda s1, s2, s3: (s1 + 1) / (3 * s2 + s3), "(s1 + 1)/(3*s2 + s3)"),
+        (lambda s1, s2, s3: s1 * s2 / (s1 + s2), "s1*s2/(s1 + s2)"),
+        (lambda s1, s2, s3: (s1 + s3) / 6, "(s1 + s3)/6"),
+    ])
+    def test_str_reads_back_through_sympy(self, make, text):
+        # a product denominator is parenthesised, so the printed form
+        # means the value it prints
+        f = FIELDS["Q_s"]
+        c = make(*f.gens())
+        assert str(c) == text
+        syms = sympy.symbols(f.var_names)
+        names = dict(zip(f.var_names, syms))
+
+        def mv(terms):
+            return sum(sympy.Rational(v.numerator, v.denominator)
+                       * sympy.Mul(*(x ** k for x, k in zip(syms, e)))
+                       for e, v in terms.items())
+
+        read = sympy.sympify(str(c).replace("^", "**"), locals=names)
+        assert sympy.simplify(read - mv(c.num) / mv(c.den)) == 0
+
+
+class TestExactQuotient:
+    def test_exact_and_inexact(self):
+        f = FIELDS["Q_s"]
+        s1, s2, s3 = f.gens()
+        a, b = (s1 + s2 * s3 + 1).num, (2 * s1 - s2 + Fraction(1, 3)).num
+        assert _mv_quo(_mv_mul(a, b), b) == a
+        assert _mv_quo(_mv_mul(a, b), a) == b
+        assert _mv_quo({}, b) == {}
+        # not a multiple: a remainder term, or a quotient monomial outside
+        # the degree box, ends the division
+        assert _mv_quo(_mv_add_one(_mv_mul(a, b)), b) is None
+        assert _mv_quo(a, _mv_mul(a, a)) is None
+        assert _mv_quo((s1 * s1 + 1).num, (s1 + 1).num) is None
+        assert _mv_quo((s2 + 1).num, (s1 + 1).num) is None
+
+    @given(st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                              st.integers(-3, 3)), min_size=1, max_size=4),
+           st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                              st.integers(-3, 3)), min_size=1, max_size=4))
+    def test_quotient_of_a_product(self, a, b):
+        a = {e: Fraction(c) for e, c in a if c}
+        b = {e: Fraction(c) for e, c in b if c}
+        if a and b:
+            assert _mv_quo(_mv_mul(a, b), b) == a
+
+
+def _mv_add_one(a):
+    out = dict(a)
+    out[(0, 0, 0)] = out.get((0, 0, 0), 0) + 1
+    return {e: c for e, c in out.items() if c}
 
 
 class TestFieldWrapper:

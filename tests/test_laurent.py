@@ -1,6 +1,7 @@
 """Laurent expansion engines and truncated-series arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -197,6 +198,24 @@ class TestLaurentExpand:
         S = laurent_expand(parse_rf("(1+q)/q^3"), 2)
         assert S.min_exp == -3
         assert S.as_dict() == {-3: 1, -2: 1}
+
+    def test_parameter_denominators_expand_on_rows(self):
+        # numerator coefficients over s1 + s2, s1*s2*s3 and s2 + 1: the
+        # rows carry those denominators once, where a quotient over the
+        # field would multiply them up at every order
+        fs = FIELDS["Q_s"]
+        s1, s2, s3 = fs.gens()
+        num = Polynomial(fs, [1 / (s1 + s2), s1 / (s1 * s2 * s3), 3,
+                              (s2 - 1) / (s2 + 1), s3 / (s1 + s2)])
+        F = RationalFunction(num, Polynomial(fs, [1, 1]) ** 2)
+        start = time.perf_counter()
+        S = laurent_expand(F, 12)
+        assert time.perf_counter() - start < 1.0
+        assert S.coeff(0) == 1 / (s1 + s2)
+        assert str(S.coeff(0)) == "1/(s1 + s2)"
+        low = laurent_expand(F, 3)
+        assert S.coeffs[:4] == low.coeffs
+        assert low == reference_laurent(F.num.coeffs, F.den.coeffs, 3, fs)
 
     def test_zero_function_and_empty_window(self):
         S = laurent_expand(RationalFunction.zero(Q), 4)

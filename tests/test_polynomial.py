@@ -8,8 +8,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from pdc import polynomial
-from pdc.fields import (FIELDS, Q, ParamRational, from_components,
-                        to_components)
+from pdc.fields import (FIELDS, Q, ParamRational, ParamScale,
+                        from_components, to_components)
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction
 
@@ -38,6 +38,14 @@ def lowest_one(p: Polynomial) -> Polynomial:
 
 def sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return lowest_one(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+
+
+def mul_by_coeffs(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b by the schoolbook product over the coefficient field, the
+    reference for the integer-row product."""
+    n = len(a.coeffs) + len(b.coeffs) - 1
+    return Polynomial(a.field, polynomial.mul_truncated(
+        a.coeffs, b.coeffs, n, a.field.zero))
 
 
 def cyclotomic(m: int) -> Polynomial:
@@ -210,7 +218,7 @@ class TestIntegerGcd:
 class TestIntegerProduct:
     @given(small_polys, small_polys)
     def test_q_product_matches_fraction_schoolbook(self, a, b):
-        assert a * b == polynomial._mul_by_coeffs(a, b)
+        assert a * b == mul_by_coeffs(a, b)
 
     @given(small_polys, small_polys, st.integers(0, 14))
     def test_truncated_product_is_a_prefix(self, a, b, n):
@@ -256,7 +264,7 @@ class TestKroneckerProduct:
 
 # ---------------------------------------------------------------------------
 # the integer core over the parameter fields, against the per-coefficient
-# route (which stays the fallback) and against sympy over QQ(s)
+# route (the reference `mul_by_coeffs`) and against sympy over QQ(s)
 
 PARAM_TAGS = ("Q_s", "Q_lambda")
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -277,7 +285,7 @@ def param_const(tag):
 def param_poly(draw, tag, max_size=3, ratios=True):
     """A polynomial over a parameter field; when ratios is set, one draw
     in four divides one coefficient by 1 + (first variable), a
-    non-constant denominator that the integer core declines."""
+    non-constant denominator that `to_components` clears into the rows."""
     cs = draw(st.lists(param_const(tag), max_size=max_size))
     if ratios and cs and draw(st.integers(0, 3)) == 0:
         k = draw(st.integers(0, len(cs) - 1))
@@ -325,7 +333,7 @@ class TestParameterKernel:
     def test_mul_matches_per_coefficient_route_and_sympy(self, case):
         _, a, b, c = case
         for x, y in ((a, b), (a * c, b), (c, b)):
-            assert x * y == polynomial._mul_by_coeffs(x, y)
+            assert x * y == mul_by_coeffs(x, y)
             assert sympy_poly(x * y) == sympy_poly(x) * sympy_poly(y)
 
     @settings(max_examples=60)
@@ -424,8 +432,34 @@ class TestComponents:
         assert from_components(Q, {(): [3, 0, -4]}, 6) == list(coeffs)
         assert to_components(Q, ()) == ({}, 1)
 
-    def test_declined_inputs(self):
+    def test_round_trip_over_parameter_denominators(self):
+        # a non-constant parameter denominator is cleared into the rows,
+        # and from_components cancels it where it divides a numerator
         fs = FIELDS["Q_s"]
-        s1 = fs.gen("s1")
-        assert to_components(fs, (fs.one, 1 / (s1 + 1))) is None
-        assert to_components(fs, (1 / s1,)) is None
+        s1, s2, s3 = fs.gens()
+        for coeffs in ((1 / (s1 + 1),), (1 / (s1 * s2 * s3),),
+                       ((s1 + 1) / (s2 + 1),),
+                       (fs.one, 1 / (s1 + 1), fs.zero, (s1 + 1) / (s2 + 1),
+                        1 / (s1 * s2 * s3), 3 / (2 * s1), s2 / 5)):
+            rows, scale = to_components(fs, coeffs)
+            assert isinstance(scale, ParamScale)
+            assert all(isinstance(c, int) for r in rows.values() for c in r)
+            back = from_components(fs, rows, scale)
+            assert back == list(coeffs)
+            assert [str(c) for c in back] == [str(c) for c in coeffs]
+        # the first list clears to the single row [1] over s1 + 1
+        rows, scale = to_components(fs, (1 / (s1 + 1),))
+        assert rows == {(0, 0, 0): [1]}
+        assert (scale.L, scale.dens) == (1, ((s1 + 1).num,))
+
+    def test_scales_multiply(self):
+        fs = FIELDS["Q_s"]
+        s1, s2, _ = fs.gens()
+        _, a = to_components(fs, (1 / (s1 + 1),))
+        _, b = to_components(fs, (1 / (3 * s2 + 3),))
+        assert (2 * a).L == (a * 2).L == 2
+        assert (a * b).dens == a.dens + b.dens
+        # a product of rows over the product of scales cancels on the
+        # way back: (s1 + 1) * 1/(s1 + 1) is one
+        one = from_components(fs, {(1, 0, 0): [1], (0, 0, 0): [1]}, a)
+        assert one == [fs.one] and str(one[0]) == "1"

@@ -68,6 +68,18 @@ class TestCanonicalForm:
                 assert sympy.simplify(to_sympy(a / b)
                                       - to_sympy(a) / to_sympy(b)) == 0
 
+    def test_parameter_lowest_coefficient_cancels(self):
+        # dividing by a lowest denominator coefficient that spans several
+        # parameter monomials leaves it once in the numerator, not as
+        # (2*s1 + s2)/(2*s1 + s2) in every coefficient
+        fs = FIELDS["Q_s"]
+        s1, s2, _ = fs.gens()
+        F = RationalFunction(Polynomial.one(fs),
+                             Polynomial(fs, [2 * s1 + s2, 2 * s1 + s2]))
+        assert str(F) == "((1/(2*s1 + s2)))/(1 + q)"
+        assert F.den == Polynomial(fs, [1, 1])
+        assert F.num == Polynomial.const(fs, 1 / (2 * s1 + s2))
+
     def test_pow_negative(self):
         F = parse_rf("q/(1+q)")
         assert F ** -2 == parse_rf("(1+q)^2/q^2")
