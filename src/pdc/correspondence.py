@@ -31,7 +31,9 @@ Partition = tuple
 
 
 def _validate_partition(parts, what: str) -> tuple:
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(parts)
+    if any(type(p) is not int for p in parts):   # bool is refused too
+        raise ValueError(f"{what} parts must be integers")
     if not parts:
         raise ValueError(f"{what} must be a nonempty partition")
     if any(p < 1 for p in parts) or list(parts) != sorted(parts,

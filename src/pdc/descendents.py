@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .fields import rat
+from .fields import accumulate, rat
 from .text import ParseError, Scanner, signed_sum
 
 CLASS_NAMES = ("1", "H", "L", "p", "p0")
@@ -172,21 +172,6 @@ class DescElement:
 
     def __repr__(self):
         return f"DescElement({format_element(self)})"
-
-
-def accumulate(acc: dict, items) -> dict:
-    """Add each (key, coefficient) pair of items into acc, in place.
-
-    A key whose coefficients cancel is dropped, so acc never holds a zero.
-    Returns acc.
-    """
-    for key, c in items:
-        s = acc.get(key, 0) + c
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-    return acc
 
 
 def normal_terms(items):

@@ -25,11 +25,12 @@ Polynomials in q over Q, Q_s and Q_lambda reach the integer core of
 `pdc.polynomial` through `to_components` and `from_components`, for
 every coefficient list: a list whose parameter denominators are all
 constant is sum_e s^e P_e(q) / L, with integer lists P_e and one
-integer L; any other list is first multiplied through by its distinct
-parameter denominators d_i, and its scale is L * prod d_i
-(`ParamScale`).  `from_components` cancels each d_i that divides a
-coefficient's numerator exactly (`_mv_quo`), so a product or quotient
-built on the rows prints without a spurious common factor.
+integer L.  In any other list, the same single loop also multiplies
+each numerator by the distinct non-constant parameter denominators d_i
+other than its own, and the scale is L * prod d_i (`ParamScale`).
+`from_components` cancels each d_i that divides a coefficient's
+numerator exactly (`_mv_quo`), so a product or quotient built on the
+rows prints without a spurious common factor.
 """
 
 from __future__ import annotations
@@ -132,17 +133,29 @@ I = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomial helpers: dict mapping exponent tuple -> Fraction
+# sparse sums (dict mapping key -> nonzero coefficient), here and in
+# pdc.descendents and pdc.virasoro
+
+
+def accumulate(acc: dict, items) -> dict:
+    """Add each (key, coefficient) pair of items into acc, in place.
+
+    A key whose coefficients cancel is dropped, so acc never holds a zero.
+    Returns acc.
+    """
+    for key, c in items:
+        s = acc.get(key, 0) + c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+# multivariate polynomials: exponent tuple -> Fraction
 
 def _mv_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
+    return accumulate(dict(a), b.items())
 
 
 def _mv_neg(a: dict) -> dict:
@@ -150,16 +163,8 @@ def _mv_neg(a: dict) -> dict:
 
 
 def _mv_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
+    return accumulate({}, ((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                           for ea, ca in a.items() for eb, cb in b.items()))
 
 
 def _mv_quo(a: dict, b: dict) -> dict | None:
@@ -356,28 +361,35 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int | ParamScale]:
     rows maps a parameter exponent e to a list of ints P_e, with the
     coefficient of q^k equal to sum_e s^e P_e[k] / scale.  Over Q the
     only exponent is ().  Rows of a nonzero list end in a nonzero entry;
-    the zero list has no rows.  When every parameter denominator is a
-    constant integer, scale is an int L > 0; otherwise
-    `_cleared_components` writes the list with a `ParamScale`.
+    the zero list has no rows.  L > 0 is the lcm of the constant
+    parameter denominators (stored coefficients are integers,
+    `_mv_canonical`).  Each numerator is multiplied by the distinct
+    non-constant denominators d_i other than its own; with any d_i the
+    scale is the `ParamScale` L * prod d_i, a nonzero constant in q, so
+    the rows have the roots in q of the list.
     """
     if f.tag == "Q":
         scale = lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (scale // c.denominator) for c in coeffs]
         return ({(): ints} if ints else {}), scale
     unit = (0,) * len(FIELD_VARS[f.tag])
-    dens = []
+    consts, dens = [], []
     for c in coeffs:
         d = c.den.get(unit) if len(c.den) == 1 else None
-        if d is None or d.denominator != 1:
-            return _cleared_components(f, coeffs)
-        dens.append(d.numerator)
-    scale = lcm(*dens)
+        if d is not None:
+            consts.append(d.numerator)
+        else:
+            consts.append(1)
+            if c.den not in dens:
+                dens.append(c.den)
+    scale = lcm(*consts)
     rows: dict = {}
-    for k, (c, d) in enumerate(zip(coeffs, dens)):
-        m = scale // d
-        for e, v in c.num.items():
-            if v.denominator != 1:
-                return _cleared_components(f, coeffs)
+    for k, (c, d) in enumerate(zip(coeffs, consts)):
+        num, m = c.num, scale // d
+        for other in dens:
+            if other != c.den:
+                num = _mv_mul(num, other)
+        for e, v in num.items():
             row = rows.get(e)
             if row is None:
                 row = rows[e] = [0] * len(coeffs)
@@ -385,34 +397,7 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int | ParamScale]:
     for row in rows.values():
         while not row[-1]:
             row.pop()
-    return rows, scale
-
-
-def _cleared_components(f: "Field", coeffs) -> tuple[dict, ParamScale]:
-    """to_components for a list with a non-constant parameter denominator.
-
-    Each numerator is multiplied by the distinct non-constant
-    denominators d_i other than its own, over its constant denominator,
-    which the constant-denominator loop then writes as rows over L; the
-    scale is L * prod d_i.  prod d_i is a nonzero constant in q, so the
-    rows have the roots in q of the list.
-    """
-    unit = (0,) * len(FIELD_VARS[f.tag])
-    dens = []
-    for c in coeffs:
-        if list(c.den) != [unit] and c.den not in dens:
-            dens.append(c.den)
-    cleared = []
-    for c in coeffs:
-        num, own = c.num, c.den
-        for d in dens:
-            if d != own:
-                num = _mv_mul(num, d)
-        if own in dens:
-            own = {unit: Fraction(1)}
-        cleared.append(ParamRational.make(f.tag, num, own))
-    rows, scale = to_components(f, cleared)
-    return rows, ParamScale(scale, tuple(dens))
+    return rows, (ParamScale(scale, tuple(dens)) if dens else scale)
 
 
 def from_components(f: "Field", rows: dict, scale) -> list:

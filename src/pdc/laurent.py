@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .fields import QI, I, field, from_components, to_components
-from .polynomial import mul_truncated
+from .polynomial import _q_row, mul_truncated
 from .ratfun import RationalFunction
 from .text import power, signed_sum
 
@@ -182,13 +182,12 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     # the quotient reads count coefficients of each side
     num, den = F.num.coeffs[vn:vn + count], F.den.coeffs[vd:vd + count]
     rn, rd = to_components(f, num), to_components(f, den)
-    if (list(rd[0]) != [(0,) * len(f.var_names)]
-            or not isinstance(rd[1], int)):
+    row = _q_row(*rd)
+    if row is None:
         return LaurentSeries("q", lo, _ps_quo(num, den, count, f.zero),
                              order, f)
-    (den,) = rd[0].values()
     # Fraction entries: with ints throughout, acc / d0 would be a float
-    den = [Fraction(c, rd[1]) for c in den]
+    den = [Fraction(c, rd[1]) for c in row]
     quos = {e: _ps_quo(r, den, count, 0) for e, r in rn[0].items()}
     scale = lcm(*(c.denominator for quo in quos.values() for c in quo))
     rows = {e: [c.numerator * (scale // c.denominator) for c in quo]

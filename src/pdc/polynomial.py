@@ -14,15 +14,16 @@ When one gcd input is a single component s^e P(q) / L, the gcd is the
 integer gcd of P and every component of the other input: Q is
 algebraically closed in the purely transcendental Q(s), so the factors
 of P over Q(s) are defined over Q, and the monomials s^e are independent
-over Q(q).  Exact division by a
-polynomial in Q[q] divides each component over Z by its primitive part.
+over Q(q).  Exact division by a polynomial in Q[q] divides each
+component over Z by its primitive part.
 
-`_zz_mul` multiplies two integer lists by Kronecker substitution (Harvey,
-arXiv 0712.4046): both are packed into one int with byte limbs through
-int.to_bytes/int.from_bytes, multiplied once, and read back as balanced
-digits.  The closed-form evaluators of `pdc.series` and the checks of
-`pdc.ratfun` run every product through it; `Polynomial.__mul__` keeps the
-schoolbook `_zz_mul_add`, which is faster on short lists.
+Every integer product runs through one kernel, `_zz_mul`: the schoolbook
+loop when the shorter factor has fewer than 16 entries, and otherwise
+Kronecker substitution (`_zz_kronecker`; Harvey, arXiv 0712.4046), which
+packs both lists into one int with byte limbs, multiplies once, and
+reads the product back as balanced digits.  `Polynomial.__mul__` and
+`pdc.ratfun.fe_check` add their products into rows in place
+(`_zz_mul_rows`).
 
 Two integer lists get their gcd from the heuristic gcd of Char, Geddes
 and Gonnet (evaluate at a large integer, take the integer gcd, read the
@@ -40,7 +41,8 @@ parameter monomials.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from functools import reduce
+from math import gcd, isqrt
 
 from .fields import Field, field, from_components, to_components
 from .text import power, signed_sum
@@ -163,13 +165,8 @@ class Polynomial:
             return Polynomial.zero(f)
         a, b = to_components(f, self.coeffs), to_components(f, other.coeffs)
         n = len(self.coeffs) + len(other.coeffs) - 1
-        rows: dict = {}
-        for ea, ra in a[0].items():
-            for eb, rb in b[0].items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                _zz_mul_add(rows.setdefault(e, [0] * n), ra, rb)
-        return Polynomial._from_field_coeffs(
-            f, from_components(f, rows, a[1] * b[1]))
+        return Polynomial._from_field_coeffs(f, from_components(
+            f, _zz_mul_rows(a[0], b[0], n), a[1] * b[1]))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -231,15 +228,13 @@ class Polynomial:
         """
         f = self.field
         a, b = to_components(f, self.coeffs), to_components(f, other.coeffs)
-        in_q = (list(b[0]) == [(0,) * len(f.var_names)]
-                and isinstance(b[1], int))
-        if self and in_q:
-            (g,) = b[0].values()
-            content = gcd(*g)
-            g = [c // content for c in g]
+        row = _q_row(*b)
+        if self and row is not None:
+            g = _primitive_ints(row)
+            content = row[-1] // g[-1]
             rows = {}
-            for e, row in a[0].items():
-                quo = _zz_quo(row, g)
+            for e, r in a[0].items():
+                quo = _zz_quo(r, g)
                 if quo is None:
                     raise ValueError("polynomial division is not exact")
                 rows[e] = [c * b[1] for c in quo]
@@ -275,10 +270,7 @@ class Polynomial:
             if len(ra) > 1:
                 ra, rb = rb, ra
             if len(ra) == 1:
-                (p,) = ra.values()
-                g = _primitive_ints(p)
-                for row in rb.values():
-                    g = _zz_gcd(g, _primitive_ints(row))
+                g = _zz_gcd_rows([*ra.values(), *rb.values()])
                 low = next(c for c in g if c)
                 unit = (0,) * len(f.var_names)
                 return Polynomial._from_field_coeffs(
@@ -330,26 +322,71 @@ def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # the integer core; coefficient lists in ascending powers
 
 _HEU_TRIES = 6
+_KRONECKER_CUT = 16   # see `_zz_mul`
 
 
-def _primitive_ints(coeffs) -> list[int]:
-    """A nonzero list of rationals or ints scaled to coprime integers."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+def _q_row(rows: dict, scale) -> list[int] | None:
+    """The row P when the components (rows, scale) are P(q) / scale with
+    an int scale, a polynomial in Q[q]; else None."""
+    if len(rows) == 1 and isinstance(scale, int):
+        ((e, row),) = rows.items()
+        if not any(e):
+            return row
+    return None
+
+
+def _primitive_ints(ints: list[int]) -> list[int]:
+    """A nonzero integer list divided by its content."""
     content = gcd(*ints)
     return [c // content for c in ints]
 
 
-def _zz_mul_add(out: list[int], f: list[int], g: list[int]) -> None:
-    """out += f * g, the schoolbook product; out must be long enough."""
+def _times_binomial(p: list[int], m: int, c: int) -> None:
+    """p *= 1 + c*q^m in place, for an integer list p."""
+    p.extend([0] * m)
+    for k in range(len(p) - 1, m - 1, -1):
+        p[k] += c * p[k - m]
+
+
+def _zz_mul(f: list[int], g: list[int], out: list[int] | None = None
+            ) -> list[int]:
+    """f * g for integer lists, all len(f) + len(g) - 1 entries, or, when
+    out is given, out + f * g, added into out (long enough) in place.
+    The schoolbook loop when the shorter factor has fewer than
+    `_KRONECKER_CUT` entries, where it is faster; `_zz_kronecker` else.
+    """
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) >= _KRONECKER_CUT:
+        p = _zz_kronecker(f, g)
+        if out is None:
+            return p
+        out[:len(p)] = [c + x for c, x in zip(out, p)]
+        return out
+    if out is None:
+        out = [0] * (len(f) + len(g) - 1) if f else []
     n = len(g)
     for i, a in enumerate(f):
         if a:
             out[i:i + n] = [c + a * b for c, b in zip(out[i:i + n], g)]
+    return out
 
 
-def _zz_mul(f: list[int], g: list[int]) -> list[int]:
-    """f * g, all len(f) + len(g) - 1 entries, by Kronecker substitution.
+def _zz_mul_rows(a: dict, b: dict, n: int) -> dict:
+    """The product of two component dicts, as `fields.to_components`
+    writes them: every pair of rows is added into the row of its summed
+    exponent, n entries long, by `_zz_mul`.  Rows may hold zeros."""
+    rows: dict = {}
+    for ea, ra in a.items():
+        for eb, rb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            _zz_mul(ra, rb, rows.setdefault(e, [0] * n))
+    return rows
+
+
+def _zz_kronecker(f: list[int], g: list[int]) -> list[int]:
+    """f * g for nonempty lists, all len(f) + len(g) - 1 entries, by
+    Kronecker substitution.
 
     Each list is packed into one int with fixed-width byte limbs, the two
     ints are multiplied once, and the limbs of the product are read back.
@@ -359,8 +396,6 @@ def _zz_mul(f: list[int], g: list[int]) -> list[int]:
     above, so packing and unpacking run through int.to_bytes and
     int.from_bytes, linear in the total size.
     """
-    if not f or not g:
-        return []
     # the product's coefficients are at most bound; an all-zero list
     # counts as norm one, so its own entries fit the limbs too
     bound = (min(len(f), len(g)) * (max(map(abs, f)) or 1)
@@ -379,26 +414,6 @@ def _zz_mul(f: list[int], g: list[int]) -> list[int]:
            + int.from_bytes(limb * n, "little")).to_bytes(n * nb, "little")
     return [int.from_bytes(buf[i:i + nb], "little") - half
             for i in range(0, n * nb, nb)]
-
-
-def _zz_mul_rows(a: dict, b: dict) -> dict:
-    """The components (as `fields.to_components` writes them) of the
-    product of two component dicts: every pair of rows goes through
-    `_zz_mul`; trailing zeros and zero rows are dropped."""
-    out: dict = {}
-    for ea, ra in a.items():
-        for eb, rb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            p, acc = _zz_mul(ra, rb), out.get(e, [])
-            if len(acc) > len(p):
-                p, acc = acc, p
-            out[e] = [x + y for x, y in zip(acc, p)] + p[len(acc):]
-    for e, row in list(out.items()):
-        while row and not row[-1]:
-            row.pop()
-        if not row:
-            del out[e]
-    return out
 
 
 def _zz_quo(f: list[int], g: list[int]) -> list[int] | None:
@@ -487,3 +502,9 @@ def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
     if len(f) == 1 or len(g) == 1:
         return [1]
     return _heu_gcd(f, g) or _prs_gcd(f, g)
+
+
+def _zz_gcd_rows(rows) -> list[int]:
+    """gcd over Z of the primitive parts of nonzero integer lists, up to
+    sign."""
+    return reduce(_zz_gcd, map(_primitive_ints, rows))

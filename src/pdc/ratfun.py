@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .fields import (Field, ParamRational, field, from_components,
                      to_components)
-from .polynomial import (Polynomial, _primitive_ints, _zz_gcd, _zz_mul,
+from .polynomial import (Polynomial, _times_binomial, _zz_gcd_rows,
                          _zz_mul_rows, _zz_quo)
 from .text import ParseError, Scanner
 
@@ -208,12 +208,16 @@ def _lowest_den_coeff_one(num: Polynomial,
 
     Over the parameter fields both are multiplied by the constant 1/low
     on the integer rows, so that `from_components` cancels low's factors
-    against the coefficients they divide; over Q coefficient by
-    coefficient, which is faster there.
+    and each cleared parameter denominator (even when low is one) where
+    they divide a coefficient's numerator; a partial common factor, as
+    in (s1+1)(s2+1)/((s1+1)(s2+2)), stays as spelled.  Over Q both are
+    scaled coefficient by coefficient, which is faster there.
     """
     f = den.field
     low = den.coeffs[den.valuation]
-    if low == f.one:
+    unit = (0,) * len(f.var_names)
+    if low == f.one and (f.tag == "Q" or all(
+            list(c.den) == [unit] for p in (num, den) for c in p.coeffs)):
         return num, den
     if f.tag == "Q":
         inv = 1 / low
@@ -279,17 +283,18 @@ def fe_check(F: RationalFunction, d_beta: int, sign: int) -> bool:
     num, den, f = F.num, F.den, F.field
     e = den.degree - num.degree + d_beta
     rn, rd = to_components(f, num.coeffs), to_components(f, den.coeffs)
-    lhs = _zz_mul_rows(_reversed_rows(rn[0], num.degree), rd[0])
-    rhs = _zz_mul_rows(rn[0], _reversed_rows(rd[0], den.degree))
-    return ({k: [0] * max(e, 0) + r for k, r in lhs.items()}
-            == {k: [0] * max(-e, 0) + [sign * c for c in r]
-                for k, r in rhs.items()})
+    # both sides have rows of n entries, at the same exponents
+    n = num.degree + den.degree + abs(e) + 1
+    lhs = _zz_mul_rows(_reversed_rows(rn[0], num.degree, e), rd[0], n)
+    rhs = _zz_mul_rows(rn[0], _reversed_rows(rd[0], den.degree, -e), n)
+    return lhs == {k: [sign * c for c in r] for k, r in rhs.items()}
 
 
-def _reversed_rows(rows: dict, degree: int) -> dict:
-    # each row is padded at its top to degree + 1 before it is reversed:
+def _reversed_rows(rows: dict, degree: int, shift: int) -> dict:
+    # q**max(shift, 0) * q**degree * P(1/q) for each row P; a row is
+    # padded at its top to degree + 1 before it is reversed, since
     # to_components drops trailing zeros, row by row
-    return {e: (r + [0] * (degree + 1 - len(r)))[::-1]
+    return {e: [0] * shift + (r + [0] * (degree + 1 - len(r)))[::-1]
             for e, r in rows.items()}
 
 
@@ -299,8 +304,8 @@ def pole_check(F: RationalFunction, d: int) -> bool:
     Equivalently: every pole of F lies at q = 0 or at a root of some
     1 - (-q)**m with m <= d.  Decided by repeatedly dividing out
     gcd(den, q * prod(1 - (-q)**m)); no factorization is needed.  The
-    loop runs on the primitive integer rows of den (`to_components`),
-    whose common factor with that product is the gcd, as in
+    loop runs on the integer rows of den (`to_components`), whose common
+    factor with that product is the gcd (`_zz_gcd_rows`), as in
     `Polynomial.gcd`; the rows carry any parameter denominators cleared,
     and those are constants in q, so no gcd runs over the field.  A
     factor Phi_k(-q) of den has phi(k) <= deg den, so d is first cut to
@@ -315,13 +320,10 @@ def pole_check(F: RationalFunction, d: int) -> bool:
         d = min(d, _cyclotomic_reach(den.degree))
     allowed = [0, 1]
     for m in range(1, d + 1):
-        allowed = _zz_mul(allowed, [1] + [0] * (m - 1) + [-(-1) ** m])
-    rows = [_primitive_ints(r)
-            for r in to_components(den.field, den.coeffs)[0].values()]
+        _times_binomial(allowed, m, -(-1) ** m)
+    rows = list(to_components(den.field, den.coeffs)[0].values())
     while max(map(len, rows)) > 1:
-        g = allowed
-        for r in rows:
-            g = _zz_gcd(g, r)
+        g = _zz_gcd_rows([allowed, *rows])
         if len(g) == 1:
             return False
         rows = [_zz_quo(r, g) for r in rows]

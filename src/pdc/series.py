@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .descendents import (DescElement, Monomial, format_monomial,
                           monomial, monomial_degree, normalize, parse_element)
 from .fields import FIELDS
-from .polynomial import Polynomial, _zz_mul, q_field
+from .polynomial import Polynomial, _times_binomial, _zz_mul, q_field
 from .ratfun import RationalFunction, fe_check, q_ddq
 from .virasoro import apply_op, build_constraint
 
@@ -257,13 +257,6 @@ def builtin_db() -> SeriesDB:
 # closed-form evaluators
 
 
-def _times_binomial(p: list[int], m: int, c: int) -> None:
-    """p *= 1 + c*q^m in place, for an integer list p."""
-    p.extend([0] * m)
-    for k in range(len(p) - 1, m - 1, -1):
-        p[k] += c * p[k - m]
-
-
 def _running_products(ms) -> list[list[int]]:
     """The products of the first 0, 1, 2, ... factors 1-(-q)^m, m in ms,
     as integer lists."""
@@ -470,7 +463,10 @@ def partition_from_label(text: str) -> tuple:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ValueError("partition labels look like [3,1]")
-    parts = tuple(int(p) for p in body[1:-1].split(",") if p.strip())
+    pieces = body[1:-1].split(",") if body[1:-1].strip() else []
+    if not all(p.strip() for p in pieces):
+        raise ValueError("partition labels have no empty parts")
+    parts = tuple(int(p) for p in pieces)
     if any(p < 1 for p in parts) or list(parts) != sorted(parts, reverse=True):
         raise ValueError("partition parts must be positive and descending")
     return parts

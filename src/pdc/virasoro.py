@@ -33,9 +33,10 @@ from math import factorial
 from typing import NamedTuple
 
 from .descendents import (Coeff, DescElement, Generator, Monomial,
-                          accumulate, class_degree, format_monomial, gen,
+                          class_degree, format_monomial, gen,
                           int_or_fraction, kunneth_pairs, monomial,
                           normal_terms)
+from .fields import accumulate
 from .text import signed_sum
 
 

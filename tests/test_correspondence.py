@@ -65,6 +65,21 @@ class TestKCoefficient:
         with pytest.raises(ValueError):
             KCoefficient((2,), (0,))
 
+    @pytest.mark.parametrize("call", [
+        lambda: KCoefficient((1.9,), (1,)),
+        lambda: KCoefficient((1,), (True,)),
+        lambda: KCoefficient((2, 1), ("1",)),
+        lambda: expand_bar((2.5,)),
+        lambda: expand_bar((2.0, 1)),
+        lambda: leading_term(("3", 1)),
+        lambda: format_expansion((False,)),
+    ], ids=["float", "bool", "str", "expand_float", "expand_integral_float",
+            "leading_str", "format_bool"])
+    def test_parts_must_be_ints(self, call):
+        # a non-integer part is refused, never truncated to an int
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+
     def test_homogeneity_values(self):
         # |a| + len(a) - |ah| - len(ah) - 3*(len(a) - 1)
         assert KCoefficient((2,), (1,)).homogeneity == 1

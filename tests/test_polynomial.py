@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -229,22 +230,30 @@ class TestIntegerProduct:
 
 
 def schoolbook(f: list[int], g: list[int]) -> list[int]:
+    """f * g by the plain double loop, the reference for the kernel."""
     out = [0] * (len(f) + len(g) - 1) if f and g else []
-    polynomial._zz_mul_add(out, f, g)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
     return out
 
 
-# signed coefficients up to 2^260, with zeros, short and empty lists
-signed_ints = st.lists(st.one_of(st.just(0), st.integers(-9, 9),
-                                 st.integers(-2 ** 260, 2 ** 260)),
-                       max_size=12)
+# signed coefficients up to 2^260, with zeros
+signed_int = st.one_of(st.just(0), st.integers(-9, 9),
+                       st.integers(-2 ** 260, 2 ** 260))
+# short and empty lists
+signed_ints = st.lists(signed_int, max_size=12)
+CUT = polynomial._KRONECKER_CUT
 
 
 class TestKroneckerProduct:
+    # `_zz_kronecker` is called directly: at these lengths the kernel
+    # `_zz_mul` runs the schoolbook loop
     @settings(max_examples=300)
-    @given(signed_ints, signed_ints)
+    @given(st.lists(signed_int, min_size=1, max_size=12),
+           st.lists(signed_int, min_size=1, max_size=12))
     def test_matches_schoolbook(self, f, g):
-        assert polynomial._zz_mul(f, g) == schoolbook(f, g)
+        assert polynomial._zz_kronecker(f, g) == schoolbook(f, g)
 
     @pytest.mark.parametrize("f, g", [
         ([], []), ([], [1, 2]), ([3], []), ([0], [5]), ([0, 0], [0]),
@@ -260,6 +269,53 @@ class TestKroneckerProduct:
     ])
     def test_edge_cases(self, f, g):
         assert polynomial._zz_mul(f, g) == schoolbook(f, g)
+        if f and g:
+            assert polynomial._zz_kronecker(f, g) == schoolbook(f, g)
+
+
+class TestProductKernel:
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_matches_schoolbook_across_the_cut(self, data):
+        # the shorter factor lies within three entries of the cut, on
+        # either side; the accumulating form adds into a nonzero list
+        short = data.draw(st.integers(CUT - 3, CUT + 3))
+        f = data.draw(st.lists(signed_int, min_size=short, max_size=short))
+        g = data.draw(st.lists(signed_int, min_size=short,
+                               max_size=2 * CUT))
+        if data.draw(st.booleans()):
+            f, g = g, f
+        want = schoolbook(f, g)
+        assert polynomial._zz_mul(f, g) == want
+        out = data.draw(st.lists(signed_int, min_size=len(want) + 2,
+                                 max_size=len(want) + 2))
+        got = polynomial._zz_mul(f, g, list(out))
+        assert got == [a + b for a, b in zip(out, want + [0, 0])]
+
+    @given(signed_ints, signed_ints)
+    def test_short_lists_match_schoolbook(self, f, g):
+        assert polynomial._zz_mul(f, g) == schoolbook(f, g)
+
+    def test_method_is_chosen_by_the_shorter_length(self, monkeypatch):
+        calls = []
+        kronecker = polynomial._zz_kronecker
+        monkeypatch.setattr(polynomial, "_zz_kronecker", lambda f, g: (
+            calls.append((len(f), len(g))) or kronecker(f, g)))
+        for m, n in [(CUT - 1, 3 * CUT), (3 * CUT, CUT - 1), (CUT, CUT),
+                     (2 * CUT, CUT)]:
+            f, g = list(range(1, m + 1)), list(range(-n, 0))
+            assert polynomial._zz_mul(f, g) == schoolbook(f, g)
+        assert calls == [(CUT, CUT), (CUT, 2 * CUT)]
+
+    def test_long_polynomial_product(self):
+        # squarings of 1 +- q reach the Kronecker branch of the row product
+        plus = Polynomial(Q, [1, 1]) ** 40
+        assert plus.coeffs == tuple(comb(40, k) for k in range(41))
+        # (1 + q)^40 (1 - q)^40 = (1 - q^2)^40
+        want = [0] * 81
+        for k in range(41):
+            want[2 * k] = (-1) ** k * comb(40, k)
+        assert plus * Polynomial(Q, [1, -1]) ** 40 == Polynomial(Q, want)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pdc.fields import FIELDS, Q
 from pdc.polynomial import Polynomial
 from pdc.ratfun import (RationalFunction, RFParseError, _cyclotomic_reach,
                         fe_check, invert_q, parse_rf, pole_check, q_ddq)
-from pdc.series import builtin_db, cap_series, local_curve_series
+from pdc.series import builtin_db, cap_series, local_curve_series, rf_to_obj
 
 
 def rand_rf(rng):
@@ -79,6 +79,26 @@ class TestCanonicalForm:
         assert str(F) == "((1/(2*s1 + s2)))/(1 + q)"
         assert F.den == Polynomial(fs, [1, 1])
         assert F.num == Polynomial.const(fs, 1 / (2 * s1 + s2))
+
+    def test_cleared_denominators_cancel_when_lowest_is_one(self):
+        # the lowest denominator coefficient is already one, and the
+        # ratios (s1 + 1)/(s1 + 1) still cancel: two equal functions
+        # print and export alike
+        fs = FIELDS["Q_s"]
+        r = (fs.gens()[0] + 1) / (fs.gens()[0] + 1)
+        spelled = RationalFunction(Polynomial.one(fs), Polynomial(
+            fs, [1, Fraction(1, 2), r, r]))
+        plain = RationalFunction(Polynomial.one(fs), Polynomial(
+            fs, [1, Fraction(1, 2), 1, 1]))
+        assert str(spelled) == "(1)/(1 + 1/2*q + q^2 + q^3)"
+        assert spelled == plain
+        assert rf_to_obj(spelled) == rf_to_obj(plain)
+        # a partial common factor divides no numerator and stays as
+        # spelled
+        s1, s2, _ = fs.gens()
+        part = (s1 + 1) * (s2 + 1) / ((s1 + 1) * (s2 + 2))
+        F = RationalFunction(Polynomial.one(fs), Polynomial(fs, [1, part]))
+        assert str(F.den.coeffs[1]) == str(part)
 
     def test_pow_negative(self):
         F = parse_rf("q/(1+q)")

@@ -368,6 +368,10 @@ class TestCobordism:
             partition_from_label("[1,3]")
         with pytest.raises(ValueError):
             partition_from_label("[0]")
+        assert partition_from_label("[ 3, 1 ]") == (3, 1)
+        for label in ("[3,,1]", "[3,1,]", "[,3]", "[ , ]"):
+            with pytest.raises(ValueError, match="empty parts"):
+                partition_from_label(label)
 
 
 INSERTIONS = ["1", "ch3(p)", "ch4(H)*ch5(p)", "ch2(L)*ch2(L)", "ch7(1)"]
