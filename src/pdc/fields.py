@@ -21,16 +21,19 @@ take a gcd of parameter polynomials, so a ratio with a non-constant
 denominator keeps whatever common factor its numerator and denominator
 share.
 
-Polynomials in q over Q, Q_s and Q_lambda reach the integer core of
-`pdc.polynomial` through `to_components` and `from_components`, for
-every coefficient list: a list whose parameter denominators are all
-constant is sum_e s^e P_e(q) / L, with integer lists P_e and one
-integer L.  In any other list, the same single loop also multiplies
-each numerator by the distinct non-constant parameter denominators d_i
-other than its own, and the scale is L * prod d_i (`ParamScale`).
-`from_components` cancels each d_i that divides a coefficient's
-numerator exactly (`_mv_quo`), so a product or quotient built on the
-rows prints without a spurious common factor.
+`pdc.polynomial.Polynomial` stores a polynomial in q over Q, Q_s or
+Q_lambda as integer rows, and these two functions are its only bridge
+to field elements.  `to_components` writes a coefficient list as rows
+when a polynomial is built from field elements: a list whose parameter
+denominators are all constant is sum_e s^e P_e(q) / L, with integer
+lists P_e and one integer L.  In any other list, the same single loop
+also multiplies each numerator by the distinct non-constant parameter
+denominators d_i other than its own, and the scale is L * prod d_i
+(`ParamScale`).  `from_components` reads rows back into field elements,
+for a polynomial's `coeffs` and for the q-expansion of
+`pdc.laurent.laurent_expand`; it cancels each d_i that divides a
+coefficient's numerator exactly (`_mv_quo`), so a product or quotient
+built on the rows prints without a spurious common factor.
 """
 
 from __future__ import annotations

@@ -7,15 +7,16 @@ truncation bound is propagated conservatively.
 
 Two expansion engines share one power-series quotient (`_ps_quo`):
 laurent_expand turns a rational function into its q-expansion (over Q,
-row by row, when the denominator lies in Q[q]; over the field when it
-depends on the parameters), and
+on the numerator's integer rows, when the denominator lies in Q[q]; over
+the field when it depends on the parameters), and
 u_expand performs the exact variable change q = -exp(i*u) on one over Q,
 together with the prefactor exp(-i*d_beta*u/2), producing a series over
 the Gaussian rationals whose pole order at u = 0 equals the pole order of
 the input at q = -1.
 
 u_expand works in v = i*u: exp(-d_beta*v/2) * F(-exp(v)) has rational
-coefficients, so the whole expansion runs over Q, and only the last step
+coefficients, so the whole expansion runs over Q (its power sums over Z,
+on the integer rows of F), and only the last step
 moves to the Gaussian rationals (the output field alone), where the
 coefficient of u**n is i**n times that of v**n.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .fields import QI, I, field, from_components, to_components
+from .fields import QI, I, field, from_components
 from .polynomial import _q_row, mul_truncated
 from .ratfun import RationalFunction
 from .text import power, signed_sum
@@ -163,12 +164,11 @@ def _ps_quo(num: list, den: list, n: int, zero) -> list:
 def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     """Expand a rational function around q = 0 through the given exponent.
 
-    When the denominator coefficients the quotient reads lie in Q, the
-    quotient runs over Q on each integer row of the numerator
-    (`to_components`, which clears any parameter denominator of the
-    numerator into its scale), and each coefficient is built once by
-    `from_components`; when they depend on the parameters it runs over
-    the field.
+    When the denominator lies in Q[q] (`_q_row`), the quotient runs over
+    Q on each integer row of the numerator (whose denominator, with any
+    parameter denominators cleared, scales the result), and each
+    coefficient is built once by `from_components`; when it depends on
+    the parameters the quotient runs over the field.
     """
     f = F.field
     order = max_exp + 1
@@ -180,27 +180,26 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     if count <= 0:
         return LaurentSeries("q", order, [], order, f)
     # the quotient reads count coefficients of each side
-    num, den = F.num.coeffs[vn:vn + count], F.den.coeffs[vd:vd + count]
-    rn, rd = to_components(f, num), to_components(f, den)
-    row = _q_row(*rd)
+    row = _q_row(F.den)
     if row is None:
-        return LaurentSeries("q", lo, _ps_quo(num, den, count, f.zero),
-                             order, f)
+        return LaurentSeries("q", lo, _ps_quo(
+            F.num.coeffs[vn:vn + count], F.den.coeffs[vd:vd + count],
+            count, f.zero), order, f)
     # Fraction entries: with ints throughout, acc / d0 would be a float
-    den = [Fraction(c, rd[1]) for c in row]
-    quos = {e: _ps_quo(r, den, count, 0) for e, r in rn[0].items()}
+    den = [Fraction(c, F.den.denom) for c in row[vd:vd + count]]
+    quos = {e: _ps_quo(r[vn:vn + count], den, count, 0)
+            for e, r in F.num.rows.items()}
     scale = lcm(*(c.denominator for quo in quos.values() for c in quo))
     rows = {e: [c.numerator * (scale // c.denominator) for c in quo]
             for e, quo in quos.items()}
-    return LaurentSeries("q", lo, from_components(f, rows, scale * rn[1]),
-                         order, f)
+    return LaurentSeries("q", lo, from_components(
+        f, rows, scale * F.num.denom), order, f)
 
 
-def _power_sums(coeffs, scale: int, n: int) -> list[Fraction]:
-    """[sum_k (-1)**k k**j scale*c_k / j! for j < n], where scale*c_k
-    is an integer: each power sum runs over Z, then one Fraction per j."""
-    terms = [(-1) ** k * c.numerator * (scale // c.denominator)
-             for k, c in enumerate(coeffs)]
+def _power_sums(ints: list[int], m: int, n: int) -> list[Fraction]:
+    """[sum_k (-1)**k k**j m*c_k / j! for j < n] for the integer list
+    c = ints: each power sum runs over Z, then one Fraction per j."""
+    terms = [(-1) ** k * m * c for k, c in enumerate(ints)]
     out, fact = [], 1
     for j in range(n):
         if j:
@@ -220,10 +219,10 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     is i**n times that of v**n.
 
     The coefficients of F(-exp(v)) are power sums of the coefficients of
-    F.  The numerator and the denominator are first scaled by one common
-    integer, the lcm of all their coefficient denominators, which leaves
-    the ratio unchanged; each power sum is then a sum of integers, and
-    only its division by j! makes a Fraction.
+    F.  F = N/D is P(q) * L_D / (R(q) * L_N) for the integer rows P, R
+    and the denominators L_N, L_D of N and D, so the power sums run on
+    the integer lists L_D * P and L_N * R; only their division by j!
+    makes a Fraction.
     """
     if F.field.tag != "Q":
         raise TypeError("u_expand needs rational coefficients (Q)")
@@ -234,8 +233,8 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     # deepest possible vanishing at u = 0 (order at most deg den)
     work = max(0, max_exp) + 2 * F.den.degree + F.num.degree + 2
     # the coefficient of v**j in p(-exp(v)) is sum_k (-1)**k k**j c_k / j!
-    scale = lcm(*(c.denominator for p in (F.num, F.den) for c in p.coeffs))
-    num_s, den_s = (_power_sums(p.coeffs, scale, work) for p in (F.num, F.den))
+    num_s = _power_sums(F.num.rows[()], F.den.denom, work)
+    den_s = _power_sums(F.den.rows[()], F.num.denom, work)
     val_d = next(k for k, c in enumerate(den_s) if c)
     val_n = next((k for k, c in enumerate(num_s) if c), None)
     if val_n is None or val_n - val_d > max_exp:

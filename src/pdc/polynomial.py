@@ -1,21 +1,31 @@
 """Dense univariate polynomials in q over Q, Q_s or Q_lambda.
 
 Qi, a field of u-side Laurent series only, raises TypeError.
-Coefficients are stored in ascending powers with a nonzero trailing entry,
-so the representation is canonical.
 
-Multiplication, gcd and exact division run on an integer core.
-`fields.to_components` writes every coefficient list as
-sum_e s^e P_e(q) / L, with integer lists P_e (Q is the case of the single
-exponent ()); L is an int when the parameter denominators are constant,
-and otherwise also carries the cleared parameter denominators, which are
-constants in q.  A product multiplies every pair of components over Z.
-When one gcd input is a single component s^e P(q) / L, the gcd is the
-integer gcd of P and every component of the other input: Q is
+A polynomial is stored as integer rows: p = sum_e s^e P_e(q) / denom,
+with `rows` mapping a parameter exponent e to the integer list P_e
+(ascending in q) and `denom` a nonzero constant in q (Q is the case of
+the single exponent ()).  This is the (rows, scale) of
+`fields.to_components`: denom is an int when the parameter denominators
+are constant, and otherwise a `ParamScale`, which also carries the
+cleared parameter denominators.  Rows end in a nonzero entry and the zero
+polynomial has none.  An int denom is positive and coprime to the
+entries, so that form is canonical and equality compares it.
+
+`coeffs` is a read-only tuple of field elements.  A polynomial built
+from field elements keeps them as given, so it prints as spelled; one
+built on rows (`from_rows`, and every operation below) reads them from
+the rows once, by `fields.from_components`, when they are first asked
+for.
+
+Every operation runs on the rows.  A product multiplies every pair of
+rows over Z.  When one gcd input is a single row s^e P(q) / L, the gcd is
+the integer gcd of P and every row of the other input: Q is
 algebraically closed in the purely transcendental Q(s), so the factors
 of P over Q(s) are defined over Q, and the monomials s^e are independent
-over Q(q).  Exact division by a polynomial in Q[q] divides each
-component over Z by its primitive part.
+over Q(q).  Exact division by a polynomial in Q[q] divides each row over
+Z by its primitive part.  A sum over two int denominators adds the rows
+over their lcm; one with a `ParamScale` adds the coefficients.
 
 Every integer product runs through one kernel, `_zz_mul`: the schoolbook
 loop when the shorter factor has fewer than 16 entries, and otherwise
@@ -32,7 +42,7 @@ only once it divides both primitive inputs exactly over Z; after a fixed
 number of evaluation points the primitive PRS takes over.  This avoids
 the coefficient swell of Euclid over Fractions and over parameter ratios.
 
-Three routes stay over the field: the schoolbook product
+Three routes stay over the field, on `coeffs`: the schoolbook product
 `mul_truncated`, which Laurent series use; long division (`divmod_`), for
 an exact division by a divisor that is not one integer row in Q[q]; and
 Euclid's algorithm, for a gcd of two inputs that both span several
@@ -42,7 +52,8 @@ parameter monomials.
 from __future__ import annotations
 
 from functools import reduce
-from math import gcd, isqrt
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 
 from .fields import Field, field, from_components, to_components
 from .text import power, signed_sum
@@ -59,39 +70,70 @@ def q_field(f: Field | str) -> Field:
 
 
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "rows", "denom", "_coeffs")
 
     def __init__(self, f: Field | str, coeffs=()):
         f = q_field(f)
         cs = [f.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
+        self._set(f, *to_components(f, cs), tuple(cs))
+
+    @classmethod
+    def from_rows(cls, f: Field | str, rows: dict, denom=1) -> "Polynomial":
+        """sum_e s^e rows[e](q) / denom, for integer lists rows[e] (which
+        may hold zeros) and a nonzero int or `ParamScale` denom.  The
+        polynomial takes the lists over: it drops their trailing zeros in
+        place, and they must not change afterwards."""
+        obj = object.__new__(cls)
+        obj._set(q_field(f), rows, denom, None)
+        return obj
+
+    def _set(self, f: Field, rows: dict, denom, coeffs) -> None:
+        # the canonical form: no trailing zeros, no zero rows, and an int
+        # denom positive and coprime to the entries
+        out = {}
+        for e, r in rows.items():
+            while r and not r[-1]:
+                r.pop()
+            if r:
+                out[e] = r
+        if not out:
+            denom = 1
+        elif isinstance(denom, int):
+            g = gcd(denom, *(c for r in out.values() for c in r))
+            if denom < 0:
+                g = -g
+            if g != 1:
+                out = {e: [c // g for c in r] for e, r in out.items()}
+                denom //= g
         object.__setattr__(self, "field", f)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "rows", out)
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def _from_field_coeffs(cls, f: Field, cs: list) -> "Polynomial":
-        # Internal: cs must already hold elements of f, as
-        # from_components builds them; only trailing zeros are stripped.
-        while cs and not cs[-1]:
-            cs.pop()
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "field", f)
-        object.__setattr__(obj, "coeffs", tuple(cs))
-        return obj
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients in ascending powers, as field elements, with a
+        nonzero trailing entry."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(
+                from_components(self.field, self.rows, self.denom)))
+        return self._coeffs
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, f) -> "Polynomial":
-        return cls(f, ())
+        return cls.from_rows(f, {})
 
     @classmethod
     def one(cls, f) -> "Polynomial":
-        return cls(f, (1,))
+        f = q_field(f)
+        return cls.from_rows(f, {(0,) * len(f.var_names): [1]})
 
     @classmethod
     def const(cls, f, c) -> "Polynomial":
@@ -109,33 +151,33 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return max(map(len, self.rows.values()), default=0) - 1
 
     @property
     def valuation(self) -> int:
         """Order of vanishing at q = 0; 0 for the zero polynomial."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return 0
+        return min((next(k for k, c in enumerate(r) if c)
+                    for r in self.rows.values()), default=0)
 
     def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.field.zero
+        return self.coeffs[k] if 0 <= k <= self.degree else self.field.zero
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field.tag == other.field.tag and self.coeffs == other.coeffs
+        if self.field.tag != other.field.tag:
+            return False
+        if isinstance(self.denom, int) and isinstance(other.denom, int):
+            return self.denom == other.denom and self.rows == other.rows
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         raise TypeError("Polynomial is not hashable")
@@ -143,16 +185,24 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Polynomial(self.field, out)
+        f = _common_field(self, other)
+        a, b = self.denom, other.denom
+        if not (isinstance(a, int) and isinstance(b, int)):
+            return Polynomial(f, [x + y for x, y in zip_longest(
+                self.coeffs, other.coeffs, fillvalue=f.zero)])
+        L, n, rows = lcm(a, b), max(self.degree, other.degree) + 1, {}
+        for p in (self, other):
+            for e, r in p.rows.items():
+                _zz_mul([L // p.denom], r, rows.setdefault(e, [0] * n))
+        return Polynomial.from_rows(f, rows, L)
+
+    def _map_rows(self, fn) -> "Polynomial":
+        """The polynomial over the same denominator with rows fn(row)."""
+        return Polynomial.from_rows(
+            self.field, {e: fn(r) for e, r in self.rows.items()}, self.denom)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return self._map_rows(lambda r: [-c for c in r])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -160,20 +210,13 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        f = self.field
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(f)
-        a, b = to_components(f, self.coeffs), to_components(f, other.coeffs)
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        return Polynomial._from_field_coeffs(f, from_components(
-            f, _zz_mul_rows(a[0], b[0], n), a[1] * b[1]))
+        return _product(self, other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        c = self.field.coerce(c)
-        return Polynomial(self.field, [a * c for a in self.coeffs])
+        return _product(self, Polynomial.const(self.field, c))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -188,18 +231,17 @@ class Polynomial:
         return out
 
     def shift(self, n: int) -> "Polynomial":
-        """Multiply by q**n (n >= 0)."""
-        if self.is_zero:
-            return self
-        return Polynomial(self.field, (0,) * n + self.coeffs)
+        """Multiply by q**n; n < 0 divides by q**-n, which must divide
+        self (the -n lowest coefficients are dropped)."""
+        return self._map_rows(lambda r: [0] * n + r if n >= 0 else r[-n:])
 
     def reversed_(self) -> "Polynomial":
         """q**degree * p(1/q); the coefficient list reversed."""
-        return Polynomial(self.field, tuple(reversed(self.coeffs)))
+        n = self.degree + 1
+        return self._map_rows(lambda r: [0] * (n - len(r)) + r[::-1])
 
     def deriv(self) -> "Polynomial":
-        return Polynomial(self.field,
-                          [k * c for k, c in enumerate(self.coeffs)][1:])
+        return self._map_rows(lambda r: [k * c for k, c in enumerate(r)][1:])
 
     def divmod_(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero:
@@ -221,60 +263,45 @@ class Polynomial:
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """self / other, which must be exact.
 
-        When other is one integer row in Q[q] (an int scale), each
-        component of self is divided over Z by the primitive part of
-        other (Gauss's lemma: a quotient by a primitive divisor is
-        integral); otherwise by long division over the field.
+        When other is one integer row in Q[q] (an int denom), each row
+        of self is divided over Z by the primitive part of other (Gauss's
+        lemma: a quotient by a primitive divisor is integral); otherwise
+        by long division over the field.
         """
-        f = self.field
-        a, b = to_components(f, self.coeffs), to_components(f, other.coeffs)
-        row = _q_row(*b)
+        row = _q_row(other)
         if self and row is not None:
             g = _primitive_ints(row)
-            content = row[-1] // g[-1]
             rows = {}
-            for e, r in a[0].items():
+            for e, r in self.rows.items():
                 quo = _zz_quo(r, g)
                 if quo is None:
                     raise ValueError("polynomial division is not exact")
-                rows[e] = [c * b[1] for c in quo]
-            return Polynomial._from_field_coeffs(
-                f, from_components(f, rows, a[1] * content))
+                rows[e] = [c * other.denom for c in quo]
+            return Polynomial.from_rows(self.field, rows,
+                                        self.denom * (row[-1] // g[-1]))
         quo, rem = self.divmod_(other)
         if not rem.is_zero:
             raise ValueError("polynomial division is not exact")
         return quo
-
-    def divides(self, other: "Polynomial") -> bool:
-        """True when self divides other exactly."""
-        if self.is_zero:
-            return other.is_zero
-        return other.divmod_(self)[1].is_zero
 
     @staticmethod
     def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
         """Monic-by-lowest-coefficient gcd over the coefficient field.
 
         The result's lowest-order nonzero coefficient is one; gcd(0, 0) is
-        zero.  When one input is s^e P(q) / L, a single component, the
-        gcd is the integer gcd (`_zz_gcd`) of P and every component of
-        the other: Q is algebraically closed in Q(s), so every factor of
-        P over Q(s) is defined over Q, and it divides sum_e s^e B_e(q)
-        exactly when it divides each B_e.  The scales are constants in q
-        and play no part.  Every other case runs Euclid's algorithm.
+        zero.  When one input is s^e P(q) / L, a single row, the gcd is
+        the integer gcd (`_zz_gcd`) of P and every row of the other: Q is
+        algebraically closed in Q(s), so every factor of P over Q(s) is
+        defined over Q, and it divides sum_e s^e B_e(q) exactly when it
+        divides each B_e.  The denominators are constants in q and play
+        no part.  Every other case runs Euclid's algorithm.
         """
-        f = a.field
-        pa, pb = to_components(f, a.coeffs), to_components(f, b.coeffs)
-        if a and b:
-            ra, rb = pa[0], pb[0]
-            if len(ra) > 1:
-                ra, rb = rb, ra
-            if len(ra) == 1:
-                g = _zz_gcd_rows([*ra.values(), *rb.values()])
-                low = next(c for c in g if c)
-                unit = (0,) * len(f.var_names)
-                return Polynomial._from_field_coeffs(
-                    f, from_components(f, {unit: g}, low))
+        ra, rb = a.rows, b.rows
+        if ra and rb and min(len(ra), len(rb)) == 1:
+            g = _zz_gcd_rows([*ra.values(), *rb.values()])
+            return Polynomial.from_rows(
+                a.field, {(0,) * len(a.field.var_names): g},
+                next(c for c in g if c))
         return _euclid_gcd(a, b)
 
     # -- display -------------------------------------------------------------
@@ -288,6 +315,22 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial[{self.field.tag}]({self.to_str()})"
+
+
+def _common_field(a: Polynomial, b: Polynomial) -> Field:
+    if a.field.tag != b.field.tag:
+        raise TypeError(f"polynomials over {a.field.tag} and {b.field.tag}")
+    return a.field
+
+
+def _product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b on the rows."""
+    f = _common_field(a, b)
+    if not (a and b):
+        return Polynomial.zero(f)
+    return Polynomial.from_rows(
+        f, _zz_mul_rows(a.rows, b.rows, a.degree + b.degree + 1),
+        a.denom * b.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +351,9 @@ def mul_truncated(a, b, n: int, zero) -> list:
 
 def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """gcd by Euclid's algorithm over the field, lowest coefficient one."""
-    while not b.is_zero:
+    while b:
         a, b = b, a.divmod_(b)[1]
-    if a.is_zero:
-        return a
-    low = a.coeffs[a.valuation]
-    if low == a.field.one:
-        return a
-    return a.scale(1 / low)
+    return a.scale(1 / a.coeffs[a.valuation]) if a else a
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +363,11 @@ _HEU_TRIES = 6
 _KRONECKER_CUT = 16   # see `_zz_mul`
 
 
-def _q_row(rows: dict, scale) -> list[int] | None:
-    """The row P when the components (rows, scale) are P(q) / scale with
-    an int scale, a polynomial in Q[q]; else None."""
-    if len(rows) == 1 and isinstance(scale, int):
-        ((e, row),) = rows.items()
-        if not any(e):
-            return row
-    return None
+def _q_row(p: Polynomial) -> list[int] | None:
+    """The row P when p = P(q) / L with an int L, a polynomial in Q[q];
+    else None."""
+    row = p.rows.get((0,) * len(p.field.var_names))
+    return row if len(p.rows) == 1 and isinstance(p.denom, int) else None
 
 
 def _primitive_ints(ints: list[int]) -> list[int]:
@@ -373,9 +408,9 @@ def _zz_mul(f: list[int], g: list[int], out: list[int] | None = None
 
 
 def _zz_mul_rows(a: dict, b: dict, n: int) -> dict:
-    """The product of two component dicts, as `fields.to_components`
-    writes them: every pair of rows is added into the row of its summed
-    exponent, n entries long, by `_zz_mul`.  Rows may hold zeros."""
+    """The product of two row dicts, as `Polynomial.rows` holds them:
+    every pair of rows is added into the row of its summed exponent, n
+    entries long, by `_zz_mul`.  The rows returned may hold zeros."""
     rows: dict = {}
     for ea, ra in a.items():
         for eb, rb in b.items():

@@ -9,17 +9,16 @@ Besides field arithmetic the module provides the operations that the
 series checks are built from: substitution q -> 1/q, the operator q d/dq,
 the functional-equation test F(1/q) == sign * q^(-d) * F(q), and the
 divisibility test confining poles to q = 0 and roots of 1 - (-q)^m.
-Both tests read the integer rows of numerator and denominator once
-(`fields.to_components`, which clears any parameter denominator into
-the rows) and run on them; neither runs arithmetic over the field.
+Both tests run on the integer rows that `Polynomial` stores (with any
+parameter denominator cleared into them); neither runs arithmetic over
+the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import (Field, ParamRational, field, from_components,
-                     to_components)
+from .fields import Field, ParamRational, field
 from .polynomial import (Polynomial, _times_binomial, _zz_gcd_rows,
                          _zz_mul_rows, _zz_quo)
 from .text import ParseError, Scanner
@@ -154,30 +153,24 @@ class RationalFunction:
 
         Over Q, c may lie in a parameter field, and the product lies
         there: Q is algebraically closed in Q(s), so a pair coprime over
-        Q stays coprime over Q(s).  Both sides are lifted through their
-        integer components (`_lift`), not coefficient by coefficient.
+        Q stays coprime over Q(s).  Both sides are read over Q(s) on
+        their integer rows, not coefficient by coefficient.
         """
         f, num, den = self.field, self.num, self.den
         if f.tag == "Q" and isinstance(c, ParamRational):
             f = field(c.tag)
-            if self.is_zero or not c:
-                return RationalFunction.zero(f)
-            num, den = _lift(num, c), _lift(den, f.one)
-        else:
-            c = f.coerce(c)
-            if self.is_zero or c == f.zero:
-                return RationalFunction.zero(f)
-            num = num.scale(c)
-        if k > 0:
-            t = min(k, den.valuation)
-            num = num.shift(k - t)
-            if t:
-                den = Polynomial(f, den.coeffs[t:])
-        elif k < 0:
-            t = min(-k, num.valuation)
-            if t:
-                num = Polynomial(f, num.coeffs[t:])
-            den = den.shift(-k - t)
+            unit = (0,) * len(f.var_names)
+            num, den = (Polynomial.from_rows(f, {unit: r for r in
+                                                 p.rows.values()}, p.denom)
+                        for p in (num, den))
+        c = f.coerce(c)
+        if self.is_zero or not c:
+            return RationalFunction.zero(f)
+        num = num.scale(c)
+        if k:
+            # q^t cancels, from den when k > 0 and from num when k < 0
+            t = min(k, den.valuation) if k > 0 else min(-k, num.valuation)
+            num, den = num.shift(max(k, 0) - t), den.shift(max(-k, 0) - t)
         return RationalFunction._from_canonical(num, den)
 
     def _coerce(self, other) -> "RationalFunction":
@@ -206,39 +199,29 @@ def _lowest_den_coeff_one(num: Polynomial,
                           den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """num and den scaled so that den's lowest nonzero coefficient is one.
 
-    Over the parameter fields both are multiplied by the constant 1/low
-    on the integer rows, so that `from_components` cancels low's factors
+    When that coefficient is c / L, a rational with L den's int
+    denominator, and num's denominator is an int too, both are divided
+    by it on the rows: num's rows times L over num's denominator times c,
+    and den's rows over c.  Otherwise both are multiplied by the constant
+    1/low on the rows, so that `from_components` cancels low's factors
     and each cleared parameter denominator (even when low is one) where
     they divide a coefficient's numerator; a partial common factor, as
-    in (s1+1)(s2+1)/((s1+1)(s2+2)), stays as spelled.  Over Q both are
-    scaled coefficient by coefficient, which is faster there.
+    in (s1+1)(s2+1)/((s1+1)(s2+2)), stays as spelled.
     """
-    f = den.field
-    low = den.coeffs[den.valuation]
+    f, v = den.field, den.valuation
+    low = {e: r[v] for e, r in den.rows.items() if v < len(r) and r[v]}
     unit = (0,) * len(f.var_names)
-    if low == f.one and (f.tag == "Q" or all(
-            list(c.den) == [unit] for p in (num, den) for c in p.coeffs)):
-        return num, den
-    if f.tag == "Q":
-        inv = 1 / low
-        return num.scale(inv), den.scale(inv)
-    inv = Polynomial.const(f, 1 / low)
+    if (list(low) == [unit] and isinstance(num.denom, int)
+            and isinstance(den.denom, int)):
+        c, L = low[unit], den.denom
+        if c == L:
+            return num, den
+        return (Polynomial.from_rows(f, {e: [x * L for x in r] for e, r
+                                         in num.rows.items()},
+                                     num.denom * c),
+                Polynomial.from_rows(f, den.rows, c))
+    inv = Polynomial.const(f, 1 / den.coeff(v))
     return num * inv, den * inv
-
-
-def _lift(p: Polynomial, c: ParamRational) -> Polynomial:
-    """c * p over c's parameter field, for p over Q.
-
-    The integer components of p and of c are multiplied and read back
-    once by `from_components`, which writes each coefficient in canonical
-    form.
-    """
-    f = field(c.tag)
-    (rows, lc), (ints, lp) = to_components(f, [c]), to_components(
-        p.field, p.coeffs)
-    row = ints[()]
-    return Polynomial._from_field_coeffs(f, from_components(
-        f, {e: [x * r[0] for x in row] for e, r in rows.items()}, lc * lp))
 
 
 def invert_q(F: RationalFunction) -> RationalFunction:
@@ -250,12 +233,9 @@ def invert_q(F: RationalFunction) -> RationalFunction:
     """
     if F.is_zero:
         return F
-    num, den = F.num.reversed_(), F.den.reversed_()
     e = F.den.degree - F.num.degree
-    if e >= 0:
-        num = num.shift(e)
-    else:
-        den = den.shift(-e)
+    num = F.num.reversed_().shift(max(e, 0))
+    den = F.den.reversed_().shift(max(-e, 0))
     return RationalFunction._from_canonical(*_lowest_den_coeff_one(num, den))
 
 
@@ -272,30 +252,21 @@ def fe_check(F: RationalFunction, d_beta: int, sign: int) -> bool:
     and revP = q**deg(P) * P(1/q), the identity is equivalent to the
     polynomial identity q**(m-n+d_beta) * revN * D == sign * N * revD
     (the power of q moves to the right-hand side when the exponent is
-    negative).  Both sides are formed on the integer rows of N and D
-    (`to_components`); they share the scale of N times that of D, so
-    their rows are compared directly.
+    negative).  Both sides are formed on the integer rows of N and D;
+    reversing and shifting keep a polynomial's denominator, so both have
+    that of N times that of D, and their rows are compared directly.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if F.is_zero:
         return True
-    num, den, f = F.num, F.den, F.field
+    num, den = F.num, F.den
     e = den.degree - num.degree + d_beta
-    rn, rd = to_components(f, num.coeffs), to_components(f, den.coeffs)
     # both sides have rows of n entries, at the same exponents
     n = num.degree + den.degree + abs(e) + 1
-    lhs = _zz_mul_rows(_reversed_rows(rn[0], num.degree, e), rd[0], n)
-    rhs = _zz_mul_rows(rn[0], _reversed_rows(rd[0], den.degree, -e), n)
+    lhs = _zz_mul_rows(num.reversed_().shift(max(e, 0)).rows, den.rows, n)
+    rhs = _zz_mul_rows(num.rows, den.reversed_().shift(max(-e, 0)).rows, n)
     return lhs == {k: [sign * c for c in r] for k, r in rhs.items()}
-
-
-def _reversed_rows(rows: dict, degree: int, shift: int) -> dict:
-    # q**max(shift, 0) * q**degree * P(1/q) for each row P; a row is
-    # padded at its top to degree + 1 before it is reversed, since
-    # to_components drops trailing zeros, row by row
-    return {e: [0] * shift + (r + [0] * (degree + 1 - len(r)))[::-1]
-            for e, r in rows.items()}
 
 
 def pole_check(F: RationalFunction, d: int) -> bool:
@@ -304,8 +275,8 @@ def pole_check(F: RationalFunction, d: int) -> bool:
     Equivalently: every pole of F lies at q = 0 or at a root of some
     1 - (-q)**m with m <= d.  Decided by repeatedly dividing out
     gcd(den, q * prod(1 - (-q)**m)); no factorization is needed.  The
-    loop runs on the integer rows of den (`to_components`), whose common
-    factor with that product is the gcd (`_zz_gcd_rows`), as in
+    loop runs on the integer rows of den, whose common factor with that
+    product is the gcd (`_zz_gcd_rows`), as in
     `Polynomial.gcd`; the rows carry any parameter denominators cleared,
     and those are constants in q, so no gcd runs over the field.  A
     factor Phi_k(-q) of den has phi(k) <= deg den, so d is first cut to
@@ -321,7 +292,7 @@ def pole_check(F: RationalFunction, d: int) -> bool:
     allowed = [0, 1]
     for m in range(1, d + 1):
         _times_binomial(allowed, m, -(-1) ** m)
-    rows = list(to_components(den.field, den.coeffs)[0].values())
+    rows = list(den.rows.values())
     while max(map(len, rows)) > 1:
         g = _zz_gcd_rows([allowed, *rows])
         if len(g) == 1:

@@ -307,9 +307,9 @@ def local_curve_series(d: int) -> RationalFunction:
             acc = [a - c * x for a, x in zip(acc, prod)]
         b.append(acc)
     num = [0] * d + _zz_mul(b[d], den[:terms - d])[:terms - d]
-    f, scale = FIELDS["Q"], factorial(d)
-    return RationalFunction(Polynomial(f, [Fraction(c, scale) for c in num]),
-                            Polynomial(f, den))
+    f = FIELDS["Q"]
+    return RationalFunction(Polynomial.from_rows(f, {(): num}, factorial(d)),
+                            Polynomial.from_rows(f, {(): den}))
 
 
 def cap_series(d: int) -> RationalFunction:
@@ -335,7 +335,8 @@ def cap_series(d: int) -> RationalFunction:
         _times_binomial(term, i, (-1) ** i)
         num = [a + t for a, t in zip(num, term)]
     f = FIELDS["Q"]
-    value = RationalFunction(Polynomial(f, num), Polynomial(f, prefix[d]))
+    value = RationalFunction(Polynomial.from_rows(f, {(): num}),
+                             Polynomial.from_rows(f, {(): prefix[d]}))
     s1, s2, _ = FIELDS["Q_s"].gens()
     return value.scale_monomial((s1 + s2) / (2 * factorial(d)), d)
 
@@ -541,11 +542,23 @@ def rf_to_obj(value: RationalFunction) -> dict:
     }
 
 
+def _json_typed(obj: dict, name: str, kind, what: str):
+    """obj[name], which must be an instance of kind (a type or a tuple of
+    types), described by what; else ValueError."""
+    value = obj[name]
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, not {type(value).__name__}")
+    return value
+
+
 def rf_from_obj(obj: dict) -> RationalFunction:
+    """The rational function of a {field, num, den} object: field a
+    string, num and den lists of coefficients as coeff_to_json writes
+    them.  Anything else raises ValueError."""
     try:
-        f = q_field(obj["field"])
-        num = Polynomial(f, [f.coeff_from_json(v) for v in obj["num"]])
-        den = Polynomial(f, [f.coeff_from_json(v) for v in obj["den"]])
+        f = q_field(_json_typed(obj, "field", str, "a string"))
+        num, den = (Polynomial(f, [f.coeff_from_json(v) for v in _json_typed(
+            obj, name, list, "a list")]) for name in ("num", "den"))
         return RationalFunction(num, den)
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from None
@@ -569,8 +582,10 @@ def record_from_obj(obj: dict) -> SeriesRecord:
         raise ValueError("a record must be a JSON object, "
                          f"not {type(obj).__name__}")
     try:
-        key = make_key(obj["geometry"], obj["degree"], obj["insertions"],
-                       obj["boundary"])
+        key = make_key(obj["geometry"], obj["degree"],
+                       _json_typed(obj, "insertions", str, "a string"),
+                       _json_typed(obj, "boundary", (str, type(None)),
+                                   "a string or null"))
         return SeriesRecord(key, rf_from_obj(obj["value"]), obj["provenance"])
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from None

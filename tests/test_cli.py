@@ -585,6 +585,45 @@ class TestDb:
             capsys.readouterr().err)
 
 
+    @staticmethod
+    def one_record(**change):
+        """A one-record P3 file row with the given fields replaced; a
+        field of the value object is replaced in the value."""
+        row = {"geometry": "P3", "degree": 1, "insertions": "ch4(p)",
+               "boundary": None, "provenance": "exact",
+               "value": {"field": "Q", "num": ["1"], "den": ["1"]}}
+        for name, value in change.items():
+            (row if name in row else row["value"])[name] = value
+        return [row]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"boundary": 5}, "boundary must be a string or null, not int"),
+        ({"boundary": ["x"]}, "boundary must be a string or null, not list"),
+        ({"insertions": ["zz", "aa"]}, "insertions must be a string, not list"),
+        ({"insertions": 4}, "insertions must be a string, not int"),
+        ({"num": "12"}, "num must be a list, not str"),
+        ({"num": {"3": 1}}, "num must be a list, not dict"),
+        ({"den": "1"}, "den must be a list, not str"),
+        ({"field": 5}, "field must be a string, not int"),
+        ({"field": ["Q"]}, "field must be a string, not list"),
+    ])
+    def test_import_field_of_the_wrong_type(self, tmp_path, monkeypatch,
+                                            capsys, change, message):
+        # each was read as something else, or crashed with exit 3
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(self.one_record(**change)))
+        self.assert_rejected(path, f"record 0: {message}", monkeypatch,
+                             capsys)
+
+    def test_import_one_record_of_the_right_types(self, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        for boundary, total in ((None, 8), ("(1)", 9)):
+            path.write_text(json.dumps(self.one_record(boundary=boundary)))
+            assert main(["db", "import", str(path)]) == 0
+            assert capsys.readouterr().out == (
+                f"{total - 8} new record(s); merged database holds {total}\n")
+
+
 class TestDbEnvironment:
     def extra_file(self, tmp_path):
         rec = SeriesRecord(make_key("P3", 1, "ch6(H)"),

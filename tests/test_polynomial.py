@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -39,6 +39,13 @@ def lowest_one(p: Polynomial) -> Polynomial:
 
 def sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return lowest_one(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+
+
+def divides(a: Polynomial, b: Polynomial) -> bool:
+    """True when a divides b exactly, by long division over the field."""
+    if a.is_zero:
+        return b.is_zero
+    return b.divmod_(a)[1].is_zero
 
 
 def mul_by_coeffs(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -128,7 +135,7 @@ class TestDivision:
             assert g.degree == sympy.degree(sg, x)
             # our normalization: lowest-order nonzero coefficient is one
             assert g.coeffs[g.valuation] == Fraction(1)
-            assert g.divides(a) and g.divides(b)
+            assert divides(g, a) and divides(g, b)
 
 
 small_polys = st.lists(
@@ -151,7 +158,7 @@ class TestIntegerGcd:
         g = Polynomial.gcd(a, b)
         assert g == sympy_gcd(a, b)
         if g:
-            assert g.divides(a) and g.divides(b)
+            assert divides(g, a) and divides(g, b)
 
     def test_local_curve_shape(self):
         # a numerator against a product of cyclotomic powers, as in the
@@ -519,3 +526,115 @@ class TestComponents:
         # way back: (s1 + 1) * 1/(s1 + 1) is one
         one = from_components(fs, {(1, 0, 0): [1], (0, 0, 0): [1]}, a)
         assert one == [fs.one] and str(one[0]) == "1"
+
+
+# ---------------------------------------------------------------------------
+# the stored form: integer rows over one denominator, coefficients as a view
+
+
+@st.composite
+def coeff_list(draw):
+    """(field, coefficients as given, with up to two trailing zeros): small
+    fractions over Q, and over Q_s and Q_lambda the coefficients of
+    param_poly(ratios=True), so one draw in four has a non-constant
+    parameter denominator."""
+    tag = draw(st.sampled_from(("Q",) + PARAM_TAGS))
+    f = FIELDS[tag]
+    if tag == "Q":
+        cs = draw(st.lists(small_fractions, max_size=6))
+    else:
+        cs = list(draw(param_poly(tag, max_size=4)).coeffs)
+    return f, cs + [f.zero] * draw(st.integers(0, 2))
+
+
+def stripped(cs: list) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def rebuilt_on_rows(p: Polynomial) -> list[Polynomial]:
+    f = p.field
+    return [p * Polynomial.one(f), p + Polynomial.zero(f), p.shift(0)]
+
+
+def constant_denominators(p: Polynomial) -> bool:
+    unit = (0,) * len(p.field.var_names)
+    return p.field.tag == "Q" or all(list(c.den) == [unit]
+                                     for c in p.coeffs)
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """The int-denominator form: no trailing zeros, no zero rows, a
+    positive denominator coprime to the entries; zero is ({}, 1)."""
+    if not isinstance(p.denom, int):
+        return
+    assert all(r and r[-1] for r in p.rows.values())
+    assert p.denom > 0
+    assert gcd(p.denom, *(c for r in p.rows.values() for c in r)) == 1
+    if not p:
+        assert (p.rows, p.denom) == ({}, 1)
+
+
+class TestRepresentation:
+    @settings(max_examples=80)
+    @given(coeff_list())
+    def test_coeffs_are_the_given_elements(self, case):
+        f, cs = case
+        p = Polynomial(f, cs)
+        assert isinstance(p.coeffs, tuple)
+        assert p.coeffs == stripped(cs)
+        # kept as given, so they print as spelled
+        assert [str(c) for c in p.coeffs] == [str(c) for c in stripped(cs)]
+
+    @settings(max_examples=80)
+    @given(coeff_list())
+    def test_rebuilt_on_rows_is_equal(self, case):
+        p = Polynomial(*case)
+        for r in rebuilt_on_rows(p):
+            assert r == p and p == r
+            assert r.coeffs == p.coeffs
+            if constant_denominators(p):
+                assert isinstance(p.denom, int)
+                assert str(r) == str(p)
+                f = p.field
+                assert ([f.coeff_to_json(c) for c in r.coeffs]
+                        == [f.coeff_to_json(c) for c in p.coeffs])
+
+    @settings(max_examples=80)
+    @given(coeff_list(), coeff_list(), st.integers(-6, 6).filter(bool))
+    def test_int_denominator_form_is_canonical(self, case, other, k):
+        p = Polynomial(*case)
+        q = Polynomial(p.field, other[1]) if other[0] == p.field else p
+        for r in [p, q, p * q, p + q, p - p, -p, p.scale(k), p.deriv(),
+                  p.reversed_(), *rebuilt_on_rows(p)]:
+            assert_canonical(r)
+        if isinstance(p.denom, int):
+            # a common factor of rows and denominator is cleared
+            same = Polynomial.from_rows(
+                p.field, {e: [k * c for c in r] + [0]
+                          for e, r in p.rows.items()}, k * p.denom)
+            assert (same.rows, same.denom) == (p.rows, p.denom)
+
+    @settings(max_examples=80)
+    @given(coeff_list(), coeff_list(), st.integers(0, 3))
+    def test_eq_agrees_with_coefficientwise_equality(self, case, other, how):
+        p = Polynomial(*case)
+        f = p.field
+        q = [Polynomial(f, other[1]) if other[0] == f else p,
+             p * Polynomial.one(f),
+             p + Polynomial.monomial(f, 1, 2),
+             (p * Polynomial(f, [1, -1])).exact_div(Polynomial(f, [2, -2]))
+             ][how]
+        assert (p == q) == (q == p) == (len(p.coeffs) == len(q.coeffs) and all(
+            a == b for a, b in zip(p.coeffs, q.coeffs)))
+
+    def test_fields_do_not_mix(self):
+        # rows of different fields are keyed by exponents of different
+        # lengths, so a product or sum across fields is refused
+        p, r = Polynomial(Q, [1, 2]), Polynomial(FIELDS["Q_s"], [1, 2])
+        for op in (lambda: p * r, lambda: r * p, lambda: p + r,
+                   lambda: r - p):
+            with pytest.raises(TypeError, match="polynomials over"):
+                op()

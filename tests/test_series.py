@@ -465,6 +465,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing field 'num'"):
             rf_from_obj({"field": "Q", "den": ["1"]})
 
+    @pytest.mark.parametrize("change", [
+        {"num": "12"}, {"num": {"3": 1}}, {"num": ("1",)}, {"den": "1"},
+        {"den": None}, {"field": 5}, {"field": None}, {"field": ["Q"]}])
+    def test_value_parts_must_have_their_json_types(self, change):
+        # "12" read as 1 + 2*q and {"3": 1} as 3 before
+        obj = {"field": "Q", "num": ["1"], "den": ["1"], **change}
+        with pytest.raises(ValueError, match="must be a (list|string), not"):
+            rf_from_obj(obj)
+
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.sampled_from(GEOMETRIES),
                               st.integers(1, 4),
