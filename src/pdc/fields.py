@@ -340,10 +340,13 @@ class ParamRational:
 
 class ParamScale:
     """The scale L * prod(dens) of a coefficient list that has a
-    non-constant parameter denominator: a nonzero int L and the distinct
-    parameter denominators (multivariate polynomials) that
-    `to_components` cleared.  Scales multiply with each other and with
-    ints, as the scales of products and quotients do."""
+    non-constant parameter denominator: a nonzero int L and parameter
+    denominators (multivariate polynomials).  Those `to_components`
+    clears are distinct; a product of scales may repeat one, and the
+    scale of a q-expansion repeats the lowest coefficient R of the
+    denominator's rows once per term (`pdc.laurent.laurent_expand`).
+    Scales multiply with each other and with ints, as the scales of
+    products and quotients do."""
 
     __slots__ = ("L", "dens")
 

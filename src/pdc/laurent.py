@@ -2,21 +2,24 @@
 
 A series knows its variable (q or u), the exponent of its first possibly
 nonzero term, a coefficient window, and the first exponent that is no
-longer known exactly.  Arithmetic is exact on the known window and the
-truncation bound is propagated conservatively.
+longer known exactly.  Series are built by the two expansions below and
+read, negated, conjugated or substituted; they are not added or
+multiplied.
 
-Two expansion engines share one power-series quotient (`_ps_quo`):
-laurent_expand turns a rational function into its q-expansion (over Q,
-on the numerator's integer rows, when the denominator lies in Q[q]; over
-the field when it depends on the parameters), and
-u_expand performs the exact variable change q = -exp(i*u) on one over Q,
-together with the prefactor exp(-i*d_beta*u/2), producing a series over
-the Gaussian rationals whose pole order at u = 0 equals the pole order of
-the input at q = -1.
+laurent_expand turns a rational function into its q-expansion on the
+integer rows of its numerator and denominator: one fraction-free
+recurrence in Z[s] (Q is the case of no parameters), whose results
+`from_components` reads back once.  No field arithmetic runs there, so
+over the parameter fields the coefficients grow polynomially in the
+order.
 
-u_expand works in v = i*u: exp(-d_beta*v/2) * F(-exp(v)) has rational
-coefficients, so the whole expansion runs over Q (its power sums over Z,
-on the integer rows of F), and only the last step
+u_expand performs the exact variable change q = -exp(i*u) on a function
+over Q, together with the prefactor exp(-i*d_beta*u/2), producing a
+series over the Gaussian rationals whose pole order at u = 0 equals the
+pole order of the input at q = -1.  It works in v = i*u:
+exp(-d_beta*v/2) * F(-exp(v)) has rational coefficients, which are
+power sums over Z of the integer rows of F with the prefactor folded in,
+then one power-series quotient over Q (`_ps_quo`).  Only the last step
 moves to the Gaussian rationals (the output field alone), where the
 coefficient of u**n is i**n times that of v**n.
 """
@@ -24,10 +27,9 @@ coefficient of u**n is i**n times that of v**n.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
 
-from .fields import QI, I, field, from_components
-from .polynomial import _q_row, mul_truncated
+from .fields import (QI, I, ParamScale, _mv_mul, accumulate, field,
+                     from_components)
 from .ratfun import RationalFunction
 from .text import power, signed_sum
 
@@ -71,43 +73,11 @@ class LaurentSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _check_compatible(self, other: "LaurentSeries"):
-        if self.var != other.var or self.field.tag != other.field.tag:
-            raise ValueError("series in different variables or fields")
-
-    # -- arithmetic -------------------------------------------------------------
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        lo = min(self.min_exp if self.coeffs else order,
-                 other.min_exp if other.coeffs else order)
-        coeffs = [self.coeff(n) + other.coeff(n) for n in range(lo, order)]
-        return LaurentSeries(self.var, lo, coeffs, order, self.field)
+    # -- transformations --------------------------------------------------------
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.var, self.min_exp, [-c for c in self.coeffs],
                              self.order, self.field)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        # a series with empty window has min_exp == order, so the bounds
-        # below cover vanishing factors as well
-        self._check_compatible(other)
-        lo = self.min_exp + other.min_exp
-        order = min(self.order + other.min_exp, other.order + self.min_exp)
-        coeffs = mul_truncated(self.coeffs, other.coeffs, order - lo,
-                               self.field.zero)
-        return LaurentSeries(self.var, lo, coeffs, order, self.field)
-
-    def scale(self, c) -> "LaurentSeries":
-        c = self.field.coerce(c)
-        if not c:
-            return LaurentSeries(self.var, self.order, [], self.order, self.field)
-        return LaurentSeries(self.var, self.min_exp,
-                             [a * c for a in self.coeffs], self.order, self.field)
 
     def substitute_negated(self) -> "LaurentSeries":
         """The series S(-x) for series variable x."""
@@ -143,7 +113,91 @@ class LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# the power-series quotient on plain coefficient lists (index = exponent)
+# the q-expansion, on Z[s]: a q-coefficient is a dict mapping a parameter
+# exponent to a nonzero int
+
+
+def _q_coeffs(p, n: int) -> list[dict]:
+    """The n q-coefficients of the polynomial p from its valuation on, in
+    Z[s]: those of its rows, which lie over p.denom."""
+    v = p.valuation
+    return [{e: r[k] for e, r in p.rows.items() if k < len(r) and r[k]}
+            for k in range(v, v + n)]
+
+
+def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
+    """Expand a rational function around q = 0 through the given exponent.
+
+    F = (N / S_N) / (D / S_D) for the rows N, D and the denominators
+    S_N, S_D of its numerator and denominator.  With N_k and D_j the
+    q-coefficients of N and D in Z[s] counted from their valuations, and
+    R = D_0, the recurrence
+
+        O_k = N_k R^k - sum_(j>=1) D_j R^(j-1) O_(k-j)
+
+    runs in Z[s] with no division, and the coefficient of q^(lo+k) is
+    O_k S_D / (S_N R^(k+1)).  Over the common denominator S_N R^count
+    these are the rows O_k R^(count-1-k) S_D, which `from_components`
+    reads back, cancelling each factor R that divides a coefficient.
+    Every product by R or S_D is skipped when it is one, as it is for
+    every evaluator's output.
+    """
+    f = F.field
+    order = max_exp + 1
+    if F.is_zero:
+        return LaurentSeries("q", order, [], order, f)
+    lo = F.num.valuation - F.den.valuation
+    count = order - lo
+    if count <= 0:
+        return LaurentSeries("q", order, [], order, f)
+    num, den = _q_coeffs(F.num, count), _q_coeffs(F.den, count)
+    unit = (0,) * len(f.var_names)
+    one = {unit: 1}
+
+    def times(a: dict, b: dict) -> dict:
+        return a if b is one else _mv_mul(a, b)
+
+    R = den[0]
+    pows = [one] * count   # R^0 .. R^(count-1)
+    if R != one:
+        for k in range(1, count):
+            pows[k] = _mv_mul(pows[k - 1], R)
+    tail = [(j, times(d, pows[j - 1])) for j, d in enumerate(den) if j and d]
+    out = []
+    for k in range(count):
+        acc = times(num[k], pows[k])
+        for j, e in tail:
+            if j > k:
+                break
+            accumulate(acc, ((tuple(x + y for x, y in zip(ea, eb)), -a * b)
+                             for ea, a in e.items()
+                             for eb, b in out[k - j].items()))
+        out.append(acc)
+    sd = F.den.denom
+    top = one if sd == 1 else _as_poly(sd, unit)
+    rows: dict = {}
+    for k, o in enumerate(out):
+        for e, c in times(times(o, pows[count - 1 - k]), top).items():
+            rows.setdefault(e, [0] * count)[k] = c
+    r = R.get(unit) if len(R) == 1 else None
+    scale = F.num.denom * (r ** count if r is not None
+                           else ParamScale(1, (R,) * count))
+    return LaurentSeries("q", lo, from_components(f, rows, scale), order, f)
+
+
+def _as_poly(scale, unit: tuple) -> dict:
+    """A polynomial's denominator, an int or a `ParamScale`, as an
+    element of Z[s]."""
+    if isinstance(scale, int):
+        return {unit: scale}
+    prod = {unit: scale.L}
+    for d in scale.dens:
+        prod = _mv_mul(prod, d)
+    return {e: int(c) for e, c in prod.items()}
+
+
+# ---------------------------------------------------------------------------
+# the u-side expansion, over Q
 
 
 def _ps_quo(num: list, den: list, n: int, zero) -> list:
@@ -161,50 +215,19 @@ def _ps_quo(num: list, den: list, n: int, zero) -> list:
     return out
 
 
-def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
-    """Expand a rational function around q = 0 through the given exponent.
-
-    When the denominator lies in Q[q] (`_q_row`), the quotient runs over
-    Q on each integer row of the numerator (whose denominator, with any
-    parameter denominators cleared, scales the result), and each
-    coefficient is built once by `from_components`; when it depends on
-    the parameters the quotient runs over the field.
-    """
-    f = F.field
-    order = max_exp + 1
-    if F.is_zero:
-        return LaurentSeries("q", order, [], order, f)
-    vn, vd = F.num.valuation, F.den.valuation
-    lo = vn - vd
-    count = order - lo
-    if count <= 0:
-        return LaurentSeries("q", order, [], order, f)
-    # the quotient reads count coefficients of each side
-    row = _q_row(F.den)
-    if row is None:
-        return LaurentSeries("q", lo, _ps_quo(
-            F.num.coeffs[vn:vn + count], F.den.coeffs[vd:vd + count],
-            count, f.zero), order, f)
-    # Fraction entries: with ints throughout, acc / d0 would be a float
-    den = [Fraction(c, F.den.denom) for c in row[vd:vd + count]]
-    quos = {e: _ps_quo(r[vn:vn + count], den, count, 0)
-            for e, r in F.num.rows.items()}
-    scale = lcm(*(c.denominator for quo in quos.values() for c in quo))
-    rows = {e: [c.numerator * (scale // c.denominator) for c in quo]
-            for e, quo in quos.items()}
-    return LaurentSeries("q", lo, from_components(
-        f, rows, scale * F.num.denom), order, f)
-
-
-def _power_sums(ints: list[int], m: int, n: int) -> list[Fraction]:
-    """[sum_k (-1)**k k**j m*c_k / j! for j < n] for the integer list
-    c = ints: each power sum runs over Z, then one Fraction per j."""
+def _power_sums(ints: list[int], m: int, shift: int, n: int
+                ) -> list[Fraction]:
+    """[sum_k (-1)**k (2k - shift)**j m*c_k / (2**j j!) for j < n] for
+    the integer list c = ints, the v**j-coefficients of
+    m * exp(-shift*v/2) * p(-exp(v)): each power sum runs over Z, then one
+    Fraction per j."""
     terms = [(-1) ** k * m * c for k, c in enumerate(ints)]
+    bases = [2 * k - shift for k in range(len(ints))]
     out, fact = [], 1
     for j in range(n):
         if j:
-            fact *= j
-            terms = [k * t for k, t in enumerate(terms)]
+            fact *= 2 * j
+            terms = [b * t for b, t in zip(bases, terms)]
         out.append(Fraction(sum(terms), fact))
     return out
 
@@ -218,10 +241,12 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     choice.  The expansion runs in v = i*u, and the coefficient of u**n
     is i**n times that of v**n.
 
-    The coefficients of F(-exp(v)) are power sums of the coefficients of
-    F.  F = N/D is P(q) * L_D / (R(q) * L_N) for the integer rows P, R
-    and the denominators L_N, L_D of N and D, so the power sums run on
-    the integer lists L_D * P and L_N * R; only their division by j!
+    F = N/D is P(q) * L_D / (R(q) * L_N) for the integer rows P, R and
+    the denominators L_N, L_D of N and D.  The prefactor is a unit, so
+    it goes into the numerator's power sums: exp(-d_beta*v/2) * P(-exp(v))
+    has v**j-coefficient sum_k (-1)**k P_k (2k - d_beta)**j / (2**j j!),
+    and R(-exp(v)) the same with d_beta = 0.  The power sums run on the
+    integer lists L_D * P and L_N * R; only their division by 2**j j!
     makes a Fraction.
     """
     if F.field.tag != "Q":
@@ -232,20 +257,14 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     # enough working terms that the denominator window stays exact past the
     # deepest possible vanishing at u = 0 (order at most deg den)
     work = max(0, max_exp) + 2 * F.den.degree + F.num.degree + 2
-    # the coefficient of v**j in p(-exp(v)) is sum_k (-1)**k k**j c_k / j!
-    num_s = _power_sums(F.num.rows[()], F.den.denom, work)
-    den_s = _power_sums(F.den.rows[()], F.num.denom, work)
+    num_s = _power_sums(F.num.rows[()], F.den.denom, d_beta, work)
+    den_s = _power_sums(F.den.rows[()], F.num.denom, 0, work)
     val_d = next(k for k, c in enumerate(den_s) if c)
     val_n = next((k for k, c in enumerate(num_s) if c), None)
     if val_n is None or val_n - val_d > max_exp:
         return LaurentSeries("u", order, [], order, QI)
     lo = val_n - val_d
-    count = order - lo
-    zero = Fraction(0)
-    quotient = _ps_quo(num_s[val_n:], den_s[val_d:], count, zero)
-    rate = Fraction(-d_beta, 2)
-    prefactor = [rate ** j / factorial(j) for j in range(count)]
-    coeffs = mul_truncated(quotient, prefactor, count, zero)
+    coeffs = _ps_quo(num_s[val_n:], den_s[val_d:], order - lo, Fraction(0))
     twist = (1, I, -1, -I)
     return LaurentSeries("u", lo, [QI.coerce(c) * twist[(lo + k) % 4]
                                    for k, c in enumerate(coeffs)], order, QI)

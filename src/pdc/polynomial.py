@@ -42,10 +42,9 @@ only once it divides both primitive inputs exactly over Z; after a fixed
 number of evaluation points the primitive PRS takes over.  This avoids
 the coefficient swell of Euclid over Fractions and over parameter ratios.
 
-Three routes stay over the field, on `coeffs`: the schoolbook product
-`mul_truncated`, which Laurent series use; long division (`divmod_`), for
-an exact division by a divisor that is not one integer row in Q[q]; and
-Euclid's algorithm, for a gcd of two inputs that both span several
+Two routes stay over the field, on `coeffs`: long division (`divmod_`),
+for an exact division by a divisor that is not one integer row in Q[q];
+and Euclid's algorithm, for a gcd of two inputs that both span several
 parameter monomials.
 """
 
@@ -335,18 +334,6 @@ def _product(a: Polynomial, b: Polynomial) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # the routes over the field
-
-
-def mul_truncated(a, b, n: int, zero) -> list:
-    """The first n coefficients of a * b for coefficient lists a and b
-    (index = exponent), by the schoolbook product over their field."""
-    out = [zero] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[:n - i], i):
-                if y:
-                    out[j] = out[j] + x * y
-    return out
 
 
 def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

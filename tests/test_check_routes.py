@@ -9,11 +9,13 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from pdc.cli import main
 from pdc.fields import FIELDS
 from pdc.laurent import LaurentSeries, _ps_quo, laurent_expand
-from pdc.polynomial import Polynomial, mul_truncated
+from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, fe_check, invert_q, pole_check
-from pdc.series import builtin_db, cap_series, local_curve_series
+from pdc.series import (SeriesRecord, builtin_db, cap_series,
+                        local_curve_series, make_key, record_to_obj)
 
 # ---------------------------------------------------------------------------
 # references: the bodies that ran one field element at a time
@@ -88,6 +90,16 @@ def reference_laurent_expand(F, max_exp):
         return LaurentSeries("q", order, [], order, f)
     coeffs = _ps_quo(F.num.coeffs[vn:], F.den.coeffs[vd:], count, f.zero)
     return LaurentSeries("q", lo, coeffs, order, f)
+
+
+def schoolbook_product(a, b):
+    """a * b by the schoolbook product over the coefficient field."""
+    f = a.field
+    out = [f.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Polynomial(f, out)
 
 
 def assert_same_expansion(F, max_exp):
@@ -181,13 +193,17 @@ ratio_function = st.sampled_from(TAGS[1:]).flatmap(
     lambda tag: functions(tag, ("ratio",)))
 
 
+def param_den(f, c) -> bool:
+    """Has the coefficient c over f a non-constant parameter denominator?
+    The field routes never cancel such a denominator, so results built on
+    it are compared by value, not by printed form."""
+    return bool(f.var_names) and list(c.den) != [(0,) * len(f.var_names)]
+
+
 def has_param_dens(*polys):
     """Does a coefficient of one of polys have a non-constant parameter
-    denominator?  Over such coefficients the field routes never cancel,
-    so results are compared by value, not by printed form."""
-    return any(p.field.var_names
-               and list(c.den) != [(0,) * len(p.field.var_names)]
-               for p in polys for c in p.coeffs)
+    denominator?"""
+    return any(param_den(p.field, c) for p in polys for c in p.coeffs)
 
 
 class TestAgainstReferences:
@@ -234,9 +250,13 @@ class TestAgainstReferences:
     @given(any_function, st.integers(-3, 8))
     def test_laurent_expand(self, F, max_exp):
         if has_param_dens(F.num, F.den):
-            max_exp = min(max_exp, 3)  # the ratios swell with the order
-            assert laurent_expand(F, max_exp) == reference_laurent_expand(
-                F, max_exp)
+            # the reference's ratios swell with the order
+            max_exp = min(max_exp, 3)
+        want = reference_laurent_expand(F, max_exp)
+        if any(param_den(F.field, c) for c in want.coeffs):
+            # the rows cancel parameter factors that the reference keeps,
+            # as in (2*s3 + 1)/((2*s3 + 1)*q) = q^-1
+            assert laurent_expand(F, max_exp) == want
         else:
             assert_same_expansion(F, max_exp)
 
@@ -251,9 +271,7 @@ class TestRatioDraws:
     def test_integer_routes_equal_field_routes(self, F, m, d_beta, sign):
         num, den, f = F.num, F.den, F.field
         prod = num * den
-        n = len(num.coeffs) + len(den.coeffs) - 1
-        assert prod == Polynomial(f, mul_truncated(num.coeffs, den.coeffs,
-                                                   n, f.zero))
+        assert prod == schoolbook_product(num, den)
         # exact division by a ratio polynomial runs over the field; by a
         # polynomial in Q[q], on the rows of the dividend
         assert prod.exact_div(den) == num
@@ -264,6 +282,47 @@ class TestRatioDraws:
             F, d_beta, sign)
         assert pole_check(F, m) == sympy_pole_check(F, m)
         assert laurent_expand(F, 3) == reference_laurent_expand(F, 3)
+
+
+def weight_ratio_denominator():
+    """1/D for D = 1 + ((3s1+5)/(3s1+3))q + ((s2-1)/(s2+2))q^2
+    + (s3/(s1+2))q^3 over Q_s: the lowest coefficient of D's rows is the
+    product of the three parameter denominators, and over the field the
+    expansion's coefficients grew exponentially with the order."""
+    f = FIELDS["Q_s"]
+    s1, s2, s3 = f.gens()
+    den = Polynomial(f, [1, (3 * s1 + 5) / (3 * s1 + 3),
+                         (s2 - 1) / (s2 + 2), s3 / (s1 + 2)])
+    return RationalFunction(Polynomial.one(f), den)
+
+
+class TestParameterDenominatorExpansion:
+    def test_expands_to_q8_within_budget(self, budget):
+        F = weight_ratio_denominator()
+        with budget(10):
+            got = laurent_expand(F, 8)
+        want = reference_laurent_expand(F, 4)
+        assert (got.min_exp, got.order) == (0, 9)
+        assert LaurentSeries("q", 0, got.coeffs[:5], 5, F.field) == want
+
+    def test_cli_expands_db_record_within_budget(self, budget, tmp_path,
+                                                 monkeypatch, capsys):
+        # the numerator is 1, so the canonical form's gcd stays on the
+        # one-row route
+        F = weight_ratio_denominator()
+        record = SeriesRecord(make_key("P3", 1, "ch6(H)"), F, "evaluator")
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps([record_to_obj(record)]))
+        monkeypatch.setenv("PDC_DB", str(path))
+        with budget(10):
+            code = main(["--json", "expand", "--series", "ch6(H)",
+                         "--degree", "1", "--order", "8"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["min_exp"], payload["order"]) == (0, 9)
+        got = {n: F.field.coeff_from_json(c) for n, c in payload["coeffs"]
+               if n <= 4}
+        assert got == reference_laurent_expand(F, 4).as_dict()
 
 
 def stored_and_evaluated():

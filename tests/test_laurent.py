@@ -1,4 +1,4 @@
-"""Laurent expansion engines and truncated-series arithmetic."""
+"""Laurent expansion engines and truncated series."""
 
 import random
 import time
@@ -311,30 +311,19 @@ class TestSeriesArithmetic:
         S = LaurentSeries("q", -1, [0, 0, 5], 2)
         assert S.min_exp == 1 and S.coeffs == (5,)
 
-    def test_add_mul_track_truncation(self):
-        a = LaurentSeries("q", 0, [1, 1, 1], 3)
-        b = LaurentSeries("q", 1, [2, 3], 3)
-        s = a + b
-        assert s.order == 3 and s.as_dict() == {0: 1, 1: 3, 2: 4}
-        p = a * b
-        # b's unknown tail at order 3 meets a's constant term, so the
-        # product is exact only below q^3
-        assert p.order == 3
-        assert p.as_dict() == {1: 2, 2: 5}
-
     def test_mul_agrees_with_expand(self):
+        # the expansion of f*g is the truncated product of the expansions
         f = parse_rf("1/(1-q)")
         g = parse_rf("(1+q)/(1-q^2)")
-        lhs = laurent_expand(f, 9) * laurent_expand(g, 9)
-        rhs = laurent_expand(f * g, 9)
-        for n in range(0, 10):
-            assert lhs.coeff(n) == rhs.coeff(n)
+        a, b = laurent_expand(f, 9), laurent_expand(g, 9)
+        lo = a.min_exp + b.min_exp
+        order = min(a.order + b.min_exp, b.order + a.min_exp)
+        lhs = LaurentSeries("q", lo, reference_mul(
+            a.coeffs, b.coeffs, order - lo, Fraction(0)), order)
+        assert lhs == laurent_expand(f * g, 9)
 
-    def test_scale_and_negate(self):
+    def test_negate(self):
         a = LaurentSeries("q", -1, [1, 2, 3], 2)
-        assert a.scale(Fraction(1, 2)).as_dict() == {
-            -1: Fraction(1, 2), 0: 1, 1: Fraction(3, 2)}
-        assert a.scale(0).is_zero
         assert (-a).as_dict() == {-1: -1, 0: -2, 1: -3}
 
     def test_substitute_negated(self):
@@ -353,12 +342,6 @@ class TestSeriesArithmetic:
         b = LaurentSeries("q", 0, [1, 2, 0], 3)
         assert a != b
         assert a == LaurentSeries("q", 0, [1, 2], 2)
-
-    def test_incompatible_operands_rejected(self):
-        a = LaurentSeries("q", 0, [1], 1)
-        b = LaurentSeries("u", 0, [1], 1)
-        with pytest.raises(ValueError):
-            a + b
 
     def test_str_format(self):
         S = LaurentSeries("q", -1, [1, 0, Fraction(-3, 2)], 2)
