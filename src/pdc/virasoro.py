@@ -10,6 +10,20 @@ is the result normalized.  That ordering matters: R_{-1}(ch_1(p) * D)
 contributes ch_0(p) * D, which normalizes to -D, and the degree-0
 constraint operator depends on exactly this contribution.
 
+apply_op does not redo that work term by term.  Each operator compiles,
+once and on first use, into its normalized action: a base element
+normal(sum of c m over the bare multiplications + sum of c R_d(m) over
+the terms with derivation R_d), and for each derivation R_d the element
+B_d = normal(sum of c m over its terms), kept only when nonzero.  Then
+op(f) = base normal(f) + sum_d B_d normal(R_d f), exactly, for two
+reasons.  The boundary conventions are a ring homomorphism on formal
+monomials (ch_1 and ch_0 of 1, H, L go to 0, ch_0(p) to -1), so
+normal(m f) = normal(m) normal(f).  R_d is a derivation on formal
+symbols, so R_d(m f) = R_d(m) f + m R_d(f).  The multiplication still
+happens on formal symbols first: R_{-1}(ch_1(p) * D) contributes through
+the base, which holds normal(R_{-1} ch_1(p)) = -1.  A product of two
+normalized monomials is normalized, so nothing is normalized twice.
+
 R_k multiplies a generator of degree x by the rising factorial
 x (x+1) ... (x+k) while shifting the subscript by k; R_{-1} is the plain
 downward shift, with subscripts below zero giving zero.
@@ -59,7 +73,7 @@ def _keyed_terms(terms):
 
 
 class VirasoroOperator:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_action")
 
     def __init__(self, terms):
         merged = accumulate({}, _keyed_terms(terms))
@@ -73,6 +87,28 @@ class VirasoroOperator:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def action(self) -> tuple:
+        """(base, ((d, B_d), ...)) as (monomial, coefficient) pairs, built
+        on first use and kept (see the module docstring)."""
+        try:
+            return self._action
+        except AttributeError:
+            pass
+        base: dict = {}
+        parts: dict = {}
+        for coeff, mult, deriv in self.terms:
+            term = [(mult, coeff)]
+            if deriv is None:
+                accumulate(base, normal_terms(term))
+            else:
+                accumulate(base, normal_terms(_shift_terms(deriv, term)))
+                accumulate(parts.setdefault(deriv, {}), normal_terms(term))
+        action = (tuple(base.items()),
+                  tuple((d, tuple(b.items())) for d, b in parts.items() if b))
+        object.__setattr__(self, "_action", action)
+        return action
 
     def __add__(self, other: "VirasoroOperator") -> "VirasoroOperator":
         return VirasoroOperator(self.terms + other.terms)
@@ -155,14 +191,23 @@ def apply_shift(k: int, e: DescElement) -> DescElement:
 
 
 def apply_op(op: VirasoroOperator, e: DescElement) -> DescElement:
-    """Apply the operator: multiply, derive on formal symbols, normalize."""
+    """Apply the operator: multiply, derive on formal symbols, normalize;
+    computed as base normal(e) + sum_d B_d normal(R_d e) from its action."""
+    base, parts = op.action
     acc: dict = {}
-    for coeff, mult, deriv in op.terms:
-        items = ((monomial(f + mult), c * coeff) for f, c in e.terms.items())
-        if deriv is not None:
-            items = _shift_terms(deriv, items)
-        accumulate(acc, normal_terms(items))
+    if base:
+        accumulate(acc, _products(normal_terms(e.terms.items()), base))
+    for d, part in parts:
+        accumulate(acc, _products(
+            normal_terms(_shift_terms(d, e.terms.items())), part))
     return DescElement._from_terms(acc)
+
+
+def _products(items, fixed):
+    """Every product of a pair from items with a pair from fixed."""
+    for f, c in items:
+        for m, cm in fixed:
+            yield monomial(f + m), c * cm
 
 
 def build_quadratic(k: int) -> VirasoroOperator:
@@ -253,15 +298,16 @@ def generator_monomials(gen_bound: int, max_factors: int,
 
 
 def acts_as_zero(op: VirasoroOperator) -> bool:
-    """Do the boundary conventions alone send every element to zero?
+    """Is the operator's action empty?
 
-    True when every term is a bare multiplication (no derivation) by a
-    monomial that normal_terms kills: one holding a ch_1, or a ch_0 of
-    1, H or L.  The conventions act factor by factor, so such a factor
-    kills the product with any monomial.  The zero operator qualifies.
+    Then it sends every element to zero: its base is empty and every B_d
+    is zero.  A bare multiplication by a monomial the boundary conventions
+    kill (one holding a ch_1, or a ch_0 of 1, H or L) qualifies, and so
+    does R_{-1} after multiplication by 1 + ch_0(p), since
+    normal(1 + ch_0(p)) = 0.  The zero operator qualifies.
     """
-    return all(deriv is None and not any(normal_terms([(mult, coeff)]))
-               for coeff, mult, deriv in op.terms)
+    base, parts = op.action
+    return not base and not parts
 
 
 def bracket_check(k: int, m: int, gen_bound: int) -> bool:
@@ -276,9 +322,10 @@ def bracket_check(k: int, m: int, gen_bound: int) -> bool:
     it has some are those with L_{-1}, and there every term is a bare
     multiplication by a monomial the boundary conventions kill:
     [L_{-1}, L_4] - 5 L_3 = -96 ch0(L) ch5(L) + 96 ch1(H) ch4(p), say.
-    Such an operator sends every element to zero (acts_as_zero), so the
-    check passes without applying it to any monomial, whatever gen_bound
-    is.  A difference with any other term is applied to every monomial.
+    Such an operator has an empty action (acts_as_zero), so the check
+    passes without applying it to any monomial, whatever gen_bound is.
+    A difference whose action is not empty is applied to every monomial,
+    through that one action.
     """
     if k < -1 or m < -1:
         raise ValueError("bracket indices must be at least -1")

@@ -45,6 +45,27 @@ class TestCheckCommands:
         assert main(["bracket-check", "--k", "5", "--m", "-3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_operator_index_at_the_cap_runs(self, capsys):
+        cap = cli.MAX_OPERATOR_INDEX
+        assert main(["virasoro-check", "--k", str(cap), "--D", "ch3(p)",
+                     "--degree", "1"]) == 0
+        assert main(["bracket-check", "--k", str(cap), "--m", str(cap - 1),
+                     "--bound", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["virasoro-check", "--k", "{}", "--D", "ch3(p)", "--degree", "1"],
+        ["bracket-check", "--k", "{}", "--m", "0"],
+        ["bracket-check", "--k", "0", "--m", "{}"],
+    ])
+    def test_operator_index_over_the_cap_exits_2(self, argv, capsys):
+        cap = cli.MAX_OPERATOR_INDEX
+        assert main([a.format(cap + 1) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and f"at most {cap}" in err
+
     def test_bracket_check_passes(self, capsys):
         assert main(["bracket-check", "--k", "0", "--m", "1",
                      "--bound", "4"]) == 0

@@ -34,6 +34,11 @@ any_terms = st.builds(
     lambda c, mult, deriv: Term(c, monomial(mult), deriv),
     st.integers(-5, 5), st.lists(st.one_of(generators, killers), max_size=2),
     st.one_of(st.none(), st.integers(-1, 3)))
+# any operator: killers, R_-1..R_3, and Fraction coefficients
+any_operators = st.builds(
+    lambda terms, c: VirasoroOperator(terms).scale(c),
+    st.lists(any_terms, max_size=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
 # mostly operators of dead terms only, some with a live term mixed in
 operators = st.builds(lambda dead, other: VirasoroOperator(dead + other),
                       st.lists(dead_terms, max_size=3),
@@ -288,6 +293,12 @@ class TestActsAsZero:
         assert apply_op(down, DescElement.of(gen(3, "p"))) == (
             DescElement.of(gen(3, "p"), coeff=-1))
         assert not acts_as_zero(dead + shift_op(0))
+        # R_-1 after 1 + ch_0(p): normal(1 + ch_0(p)) = 0, and R_-1 of
+        # 1 and of ch_0(p) vanish, so the action is empty
+        lowest = VirasoroOperator([Term(1, (), -1),
+                                   Term(1, (gen(0, "p"),), -1)])
+        assert lowest == build_constraint(-1)
+        assert acts_as_zero(lowest)
 
     @settings(max_examples=150)
     @given(operators, elements)
@@ -344,3 +355,51 @@ class TestApplyOpReference:
     def test_matches_term_by_term_route(self, e, k, full):
         op = build_constraint(k) if full else build_quadratic(k)
         assert apply_op(op, e) == apply_op_reference(op, e)
+
+    @settings(max_examples=300)
+    @given(any_operators, elements)
+    def test_matches_on_arbitrary_operators(self, op, e):
+        got, expect = apply_op(op, e), apply_op_reference(op, e)
+        assert got == expect
+        assert str(got) == str(expect)
+
+
+class TestAction:
+    def test_built_once_per_operator(self, monkeypatch):
+        op = build_constraint(1)
+        e = DescElement.of(gen(3, "p"), gen(2, "H"), coeff=Fraction(1, 2))
+        first = apply_op(op, e)
+        action = op.action
+        assert apply_op(op, e) == first and op.action is action
+        # the lowest constraint has an empty action: once it is built, an
+        # application normalizes nothing
+        lowest = build_constraint(-1)
+        assert apply_op(lowest, e).is_zero
+
+        def no_normalizing(items):
+            raise AssertionError("the action was rebuilt")
+
+        monkeypatch.setattr(virasoro, "normal_terms", no_normalizing)
+        assert apply_op(lowest, e).is_zero
+
+    def test_derived_operators_get_their_own_action(self):
+        op = build_quadratic(1)
+        e = DescElement.of(gen(0, "p"), gen(4, "L"), gen(2, "p0"))
+        apply_op(op, e)
+        for other in (op.scale(2), op + shift_op(-1),
+                      op.compose_mult((gen(1, "p"),))):
+            assert other.action is not op.action
+            assert apply_op(other, e) == apply_op_reference(other, e)
+
+    def test_immutable_unhashable_and_equal_without_the_memo(self):
+        op, fresh = build_quadratic(2), build_quadratic(2)
+        op.action
+        with pytest.raises(AttributeError):
+            op.x = 1
+        with pytest.raises(AttributeError):
+            op._action = None
+        with pytest.raises(TypeError):
+            hash(op)
+        assert op == fresh and fresh == op
+        fresh.action
+        assert op == fresh
