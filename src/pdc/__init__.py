@@ -17,16 +17,16 @@ from .correspondence import (CorrespondenceTerm, KCoefficient, expand_bar,
                              parity_reality_check)
 from .descendents import (DescElement, DescParseError, Generator,
                           class_degree, format_element, format_monomial,
-                          from_tau, gen, generator_degree, kunneth_expand,
-                          kunneth_pairs, monomial, monomial_degree,
-                          normalize, parse_element)
+                          from_tau, gen, generator_degree, kunneth_pairs,
+                          monomial, monomial_degree, normalize,
+                          parse_element)
 from .fields import (FIELDS, GaussianRational, ParamRational, Q, QI, QLAMBDA,
                      QS, Field, field)
 from .laurent import LaurentSeries, laurent_expand, u_expand
 from .partitions import koszul_sign, partitions_of, set_partitions, zaut
 from .polynomial import Polynomial
-from .ratfun import (RationalFunction, RFParseError, fe_check, invert_q,
-                     parse_rf, pole_check, q_ddq)
+from .ratfun import (RationalFunction, RFParseError, fe_check, parse_rf,
+                     pole_check, q_ddq)
 from .series import (CobordismSeries, SeriesDB, SeriesKey,
                      SeriesRecord, UnknownSeriesError, builtin_db,
                      canonical_insertions, cap_series, cobordism_example,
@@ -39,8 +39,7 @@ from .series import (CobordismSeries, SeriesDB, SeriesKey,
 from .virasoro import (Term, VirasoroOperator, apply_op, apply_shift,
                        bracket_check, build_constraint,
                        build_constraint_composed, build_quadratic, commutator,
-                       generator_monomials, identity_op, multiplication_op,
-                       shift_op, shift_weight)
+                       generator_monomials, multiplication_op, shift_weight)
 
 __version__ = "0.1.0"
 

@@ -1,11 +1,12 @@
 """Command-line interface: every checker and evaluator, batch-style.
 
 Exit codes: 0 when the requested computation or check succeeds, 1 when a
-check runs but fails, 2 on usage errors, syntax errors in descendent or
-rational-function input (reported with their position), and requests for
-series the database does not hold.  Any other exception is a fault of
-pdc, not a verdict: `main_entry` reports it as one "internal error" line
-and exits 3, never 1.
+check runs but fails, 2 on usage errors, syntax errors in descendent
+input (reported with their position), malformed data, and requests for
+series the database does not hold; `main` maps every such error, a
+`ValueError` or an `UnknownSeriesError`, to code 2.  Any other exception
+is a fault of pdc, not a verdict: `main_entry` reports it as one
+"internal error" line and exits 3, never 1.
 
 `--json` switches every command to machine-readable output; series
 records use the same schema as `db export`, so they round-trip.  The
@@ -30,12 +31,12 @@ import sys
 from .correspondence import expand_bar, format_expansion
 from .descendents import DescElement, DescParseError, gen, parse_element
 from .laurent import LaurentSeries, laurent_expand, u_expand
-from .ratfun import RationalFunction, RFParseError, fe_check, pole_check
+from .ratfun import fe_check, pole_check
 from .series import (PROVENANCES, SeriesDB, SeriesRecord, UnknownSeriesError,
-                     builtin_db, cap_series, key_from_str, key_str, load_db,
-                     local_curve_series, make_key, record_to_obj,
-                     records_to_json, reduce_with_records,
-                     virasoro_constraint_check, weakest_provenance)
+                     builtin_db, cap_series, dump_db, key_from_str, key_str,
+                     load_db, local_curve_series, make_key, record_to_obj,
+                     reduce_with_records, virasoro_constraint_check,
+                     weakest_provenance)
 from .virasoro import bracket_check
 from . import checks
 
@@ -50,7 +51,7 @@ DB_ENV_VAR = "PDC_DB"
 MAX_OPERATOR_INDEX = 100
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Usage-level failure; message goes to stderr and the exit code is 2."""
 
 
@@ -78,15 +79,6 @@ def _parse_series_arg(text: str):
         return parse_element(text)
     except DescParseError as exc:
         raise CliError(f"descendent syntax error: {exc}") from exc
-
-
-def _reduce_series(element: DescElement,
-                   degree: int) -> tuple[RationalFunction, list[SeriesRecord]]:
-    """The reduced series and the database records it rests on."""
-    try:
-        return reduce_with_records(element, degree, _current_db())
-    except (UnknownSeriesError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _verdict(ok: bool, records: list[SeriesRecord]) -> tuple[str, dict]:
@@ -170,7 +162,7 @@ def _cmd_eval(args) -> int:
 
 def _u_series(element: DescElement, args) -> LaurentSeries:
     """The u-expansion of the reduced series at --degree to --order."""
-    value, _ = _reduce_series(element, args.degree)
+    value, _ = reduce_with_records(element, args.degree, _current_db())
     if value.field.tag != "Q":
         raise CliError("u-expansion needs rational coefficients")
     return u_expand(value, 4 * args.degree, args.order)
@@ -181,7 +173,7 @@ def _cmd_expand(args) -> int:
     if args.var == "u":
         series = _u_series(element, args)
     else:
-        value, _ = _reduce_series(element, args.degree)
+        value, _ = reduce_with_records(element, args.degree, _current_db())
         series = laurent_expand(value, args.order)
     _emit(args, _laurent_json(series), str(series))
     return 0
@@ -189,7 +181,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_fe_check(args) -> int:
     element = _parse_series_arg(args.series)
-    value, records = _reduce_series(element, args.degree)
+    value, records = reduce_with_records(element, args.degree,
+                                         _current_db())
     sign = _insertion_sign(element)
     d_beta = 4 * args.degree
     ok = fe_check(value, d_beta, sign)
@@ -207,8 +200,8 @@ def _cmd_pole_check(args) -> int:
     # --div the bound is the degree, which the reduction checks
     if args.div is not None and args.div < 1:
         raise CliError("--div must be a positive integer")
-    value, records = _reduce_series(_parse_series_arg(args.series),
-                                    args.degree)
+    value, records = reduce_with_records(_parse_series_arg(args.series),
+                                         args.degree, _current_db())
     div = args.degree if args.div is None else args.div
     ok = pole_check(value, div)
     verdict, sources = _verdict(ok, records)
@@ -222,11 +215,8 @@ def _cmd_pole_check(args) -> int:
 def _cmd_virasoro_check(args) -> int:
     _check_operator_index("--k", args.k)
     element = _parse_series_arg(args.D)
-    try:
-        ok = virasoro_constraint_check(args.k, element, args.degree,
-                                       _current_db())
-    except UnknownSeriesError as exc:
-        raise CliError(str(exc)) from exc
+    ok = virasoro_constraint_check(args.k, element, args.degree,
+                                   _current_db())
     _emit(args,
           {"command": "virasoro-check", "k": args.k, "D": args.D,
            "degree": args.degree, "pass": ok},
@@ -278,10 +268,7 @@ def _cmd_db(args) -> int:
                         for r in records))
         return 0
     if args.db_action == "show":
-        try:
-            record = db.get(key_from_str(args.key))
-        except (UnknownSeriesError, ValueError) as exc:
-            raise CliError(str(exc)) from exc
+        record = db.get(key_from_str(args.key))
         _emit(args, record_to_obj(record),
               f"{key_str(record.key)}  [{record.provenance}]\n"
               f"{record.value}")
@@ -297,8 +284,7 @@ def _cmd_db(args) -> int:
         return 0
     # export
     try:
-        with open(args.file, "w", encoding="utf-8") as handle:
-            handle.write(records_to_json(db))
+        dump_db(db, args.file)
     except OSError as exc:
         raise CliError(f"cannot export to {args.file}: {exc}") from exc
     _emit(args, {"exported": len(db), "file": args.file},
@@ -412,14 +398,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return globals()[args.fn](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RFParseError as exc:
-        print(f"error: rational-function syntax error: {exc}",
-              file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, UnknownSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -215,14 +215,6 @@ def kunneth_pairs(j: int) -> list[tuple[int, int]]:
     return [(r + j, 3 - r) for r in range(4 - j)]
 
 
-def kunneth_expand(a: int, b: int, j: int) -> DescElement:
-    """ch_a ch_b of H^j pushed through the diagonal of the 3-fold squared."""
-    out = DescElement.zero()
-    for dl, dr in kunneth_pairs(j):
-        out = out + DescElement.of(gen(a, dl), gen(b, dr))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # text syntax: "ch3(p)", "tau1(L)", products with '*', sums with '+'/'-',
 # rational coefficients like 3/4

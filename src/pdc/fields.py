@@ -46,8 +46,16 @@ from .text import ParseError, Scanner, power, signed_sum
 
 
 def rat(x: int | str | Fraction) -> Fraction:
-    """Coerce an int, a string like "3/4", or a Fraction to a Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an int, a string like "3/4", or a Fraction to a Fraction.
+
+    Anything else, a float above all, raises TypeError: a float's binary
+    value is not the exact number it was written as.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot make an exact rational of {x!r}")
 
 
 class GaussianRational:

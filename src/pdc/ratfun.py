@@ -6,8 +6,8 @@ like q/(1+q)^2 print with the denominator expanded exactly as written.
 Equality is plain structural comparison of canonical forms.
 
 Besides field arithmetic the module provides the operations that the
-series checks are built from: substitution q -> 1/q, the operator q d/dq,
-the functional-equation test F(1/q) == sign * q^(-d) * F(q), and the
+series checks are built from: the operator q d/dq, the
+functional-equation test F(1/q) == sign * q^(-d) * F(q), and the
 divisibility test confining poles to q = 0 and roots of 1 - (-q)^m.
 Both tests run on the integer rows that `Polynomial` stores (with any
 parameter denominator cleared into them); neither runs arithmetic over
@@ -77,10 +77,6 @@ class RationalFunction:
     @classmethod
     def q(cls, f) -> "RationalFunction":
         return cls(Polynomial.q(f), Polynomial.one(f))
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p, Polynomial.one(p.field))
 
     # -- structure -----------------------------------------------------------
 
@@ -177,7 +173,7 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, Polynomial):
-            return RationalFunction.from_polynomial(other)
+            return RationalFunction(other, Polynomial.one(other.field))
         return RationalFunction.const(self.field, other)
 
     # -- display -------------------------------------------------------------
@@ -222,21 +218,6 @@ def _lowest_den_coeff_one(num: Polynomial,
                 Polynomial.from_rows(f, den.rows, c))
     inv = Polynomial.const(f, 1 / den.coeff(v))
     return num * inv, den * inv
-
-
-def invert_q(F: RationalFunction) -> RationalFunction:
-    """Exact substitution q -> 1/q, cleared back to polynomial form.
-
-    The reversal of a polynomial has nonzero constant term, so the
-    reversals of a coprime pair are again coprime and the result is
-    assembled in canonical form directly.
-    """
-    if F.is_zero:
-        return F
-    e = F.den.degree - F.num.degree
-    num = F.num.reversed_().shift(max(e, 0))
-    den = F.den.reversed_().shift(max(-e, 0))
-    return RationalFunction._from_canonical(*_lowest_den_coeff_one(num, den))
 
 
 def q_ddq(F: RationalFunction) -> RationalFunction:
@@ -314,7 +295,8 @@ def _cyclotomic_reach(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# small expression parser for command-line rational-function input
+# small expression parser for the fixtures `check-all` restates as text
+# (see pdc.checks) and for the tests
 
 
 class RFParseError(ParseError):

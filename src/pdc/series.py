@@ -609,7 +609,10 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def records_from_json(text: str) -> list[SeriesRecord]:
-    rows = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        rows = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
     if not isinstance(rows, list):
         raise ValueError("expected a JSON list of series records")
     records = []

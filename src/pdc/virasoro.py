@@ -144,18 +144,9 @@ class VirasoroOperator:
     __repr__ = __str__
 
 
-def identity_op() -> VirasoroOperator:
-    return VirasoroOperator([Term(1, (), None)])
-
-
 def multiplication_op(factors: Monomial, coeff=1) -> VirasoroOperator:
     """Multiplication by a fixed monomial, as an operator."""
     return VirasoroOperator([Term(coeff, monomial(factors), None)])
-
-
-def shift_op(k: int) -> VirasoroOperator:
-    """The bare shift derivation R_k, as an operator."""
-    return VirasoroOperator([Term(1, (), k)])
 
 
 def shift_weight(k: int, g: Generator) -> int:

@@ -13,9 +13,11 @@ from pdc.cli import main
 from pdc.fields import FIELDS
 from pdc.laurent import LaurentSeries, _ps_quo, laurent_expand
 from pdc.polynomial import Polynomial
-from pdc.ratfun import RationalFunction, fe_check, invert_q, pole_check
+from pdc.ratfun import RationalFunction, fe_check, pole_check
 from pdc.series import (SeriesRecord, builtin_db, cap_series,
                         local_curve_series, make_key, record_to_obj)
+
+from helpers import invert_q
 
 # ---------------------------------------------------------------------------
 # references: the bodies that ran one field element at a time

@@ -297,6 +297,29 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "error: insertion is zero; it has no functional-equation sign\n")
 
+    @pytest.mark.parametrize("argv, err", [
+        (["expand", "--series", "ch6(H)", "--degree", "1", "--order", "3"],
+         "no stored series for P3:1:ch6(H)"),
+        (["fe-check", "--series", "ch6(H)", "--degree", "1"],
+         "no stored series for P3:1:ch6(H)"),
+        (["pole-check", "--series", "ch6(H)", "--degree", "1"],
+         "no stored series for P3:1:ch6(H)"),
+        (["gw-expand", "--series", "ch6(H)", "--degree", "1", "--order", "3"],
+         "no stored series for P3:1:ch6(H)"),
+        (["virasoro-check", "--k", "0", "--D", "ch6(H)", "--degree", "1"],
+         "no stored series for P3:1:ch6(H)"),
+        (["db", "show", "P3:9:ch4(p)"], "no stored series for P3:9:ch4(p)"),
+        (["db", "show", "P3:1"],
+         "key format is geometry:degree:insertions[:boundary]"),
+        (["db", "show", "Foo:1:1"], "unknown geometry 'Foo'"),
+        (["expand", "--series", "ch5(p0)+ch4(p)", "--degree", "1",
+          "--order", "5"],
+         "insertion reduces into both Q and Q_lambda coefficients"),
+    ])
+    def test_exact_stderr(self, capsys, argv, err):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
 
 class TestEval:
     def test_local_curve_text(self, capsys):
@@ -636,6 +659,15 @@ class TestDb:
         self.assert_rejected(path, f"record 0: {message}", monkeypatch,
                              capsys)
 
+    def test_import_deeply_nested_json(self, tmp_path, capsys):
+        # json.loads raises RecursionError here; that is malformed data,
+        # not a fault of pdc
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["db", "import", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot import {path}: JSON nested too deeply\n")
+
     def test_import_one_record_of_the_right_types(self, tmp_path, capsys):
         path = tmp_path / "typed.json"
         for boundary, total in ((None, 8), ("(1)", 9)):
@@ -670,6 +702,14 @@ class TestDbEnvironment:
         monkeypatch.setenv("PDC_DB", str(tmp_path / "absent.json"))
         assert main(["db", "list"]) == 2
         assert "cannot load PDC_DB file" in capsys.readouterr().err
+
+    def test_env_db_deeply_nested_json(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        monkeypatch.setenv("PDC_DB", str(path))
+        assert main(["db", "list"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot load PDC_DB file: JSON nested too deeply\n")
 
 
 class TestCheckAll:

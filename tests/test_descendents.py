@@ -8,9 +8,10 @@ import pytest
 from pdc.descendents import (CLASS_NAMES, DescElement, DescParseError,
                              Generator, class_degree, format_element,
                              format_monomial, from_tau, gen,
-                             generator_degree, kunneth_expand, kunneth_pairs,
-                             monomial, monomial_degree, normalize,
-                             parse_element)
+                             generator_degree, kunneth_pairs, monomial,
+                             monomial_degree, normalize, parse_element)
+
+from helpers import kunneth_expand
 
 
 class TestGenerators:

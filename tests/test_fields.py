@@ -9,14 +9,30 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from pdc.fields import (FIELDS, GaussianRational, I, ParamRational,
+from pdc.descendents import DescElement
+from pdc.fields import (FIELDS, QS, GaussianRational, I, ParamRational,
                         _mono_from_key, _mv_mul, _mv_quo, field, rat)
+from pdc.polynomial import Polynomial
+from pdc.virasoro import build_quadratic
 
 
 def test_rat_accepts_int_str_fraction():
     assert rat(3) == Fraction(3)
     assert rat("3/4") == Fraction(3, 4)
     assert rat(Fraction(-2, 6)) == Fraction(-1, 3)
+
+
+def test_floats_are_refused_everywhere():
+    # a float's binary value (0.1 is 3602879701896397/2^55) must never be
+    # stored as an exact coefficient
+    calls = [lambda: GaussianRational(0.1),
+             lambda: DescElement({(): 0.1}),
+             lambda: build_quadratic(0).scale(0.5),
+             lambda: QS.coerce(0.5),
+             lambda: Polynomial(QS, [0.1])]
+    for call in calls:
+        with pytest.raises(TypeError, match="exact rational"):
+            call()
 
 
 class TestGaussianRational:

@@ -18,8 +18,9 @@ from pdc.polynomial import Polynomial
 from pdc.ratfun import parse_rf
 from pdc.series import (SeriesRecord, builtin_db, cap_series, key_from_str,
                         local_curve_series, make_key, records_to_json)
-from pdc.virasoro import (build_constraint, commutator, multiplication_op,
-                          shift_op)
+from pdc.virasoro import build_constraint, commutator, multiplication_op
+
+from helpers import shift_op
 
 
 def _lam():

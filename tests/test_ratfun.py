@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from pdc.fields import FIELDS, Q
 from pdc.polynomial import Polynomial
 from pdc.ratfun import (RationalFunction, RFParseError, _cyclotomic_reach,
-                        fe_check, invert_q, parse_rf, pole_check, q_ddq)
+                        fe_check, parse_rf, pole_check, q_ddq)
 from pdc.series import builtin_db, cap_series, local_curve_series, rf_to_obj
+
+from helpers import invert_q
 
 
 def rand_rf(rng):

@@ -14,8 +14,10 @@ from pdc.descendents import (DescElement, gen, generator_degree, monomial,
 from pdc.virasoro import (Term, VirasoroOperator, acts_as_zero, apply_op,
                           apply_shift, bracket_check, build_constraint,
                           build_constraint_composed, build_quadratic,
-                          commutator, generator_monomials, identity_op,
-                          multiplication_op, shift_op, shift_weight)
+                          commutator, generator_monomials,
+                          multiplication_op, shift_weight)
+
+from helpers import identity_op, shift_op
 
 
 generators = st.builds(gen, st.integers(0, 6), st.integers(0, 4))
