@@ -12,35 +12,35 @@ Qi holds only u-side series coefficients (-q = exp(i*u)); it is printed
 and written to JSON, and no record is read over it.
 
 Elements of the two parameter fields are stored as ratios of multivariate
-polynomials over the integers.  A canonical representative clears the
-integer content jointly from numerator and denominator and fixes the sign
-of the denominator's lexicographically leading term.  That form is
-unique when the denominator is constant, and equality compares it there;
-otherwise equality is cross multiplication.  The fields themselves never
-take a gcd of parameter polynomials, so a ratio with a non-constant
-denominator keeps whatever common factor its numerator and denominator
-share.
+polynomials over the integers, in canonical form: numerator and
+denominator coprime in Z[s] (the gcd is `_mv_gcd`, a heuristic gcd over
+Z checked by exact division), with no joint integer content, and the
+denominator's lexicographically leading term positive.  That form is
+unique, so equality compares it, and a common factor such as
+(s1+1)(s2+1)/((s1+1)(s2+2)) cancels.  The gcd's integers grow as the
+product of the degrees in all the variables, so a ratio whose gcd would
+need images above MAX_GCD_IMAGE_BITS raises ValueError; an imported
+record holding one is a data error.
 
 `pdc.polynomial.Polynomial` stores a polynomial in q over Q, Q_s or
 Q_lambda as integer rows, and these two functions are its only bridge
 to field elements.  `to_components` writes a coefficient list as rows
 when a polynomial is built from field elements: a list whose parameter
 denominators are all constant is sum_e s^e P_e(q) / L, with integer
-lists P_e and one integer L.  In any other list, the same single loop
-also multiplies each numerator by the distinct non-constant parameter
-denominators d_i other than its own, and the scale is L * prod d_i
-(`ParamScale`).  `from_components` reads rows back into field elements,
-for a polynomial's `coeffs` and for the q-expansion of
-`pdc.laurent.laurent_expand`; it cancels each d_i that divides a
-coefficient's numerator exactly (`_mv_quo`), so a product or quotient
-built on the rows prints without a spurious common factor.
+lists P_e and one integer L.  In any other list, each numerator is
+multiplied by the lcm in Z[s] of the denominators over its own, and the
+scale is that lcm (`ParamScale`).  `from_components` reads rows back
+into field elements, for a polynomial's `coeffs` and for the q-expansion
+of `pdc.laurent.laurent_expand`; over a `ParamScale` each coefficient is
+one canonical ratio, so a product or quotient built on the rows prints
+without a spurious common factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .text import ParseError, Scanner, power, signed_sum
 
@@ -179,7 +179,8 @@ def _mv_mul(a: dict, b: dict) -> dict:
 
 
 def _mv_quo(a: dict, b: dict) -> dict | None:
-    """a / b when the nonzero polynomial b divides a exactly, else None.
+    """a / b when the nonzero polynomial b divides a exactly over Z, else
+    None; coefficients are ints or integer-valued Fractions.
 
     Long division by b's lexicographically leading term.  If a = b * h,
     the degree of h in each variable is that of a minus that of b, so a
@@ -192,17 +193,92 @@ def _mv_quo(a: dict, b: dict) -> dict | None:
     lead = max(b)
     top = [max(e[t] for e in a) - max(e[t] for e in b)
            for t in range(len(lead))]
-    rem, quo = a, {}
+    rem, quo = dict(a), {}
     while rem:
         e = max(rem)
         m = tuple(x - y for x, y in zip(e, lead))
-        if any(k < 0 or k > t for k, t in zip(m, top)):
+        c, r = divmod(rem[e], b[lead])
+        if r or any(k < 0 or k > t for k, t in zip(m, top)):
             return None
-        c = rem[e] / b[lead]
         quo[m] = c
-        rem = _mv_add(rem, {tuple(x + y for x, y in zip(m, eb)): -c * cb
-                            for eb, cb in b.items()})
+        accumulate(rem, ((tuple(x + y for x, y in zip(m, eb)), -c * cb)
+                         for eb, cb in b.items()))
     return quo
+
+
+def _digits(n: int, x: int) -> list[int]:
+    """The polynomial h with h(x) = n and balanced digits in (-x/2, x/2]."""
+    out = []
+    while n:
+        d = n % x
+        if d > x // 2:
+            d -= x
+        out.append(d)
+        n = (n - d) // x
+    return out
+
+
+def _next_point(x: int) -> int:
+    """The evaluation point a heuristic gcd tries after refusing x: about
+    2.73 x^(5/4), so the bit length grows geometrically."""
+    return 73794 * x * isqrt(isqrt(x)) // 27011
+
+
+# the largest evaluation image `_mv_gcd` builds, in bits.  Reading one
+# back as digits at a small point is quadratic in its size, about 4 s at
+# this bound; the gcds of the tests and of q-expansions to q^16 stay
+# below 2^17.
+MAX_GCD_IMAGE_BITS = 2 ** 18
+
+
+def _mv_gcd(f: dict, g: dict) -> dict:
+    """gcd over Z of two polynomials (exponent tuple -> int or
+    integer-valued Fraction), up to sign; gcd(f, 0) is f.
+
+    The heuristic gcd of Char, Geddes and Gonnet, one variable at a time.
+    With the integer contents taken out, the last variable v that either
+    input has is set to an integer x > 2 min(|f|, |g|) + 2 (max norms),
+    the gcd h of the two images is taken by recursion, and h is read back
+    as balanced base-x digits in v.  Its primitive part is accepted once
+    it divides both inputs exactly; at such x a candidate that divides
+    both is the gcd.  Otherwise x grows (`_next_point`), with no cap:
+    h is the gcd times gcd(F(x), G(x)) for the cofactors F and G, which
+    is non-constant only at the finitely many roots of their resultants
+    and is otherwise an integer bounded by them.  So every point past a
+    bound set by those resultants is accepted, and since the bit length
+    of x grows geometrically, the number of points tried is logarithmic
+    in the bit length of that bound.
+
+    The images have about (degree + 1) * log2(x) bits in the variable set,
+    so they grow as the product of the degrees in all the variables;
+    ValueError is raised before one would pass MAX_GCD_IMAGE_BITS, as
+    for s1^200*s2^200*s3^200 + 1 and s1^200 + s2^200 + s3^200 + 1.
+    """
+    if not (f and g):
+        return f or g
+    cf, cg = (gcd(*map(int, p.values())) for p in (f, g))
+    f = {e: c // cf for e, c in f.items()}
+    g = {e: c // cg for e, c in g.items()}
+    content = gcd(cf, cg)
+    v = max((t for e in (*f, *g) for t, k in enumerate(e) if k), default=-1)
+    if v < 0:
+        return {next(iter(f)): content}
+    x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    deg = max(e[v] for e in (*f, *g))
+    while True:
+        if (deg + 1) * x.bit_length() > MAX_GCD_IMAGE_BITS:
+            raise ValueError(f"parameter gcd too large: degree {deg} in "
+                             f"one variable at a {x.bit_length()}-bit point")
+        images = [accumulate({}, ((e[:v] + (0,) + e[v + 1:], c * x ** e[v])
+                                  for e, c in p.items())) for p in (f, g)]
+        cand = {e[:v] + (k,) + e[v + 1:]: d
+                for e, c in _mv_gcd(*images).items()
+                for k, d in enumerate(_digits(c, x)) if d}
+        m = gcd(*cand.values())
+        cand = {e: c // m for e, c in cand.items()}
+        if _mv_quo(f, cand) is not None and _mv_quo(g, cand) is not None:
+            return {e: c * content for e, c in cand.items()}
+        x = _next_point(x)
 
 
 def _mv_canonical(num: dict, den: dict, nvars: int) -> tuple[dict, dict]:
@@ -213,23 +289,19 @@ def _mv_canonical(num: dict, den: dict, nvars: int) -> tuple[dict, dict]:
     unit = (0,) * nvars
     if not num:
         return {}, {unit: Fraction(1)}
-    # strip the common monomial factor
-    keys = list(num) + list(den)
-    shift = tuple(min(k[t] for k in keys) for t in range(nvars))
-    if any(shift):
-        num = {tuple(x - s for x, s in zip(k, shift)): c for k, c in num.items()}
-        den = {tuple(x - s for x, s in zip(k, shift)): c for k, c in den.items()}
     # clear to integer coefficients, then remove the joint integer content
-    scale = 1
-    for c in list(num.values()) + list(den.values()):
-        scale = lcm(scale, c.denominator)
-    content = 0
-    for c in list(num.values()) + list(den.values()):
-        content = gcd(content, abs(c.numerator * (scale // c.denominator)))
-    factor = Fraction(scale, content)
+    coeffs = (*num.values(), *den.values())
+    scale = lcm(*(c.denominator for c in coeffs))
+    factor = Fraction(scale, gcd(*(c.numerator * (scale // c.denominator)
+                                   for c in coeffs)))
     if factor != 1:
         num = {e: c * factor for e, c in num.items()}
         den = {e: c * factor for e, c in den.items()}
+    # divide out the gcd of a non-constant denominator and the numerator,
+    # common monomial factors included
+    if len(den) > 1 or unit not in den:
+        g = _mv_gcd(num, den)
+        num, den = _mv_quo(num, g), _mv_quo(den, g)
     # fix the sign of the denominator's lexicographically leading term
     if den[max(den)] < 0:
         num = _mv_neg(num)
@@ -316,11 +388,8 @@ class ParamRational:
             o = self._of(other)
         except TypeError:
             return NotImplemented
-        # the canonical form with a constant denominator is unique
-        unit = (0,) * len(FIELD_VARS[self.tag])
-        if list(self.den) == list(o.den) == [unit]:
-            return self.num == o.num and self.den == o.den
-        return _mv_mul(self.num, o.den) == _mv_mul(o.num, self.den)
+        # the canonical form is unique
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         raise TypeError("ParamRational is not hashable")
@@ -347,24 +416,20 @@ class ParamRational:
 
 
 class ParamScale:
-    """The scale L * prod(dens) of a coefficient list that has a
-    non-constant parameter denominator: a nonzero int L and parameter
-    denominators (multivariate polynomials).  Those `to_components`
-    clears are distinct; a product of scales may repeat one, and the
-    scale of a q-expansion repeats the lowest coefficient R of the
-    denominator's rows once per term (`pdc.laurent.laurent_expand`).
-    Scales multiply with each other and with ints, as the scales of
-    products and quotients do."""
+    """The scale of a coefficient list that has a non-constant parameter
+    denominator: one polynomial in Z[s], the lcm of the denominators
+    (`to_components`).  Scales multiply with each other and with ints, as
+    the scales of products and quotients do."""
 
-    __slots__ = ("L", "dens")
+    __slots__ = ("poly",)
 
-    def __init__(self, L: int, dens: tuple):
-        self.L, self.dens = L, dens
+    def __init__(self, poly: dict):
+        self.poly = poly
 
     def __mul__(self, other):
         if isinstance(other, ParamScale):
-            return ParamScale(self.L * other.L, self.dens + other.dens)
-        return ParamScale(self.L * other, self.dens)
+            return ParamScale(_mv_mul(self.poly, other.poly))
+        return ParamScale({e: c * other for e, c in self.poly.items()})
 
     __rmul__ = __mul__
 
@@ -375,34 +440,34 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int | ParamScale]:
     rows maps a parameter exponent e to a list of ints P_e, with the
     coefficient of q^k equal to sum_e s^e P_e[k] / scale.  Over Q the
     only exponent is ().  Rows of a nonzero list end in a nonzero entry;
-    the zero list has no rows.  L > 0 is the lcm of the constant
-    parameter denominators (stored coefficients are integers,
-    `_mv_canonical`).  Each numerator is multiplied by the distinct
-    non-constant denominators d_i other than its own; with any d_i the
-    scale is the `ParamScale` L * prod d_i, a nonzero constant in q, so
-    the rows have the roots in q of the list.
+    the zero list has no rows.  When every parameter denominator is
+    constant, the scale is their lcm L > 0 (stored coefficients are
+    integers, `_mv_canonical`).  Otherwise it is the `ParamScale` of the
+    lcm in Z[s] of all the denominators, a nonzero constant in q, so the
+    rows have the roots in q of the list.
     """
     if f.tag == "Q":
         scale = lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (scale // c.denominator) for c in coeffs]
         return ({(): ints} if ints else {}), scale
     unit = (0,) * len(FIELD_VARS[f.tag])
-    consts, dens = [], []
+    nums, consts, common = [c.num for c in coeffs], [], None
     for c in coeffs:
         d = c.den.get(unit) if len(c.den) == 1 else None
-        if d is not None:
-            consts.append(d.numerator)
-        else:
-            consts.append(1)
-            if c.den not in dens:
-                dens.append(c.den)
+        if d is None:
+            break
+        consts.append(d.numerator)
+    if len(consts) < len(coeffs):
+        # a non-constant denominator: every numerator over the lcm in Z[s]
+        common = {unit: 1}
+        for c in coeffs:
+            common = _mv_mul(common, _mv_quo(c.den, _mv_gcd(common, c.den)))
+        nums = [_mv_mul(c.num, _mv_quo(common, c.den)) for c in coeffs]
+        consts = [1] * len(coeffs)
     scale = lcm(*consts)
     rows: dict = {}
-    for k, (c, d) in enumerate(zip(coeffs, consts)):
-        num, m = c.num, scale // d
-        for other in dens:
-            if other != c.den:
-                num = _mv_mul(num, other)
+    for k, (num, d) in enumerate(zip(nums, consts)):
+        m = scale // d
         for e, v in num.items():
             row = rows.get(e)
             if row is None:
@@ -411,35 +476,27 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int | ParamScale]:
     for row in rows.values():
         while not row[-1]:
             row.pop()
-    return rows, (ParamScale(scale, tuple(dens)) if dens else scale)
+    return rows, (scale if common is None else ParamScale(common))
 
 
 def from_components(f: "Field", rows: dict, scale) -> list:
     """The coefficient list of sum_e s^e P_e(q) / scale; the inverse of
     to_components.  scale is a nonzero int or a `ParamScale`; rows may
-    hold zeros.  Over a ParamScale each coefficient over L is divided by
-    every d_i: exactly (`_mv_quo`) where d_i divides its numerator, and
-    otherwise by keeping d_i in its denominator."""
-    if isinstance(scale, ParamScale):
-        out = []
-        for c in from_components(f, rows, scale.L):
-            num, den = c.num, c.den
-            for d in scale.dens if num else ():
-                quo = _mv_quo(num, d)
-                if quo is None:
-                    den = _mv_mul(den, d)
-                else:
-                    num = quo
-            out.append(ParamRational.make(f.tag, num, den))
-        return out
+    hold zeros.  Over a ParamScale each coefficient is one canonical
+    ratio (`ParamRational.make`)."""
     if f.tag == "Q":
         return [Fraction(c, scale) for c in rows.get((), ())]
+    n = max(map(len, rows.values()), default=0)
+    if isinstance(scale, ParamScale):
+        return [ParamRational.make(f.tag, {e: row[k] for e, row in rows.items()
+                                           if k < len(row)}, scale.poly)
+                for k in range(n)]
     unit = (0,) * len(FIELD_VARS[f.tag])
     if scale < 0:
         rows = {e: [-c for c in row] for e, row in rows.items()}
         scale = -scale
     out = []
-    for k in range(max(map(len, rows.values()), default=0)):
+    for k in range(n):
         num = {e: row[k] for e, row in rows.items()
                if k < len(row) and row[k]}
         g = gcd(scale, *num.values())

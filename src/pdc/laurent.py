@@ -8,10 +8,11 @@ multiplied.
 
 laurent_expand turns a rational function into its q-expansion on the
 integer rows of its numerator and denominator: one fraction-free
-recurrence in Z[s] (Q is the case of no parameters), whose results
-`from_components` reads back once.  No field arithmetic runs there, so
-over the parameter fields the coefficients grow polynomially in the
-order.
+recurrence in Z[s] (Q is the case of no parameters).  Its results are
+read back once by `from_components` over an integer denominator, and
+otherwise made canonical one coefficient at a time.  No field arithmetic
+runs in the recurrence, so over the parameter fields the coefficients
+grow polynomially in the order.
 
 u_expand performs the exact variable change q = -exp(i*u) on a function
 over Q, together with the prefactor exp(-i*d_beta*u/2), producing a
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import (QI, I, ParamScale, _mv_mul, accumulate, field,
+from .fields import (QI, I, ParamRational, _mv_mul, accumulate, field,
                      from_components)
 from .ratfun import RationalFunction
 from .text import power, signed_sum
@@ -136,11 +137,12 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
         O_k = N_k R^k - sum_(j>=1) D_j R^(j-1) O_(k-j)
 
     runs in Z[s] with no division, and the coefficient of q^(lo+k) is
-    O_k S_D / (S_N R^(k+1)).  Over the common denominator S_N R^count
-    these are the rows O_k R^(count-1-k) S_D, which `from_components`
-    reads back, cancelling each factor R that divides a coefficient.
-    Every product by R or S_D is skipped when it is one, as it is for
-    every evaluator's output.
+    O_k S_D / (S_N R^(k+1)).  When R and S_N are integers these are the
+    rows O_k R^(count-1-k) S_D over the one int S_N R^count, which
+    `from_components` reads back; otherwise each coefficient is that
+    ratio in canonical form (`ParamRational.make`), so every common
+    factor cancels.  Every product by R or S_D is skipped when it is
+    one, as it is for every evaluator's output.
     """
     f = F.field
     order = max_exp + 1
@@ -155,7 +157,7 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     one = {unit: 1}
 
     def times(a: dict, b: dict) -> dict:
-        return a if b is one else _mv_mul(a, b)
+        return a if b == one else _mv_mul(a, b)
 
     R = den[0]
     pows = [one] * count   # R^0 .. R^(count-1)
@@ -173,27 +175,23 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
                              for ea, a in e.items()
                              for eb, b in out[k - j].items()))
         out.append(acc)
-    sd = F.den.denom
-    top = one if sd == 1 else _as_poly(sd, unit)
-    rows: dict = {}
-    for k, o in enumerate(out):
-        for e, c in times(times(o, pows[count - 1 - k]), top).items():
-            rows.setdefault(e, [0] * count)[k] = c
-    r = R.get(unit) if len(R) == 1 else None
-    scale = F.num.denom * (r ** count if r is not None
-                           else ParamScale(1, (R,) * count))
-    return LaurentSeries("q", lo, from_components(f, rows, scale), order, f)
-
-
-def _as_poly(scale, unit: tuple) -> dict:
-    """A polynomial's denominator, an int or a `ParamScale`, as an
-    element of Z[s]."""
-    if isinstance(scale, int):
-        return {unit: scale}
-    prod = {unit: scale.L}
-    for d in scale.dens:
-        prod = _mv_mul(prod, d)
-    return {e: int(c) for e, c in prod.items()}
+    # the denominators S_N and S_D, ints or `ParamScale`s, in Z[s]
+    sn, sd = ({unit: p.denom} if isinstance(p.denom, int) else p.denom.poly
+              for p in (F.num, F.den))
+    if list(R) == [unit] and list(sn) == [unit]:
+        # constant denominators: the rows O_k R^(count-1-k) S_D over one
+        # int, S_N R^count
+        rows: dict = {}
+        for k, o in enumerate(out):
+            for e, c in times(times(o, pows[count - 1 - k]), sd).items():
+                rows.setdefault(e, [0] * count)[k] = c
+        coeffs = from_components(f, rows, sn[unit] * R[unit] ** count)
+    else:
+        coeffs, low = [], _mv_mul(sn, R)
+        for o in out:
+            coeffs.append(ParamRational.make(f.tag, times(o, sd), low))
+            low = _mv_mul(low, R)
+    return LaurentSeries("q", lo, coeffs, order, f)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ with `rows` mapping a parameter exponent e to the integer list P_e
 (ascending in q) and `denom` a nonzero constant in q (Q is the case of
 the single exponent ()).  This is the (rows, scale) of
 `fields.to_components`: denom is an int when the parameter denominators
-are constant, and otherwise a `ParamScale`, which also carries the
-cleared parameter denominators.  Rows end in a nonzero entry and the zero
-polynomial has none.  An int denom is positive and coprime to the
-entries, so that form is canonical and equality compares it.
+are constant, and otherwise a `ParamScale`, one polynomial in Z[s].
+Rows end in a nonzero entry and the zero polynomial has none.  An int
+denom is positive and coprime to the entries, so that form is canonical
+and equality compares it.
 
 `coeffs` is a read-only tuple of field elements.  A polynomial built
 from field elements keeps them as given, so it prints as spelled; one
@@ -23,9 +23,10 @@ rows over Z.  When one gcd input is a single row s^e P(q) / L, the gcd is
 the integer gcd of P and every row of the other input: Q is
 algebraically closed in the purely transcendental Q(s), so the factors
 of P over Q(s) are defined over Q, and the monomials s^e are independent
-over Q(q).  Exact division by a polynomial in Q[q] divides each row over
-Z by its primitive part.  A sum over two int denominators adds the rows
-over their lcm; one with a `ParamScale` adds the coefficients.
+over Q(q).  Any other gcd is the gcd of the rows in Z[s, q]
+(`fields._mv_gcd`).  Exact division by a polynomial in Q[q] divides each
+row over Z by its primitive part.  A sum over two int denominators adds
+the rows over their lcm; one with a `ParamScale` adds the coefficients.
 
 Every integer product runs through one kernel, `_zz_mul`: the schoolbook
 loop when the shorter factor has fewer than 16 entries, and otherwise
@@ -38,23 +39,24 @@ reads the product back as balanced digits.  `Polynomial.__mul__` and
 Two integer lists get their gcd from the heuristic gcd of Char, Geddes
 and Gonnet (evaluate at a large integer, take the integer gcd, read the
 polynomial back from balanced base-x digits).  A candidate is accepted
-only once it divides both primitive inputs exactly over Z; after a fixed
-number of evaluation points the primitive PRS takes over.  This avoids
-the coefficient swell of Euclid over Fractions and over parameter ratios.
+only once it divides both primitive inputs exactly over Z; a refused
+point is followed by a larger one, and every point past a bound set by
+the inputs is accepted.  `fields._mv_gcd` is the same method over Z[s, q].
+Neither has the coefficient swell of Euclid over Fractions or over
+parameter ratios.
 
-Two routes stay over the field, on `coeffs`: long division (`divmod_`),
-for an exact division by a divisor that is not one integer row in Q[q];
-and Euclid's algorithm, for a gcd of two inputs that both span several
-parameter monomials.
+One route stays over the field, on `coeffs`: long division (`divmod_`),
+for an exact division by a divisor that is not one integer row in Q[q].
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import zip_longest
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
-from .fields import Field, field, from_components, to_components
+from .fields import (Field, ParamScale, _digits, _mv_gcd, _next_point, field,
+                     from_components, to_components)
 from .text import power, signed_sum
 
 
@@ -141,10 +143,6 @@ class Polynomial:
     @classmethod
     def q(cls, f) -> "Polynomial":
         return cls(f, (0, 1))
-
-    @classmethod
-    def monomial(cls, f, c, k: int) -> "Polynomial":
-        return cls(f, (0,) * k + (c,))
 
     # -- structure ----------------------------------------------------------
 
@@ -288,20 +286,31 @@ class Polynomial:
         """Monic-by-lowest-coefficient gcd over the coefficient field.
 
         The result's lowest-order nonzero coefficient is one; gcd(0, 0) is
-        zero.  When one input is s^e P(q) / L, a single row, the gcd is
-        the integer gcd (`_zz_gcd`) of P and every row of the other: Q is
+        zero.  The denominators are constants in q and play no part.
+        When one input is s^e P(q) / L, a single row, the gcd is the
+        integer gcd (`_zz_gcd`) of P and every row of the other: Q is
         algebraically closed in Q(s), so every factor of P over Q(s) is
         defined over Q, and it divides sum_e s^e B_e(q) exactly when it
-        divides each B_e.  The denominators are constants in q and play
-        no part.  Every other case runs Euclid's algorithm.
+        divides each B_e.  Every other case takes the gcd of the rows in
+        Z[s, q] (`fields._mv_gcd`, q the last variable), and divides it by
+        its lowest coefficient in q, an element of Z[s].
         """
-        ra, rb = a.rows, b.rows
+        ra, rb, unit = a.rows, b.rows, (0,) * len(a.field.var_names)
         if ra and rb and min(len(ra), len(rb)) == 1:
             g = _zz_gcd_rows([*ra.values(), *rb.values()])
-            return Polynomial.from_rows(
-                a.field, {(0,) * len(a.field.var_names): g},
-                next(c for c in g if c))
-        return _euclid_gcd(a, b)
+            return Polynomial.from_rows(a.field, {unit: g},
+                                        next(c for c in g if c))
+        g = _mv_gcd(*({e + (k,): c for e, r in p.rows.items()
+                       for k, c in enumerate(r) if c} for p in (a, b)))
+        if not g:
+            return Polynomial.zero(a.field)
+        n, v = max(e[-1] for e in g) + 1, min(e[-1] for e in g)
+        rows: dict = {}
+        for e, c in g.items():
+            rows.setdefault(e[:-1], [0] * n)[e[-1]] = c
+        low = {e[:-1]: c for e, c in g.items() if e[-1] == v}
+        denom = low[unit] if list(low) == [unit] else ParamScale(low)
+        return Polynomial.from_rows(a.field, rows, denom)
 
     # -- display -------------------------------------------------------------
 
@@ -333,20 +342,8 @@ def _product(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# the routes over the field
-
-
-def _euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """gcd by Euclid's algorithm over the field, lowest coefficient one."""
-    while b:
-        a, b = b, a.divmod_(b)[1]
-    return a.scale(1 / a.coeffs[a.valuation]) if a else a
-
-
-# ---------------------------------------------------------------------------
 # the integer core; coefficient lists in ascending powers
 
-_HEU_TRIES = 6
 _KRONECKER_CUT = 16   # see `_zz_mul`
 
 
@@ -456,18 +453,6 @@ def _zz_quo(f: list[int], g: list[int]) -> list[int] | None:
     return None if any(rem[:dg]) else quo
 
 
-def _digits(n: int, x: int) -> list[int]:
-    """The polynomial h with h(x) = n and balanced digits in (-x/2, x/2]."""
-    out = []
-    while n:
-        d = n % x
-        if d > x // 2:
-            d -= x
-        out.append(d)
-        n = (n - d) // x
-    return out
-
-
 def _value(f: list[int], x: int) -> int:
     """f(x) by Horner's rule."""
     v = 0
@@ -476,18 +461,23 @@ def _value(f: list[int], x: int) -> int:
     return v
 
 
-def _heu_gcd(f: list[int], g: list[int]) -> list[int] | None:
-    """GCDHEU on primitive lists of positive degree; None if it gives up.
+def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd of two nonzero primitive integer lists, up to sign: [1] when
+    either is a constant, and otherwise GCDHEU.
 
     Every evaluation point exceeds 2*min(|f|, |g|) + 2 (max norms), so a
     candidate that divides both inputs is their gcd up to sign.  The
     candidates are the primitive part of the interpolated integer gcd and
-    the quotients of f and g by their interpolated cofactors.
+    the quotients of f and g by their interpolated cofactors.  A refused
+    point is followed by a larger one with no cap; as for `_mv_gcd`, every
+    point past a bound set by the cofactors' resultant is accepted.
     """
+    if len(f) == 1 or len(g) == 1:
+        return [1]
     fn, gn = max(map(abs, f)), max(map(abs, g))
     x = max(2 * min(fn, gn) + 29,
             2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4)
-    for _ in range(_HEU_TRIES):
+    while True:
         ff, gg = _value(f, x), _value(g, x)
         if ff and gg:
             h = gcd(ff, gg)
@@ -498,32 +488,7 @@ def _heu_gcd(f: list[int], g: list[int]) -> list[int] | None:
                 cand = _zz_quo(p, _digits(v // h, x))
                 if cand is not None and _zz_quo(other, cand) is not None:
                     return cand
-        x = 73794 * x * isqrt(isqrt(x)) // 27011
-    return None
-
-
-def _prs_gcd(f: list[int], g: list[int]) -> list[int]:
-    """gcd by the primitive polynomial remainder sequence."""
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        rem = list(f)
-        while len(rem) >= len(g):
-            c, k = rem[-1], len(rem) - len(g)
-            rem = [g[-1] * r for r in rem]
-            for j, b in enumerate(g):
-                rem[k + j] -= c * b
-            while rem and not rem[-1]:
-                rem.pop()
-        f, g = g, (_primitive_ints(rem) if rem else rem)
-    return f
-
-
-def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
-    """gcd of two nonzero primitive integer lists, up to sign."""
-    if len(f) == 1 or len(g) == 1:
-        return [1]
-    return _heu_gcd(f, g) or _prs_gcd(f, g)
+        x = _next_point(x)
 
 
 def _zz_gcd_rows(rows) -> list[int]:

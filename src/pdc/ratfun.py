@@ -52,9 +52,7 @@ class RationalFunction:
                         den: Polynomial) -> "RationalFunction":
         # Internal: num/den must already be coprime with the denominator's
         # lowest-order nonzero coefficient equal to one.  Used where that
-        # is known structurally, to skip a gcd; over the parameter fields
-        # that gcd is Euclid's whenever numerator and denominator both
-        # span several parameter monomials.
+        # is known structurally, to skip a gcd.
         obj = object.__new__(cls)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
@@ -142,10 +140,7 @@ class RationalFunction:
 
         A nonzero scalar preserves coprimality, and a power of q cancels
         directly against whichever side carries the factor q, so the
-        canonical form can be assembled outright.  That matters over the
-        parameter fields: once numerator and denominator both span
-        several parameter monomials, a gcd there is Euclid's over the
-        field, not the integer core's.
+        canonical form can be assembled outright.
 
         Over Q, c may lie in a parameter field, and the product lies
         there: Q is algebraically closed in Q(s), so a pair coprime over
@@ -198,11 +193,10 @@ def _lowest_den_coeff_one(num: Polynomial,
     When that coefficient is c / L, a rational with L den's int
     denominator, and num's denominator is an int too, both are divided
     by it on the rows: num's rows times L over num's denominator times c,
-    and den's rows over c.  Otherwise both are multiplied by the constant
-    1/low on the rows, so that `from_components` cancels low's factors
-    and each cleared parameter denominator (even when low is one) where
-    they divide a coefficient's numerator; a partial common factor, as
-    in (s1+1)(s2+1)/((s1+1)(s2+2)), stays as spelled.
+    and den's rows over c.  Otherwise every coefficient is divided by it
+    in the field, so that each denominator is the lcm of its canonical
+    coefficients' denominators; a product on the rows would keep every
+    factor that those share with the scale.
     """
     f, v = den.field, den.valuation
     low = {e: r[v] for e, r in den.rows.items() if v < len(r) and r[v]}
@@ -216,8 +210,9 @@ def _lowest_den_coeff_one(num: Polynomial,
                                          in num.rows.items()},
                                      num.denom * c),
                 Polynomial.from_rows(f, den.rows, c))
-    inv = Polynomial.const(f, 1 / den.coeff(v))
-    return num * inv, den * inv
+    inv = 1 / den.coeff(v)
+    return tuple(Polynomial(f, [c * inv for c in p.coeffs])
+                 for p in (num, den))
 
 
 def q_ddq(F: RationalFunction) -> RationalFunction:

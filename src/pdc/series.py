@@ -491,9 +491,6 @@ class CobordismSeries:
         if len(sizes) > 1:
             raise ValueError("component labels must partition one integer")
 
-    def labels(self) -> list[tuple]:
-        return sorted(self.components, reverse=True)
-
     def component(self, mu: tuple) -> RationalFunction:
         return self.components[tuple(mu)]
 

@@ -1,7 +1,10 @@
-"""Functions only the tests use: an oracle for the functional-equation
-check and small builders that no command, check or workload needs."""
+"""Functions only the tests use: oracles for the functional-equation
+check and the polynomial gcd, and small builders that no command, check
+or workload needs."""
 
 from pdc.descendents import DescElement, gen, kunneth_pairs
+from pdc.fields import FIELDS
+from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, _lowest_den_coeff_one
 from pdc.virasoro import Term, VirasoroOperator
 
@@ -37,3 +40,25 @@ def kunneth_expand(a: int, b: int, j: int) -> DescElement:
     for dl, dr in kunneth_pairs(j):
         out = out + DescElement.of(gen(a, dl), gen(b, dr))
     return out
+
+
+def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """gcd by Euclid's algorithm over the coefficient field, lowest
+    coefficient one: the oracle for `Polynomial.gcd`."""
+    while b:
+        a, b = b, a.divmod_(b)[1]
+    return a.scale(1 / a.coeffs[a.valuation]) if a else a
+
+
+def degree_six_pair() -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(a, b, c): two polynomials over Q_s whose coefficients span several
+    parameter monomials, with the planted common factor c of degree 6 in
+    q.  Euclid's remainders over the parameter ratios swell without end
+    on this pair."""
+    f = FIELDS["Q_s"]
+    s1, s2, s3 = f.gens()
+    c = Polynomial(f, [s1 + 2 * s2 - 1, 3 * s3 - s1 * s2, s2 + s3 + 2,
+                       s1 - s3, 2 * s1 * s3 + 1, s2 - 3, s1 + s2 + s3])
+    a = Polynomial(f, [s1 - 2, s2 * s3 + 1, 3 * s1 + s3])
+    b = Polynomial(f, [2 * s2 + 1, s1 * s3 - s2, s3 - 1, s1 + s2])
+    return a * c, b * c, c

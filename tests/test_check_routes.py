@@ -42,7 +42,7 @@ def reference_pole_check(F, d):
     f = F.field
     allowed = Polynomial.q(f)
     for m in range(1, d + 1):
-        factor = Polynomial.one(f) - Polynomial.monomial(f, (-1) ** m, m)
+        factor = Polynomial.one(f) - Polynomial(f, [0] * m + [(-1) ** m])
         allowed = allowed * factor
     den = F.den
     while den.degree > 0:
@@ -306,6 +306,14 @@ class TestParameterDenominatorExpansion:
         want = reference_laurent_expand(F, 4)
         assert (got.min_exp, got.order) == (0, 9)
         assert LaurentSeries("q", 0, got.coeffs[:5], 5, F.field) == want
+
+    def test_coefficients_are_canonical(self):
+        # the q^1 coefficient is read over R^2 for the lowest row
+        # coefficient R = 3(s1+1)(s2+2)(s1+2); the canonical ratio cancels
+        # all of it but 3(s1+1)
+        got = laurent_expand(weight_ratio_denominator(), 2)
+        assert str(got.coeff(0)) == "1"
+        assert str(got.coeff(1)) == "(-3*s1 - 5)/(3*s1 + 3)"
 
     def test_cli_expands_db_record_within_budget(self, budget, tmp_path,
                                                  monkeypatch, capsys):

@@ -16,6 +16,8 @@ from pdc.series import (SeriesRecord, builtin_db, cap_series,
                         local_curve_series, make_key, record_from_obj,
                         records_to_json)
 
+from helpers import degree_six_pair
+
 
 @pytest.fixture(autouse=True)
 def clean_db_env(monkeypatch):
@@ -475,6 +477,28 @@ class TestDb:
         assert capsys.readouterr().out == (
             "1 new record(s); merged database holds 9\n")
 
+    def test_import_multi_monomial_pair_within_budget(self, budget, tmp_path,
+                                                      capsys):
+        # num and den share a factor of degree 6 in q, and both have
+        # coefficients spanning several parameter monomials, so Euclid's
+        # remainders over the parameter ratios swell without end
+        a, b, c = degree_six_pair()
+        f = a.field
+        value = {"field": f.tag,
+                 "num": [f.coeff_to_json(x) for x in a.coeffs],
+                 "den": [f.coeff_to_json(x) for x in b.coeffs]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps([{
+            "geometry": "Cap", "degree": 5, "insertions": "ch7(p)",
+            "boundary": "(5)", "value": value, "provenance": "evaluator"}]))
+        with budget(10):
+            code = main(["--json", "db", "import", str(path)])
+        assert code == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        got = record_from_obj(next(r for r in records
+                                   if r["insertions"] == "ch7(p)"))
+        assert got.value.num * b == got.value.den * a
+
     def test_import_missing_file(self, tmp_path, capsys):
         assert main(["db", "import", str(tmp_path / "nope.json")]) == 2
         assert "cannot import" in capsys.readouterr().err
@@ -658,6 +682,23 @@ class TestDb:
         path.write_text(json.dumps(self.one_record(**change)))
         self.assert_rejected(path, f"record 0: {message}", monkeypatch,
                              capsys)
+
+    @pytest.mark.parametrize("num, den", [
+        ({"s1^200*s2^200*s3^200": "1", "1": "1"},
+         {"s1^200": "1", "s2^200": "1", "s3^200": "1", "1": "1"}),
+        ({"s1^100000000": "1"}, {"s1": "1", "1": "1"}),
+    ])
+    def test_import_oversized_parameter_gcd(self, budget, tmp_path,
+                                            monkeypatch, capsys, num, den):
+        # canonical form takes the gcd of num and den, and its evaluation
+        # images would run to millions of bits: a data error, not a stall
+        one = {"num": {"1": "1"}, "den": {"1": "1"}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(self.one_record(
+            field="Q_s", num=[{"num": num, "den": den}], den=[one])))
+        with budget(5):
+            self.assert_rejected(path, "record 0: parameter gcd too large",
+                                 monkeypatch, capsys)
 
     def test_import_deeply_nested_json(self, tmp_path, capsys):
         # json.loads raises RecursionError here; that is malformed data,

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from pdc import fields
 from pdc.descendents import DescElement
 from pdc.fields import (FIELDS, QS, GaussianRational, I, ParamRational,
-                        _mono_from_key, _mv_mul, _mv_quo, field, rat)
+                        _mono_from_key, _mv_gcd, _mv_mul, _mv_quo, field, rat)
 from pdc.polynomial import Polynomial
 from pdc.virasoro import build_quadratic
 
@@ -75,9 +76,19 @@ class TestParamRational:
         s1, s2, _ = f.gens()
         left = (s1 * s1 - s2 * s2) / (s1 - s2)
         right = s1 + s2
-        # no simplification happens, yet equality sees through the ratio
-        assert left == right
+        # the ratio is reduced to coprime form, so equality compares the
+        # stored forms, and it agrees with cross multiplication
+        assert left == right and str(left) == "s1 + s2"
+        assert _mv_mul(left.num, right.den) == _mv_mul(right.num, left.den)
         assert left + right == 2 * right
+
+    def test_partial_common_factor_cancels(self):
+        f = FIELDS["Q_s"]
+        s1, s2, s3 = f.gens()
+        c = (s1 + 1) * (s2 + 1) / ((s1 + 1) * (s2 + 2))
+        assert str(c) == "(s2 + 1)/(s2 + 2)"
+        # a common monomial factor is part of the gcd
+        assert str(s1 * s2 / (s1 * s1 * s2 + s1 * s2 * s3)) == "1/(s1 + s3)"
 
     def test_content_normalization_gives_canonical_str(self):
         f = FIELDS["Q_s"]
@@ -180,6 +191,71 @@ class TestExactQuotient:
         b = {e: Fraction(c) for e, c in b if c}
         if a and b:
             assert _mv_quo(_mv_mul(a, b), b) == a
+
+
+def to_sympy_zz(p: dict, n: int):
+    return sympy.Poly.from_dict(p, sympy.symbols(f"x0:{n}"),
+                                domain=sympy.ZZ)
+
+
+def int_poly(n: int):
+    """A polynomial over Z in n variables, up to four terms, degree at
+    most 2 in the first n - 1 variables and at most 3 in the last, which
+    stands for q."""
+    exps = st.tuples(*[st.integers(0, 2)] * (n - 1), st.integers(0, 3))
+    return st.dictionaries(exps, st.integers(-4, 4).filter(bool),
+                           min_size=1, max_size=4)
+
+
+class TestIntegerGcd:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([4, 5]).flatmap(
+        lambda n: st.tuples(st.just(n), int_poly(n), int_poly(n),
+                            int_poly(n))))
+    def test_matches_sympy_with_planted_factor(self, case):
+        # 3 + 1 and 4 + 1 variables: the parameters of Q_s and Q_lambda,
+        # then q
+        n, a, b, c = case
+        f, g = _mv_mul(a, c), _mv_mul(b, c)
+        got = to_sympy_zz(_mv_gcd(f, g), n)
+        want = sympy.gcd(to_sympy_zz(f, n), to_sympy_zz(g, n))
+        assert got in (want, -want)
+        assert to_sympy_zz(_mv_gcd(f, {}), n) in (to_sympy_zz(f, n),
+                                                   -to_sympy_zz(f, n))
+
+    def test_refused_evaluation_points(self, monkeypatch):
+        # a seeded draw on which evaluation points are refused (three, in
+        # the recursion) before the gcd is found
+        tried = []
+        step = fields._next_point
+        monkeypatch.setattr(fields, "_next_point",
+                            lambda x: tried.append(x) or step(x))
+        a = {(1, 2, 1): 3, (0, 2, 1): 3}
+        b = {(0, 0, 2): -1, (1, 1, 1): 1}
+        c = {(0, 0, 2): -1, (1, 0, 1): 1, (0, 0, 0): -1}
+        f, g = _mv_mul(a, c), _mv_mul(b, c)
+        got = _mv_gcd(f, g)
+        assert tried
+        want = sympy.gcd(to_sympy_zz(f, 3), to_sympy_zz(g, 3))
+        assert to_sympy_zz(got, 3) in (want, -want)
+
+    @pytest.mark.parametrize("num, den", [
+        # the points grow as the product of the degrees: 31 at s3, about
+        # 2^991 at s2 and about 2^198000 at s1
+        ({"s1^200*s2^200*s3^200": "1", "1": "1"},
+         {"s1^200": "1", "s2^200": "1", "s3^200": "1", "1": "1"}),
+        # 31^(10^8) at s1
+        ({"s1^100000000": "1"}, {"s1": "1", "1": "1"}),
+    ])
+    def test_oversized_gcd_raises_within_budget(self, budget, num, den):
+        with budget(1), pytest.raises(ValueError,
+                                      match="parameter gcd too large"):
+            QS.coeff_from_json({"num": num, "den": den})
+
+    def test_constants_and_contents(self):
+        assert _mv_gcd({(0, 0): 6}, {(0, 0): Fraction(-4)}) == {(0, 0): 2}
+        assert _mv_gcd({(1, 0): 6}, {(0, 1): 4}) == {(0, 0): 2}
+        assert _mv_gcd({}, {}) == {}
 
 
 def _mv_add_one(a):
@@ -292,9 +368,9 @@ def scalar_triple(tag):
 
 
 class TestRingAxioms:
-    """Q, Q_s and Q_lambda are fields.  A parameter ratio is not reduced
-    by a gcd, so its equality is cross-multiplication; a Fraction and the
-    printed form of a sum or product of parameter ratios are canonical."""
+    """Q, Q_s and Q_lambda are fields.  A Fraction and a parameter ratio
+    are canonical (a ratio is reduced by the gcd of its numerator and
+    denominator), so equal values print alike."""
 
     @given(st.sampled_from(["Q", "Q_s", "Q_lambda"]).flatmap(scalar_triple))
     def test_axioms(self, case):
@@ -313,6 +389,7 @@ class TestRingAxioms:
             # signs and contents are normalised
             assert str((-b) / (-a)) == str(b / a)
             assert str((3 * b) / (3 * a)) == str(b / a)
+            assert str((b * a) / a) == str(b)
         # the canonical form does not depend on the order of the operands
         assert str(a + b) == str(b + a)
         assert str(a * b) == str(b * a)
@@ -320,8 +397,8 @@ class TestRingAxioms:
 
 
 class TestEquality:
-    """A canonical ratio with a constant denominator is unique, so == reads
-    the stored dicts there; it must agree with cross-multiplication."""
+    """A canonical ratio is unique, so == reads the stored dicts; it must
+    agree with cross-multiplication."""
 
     @given(st.sampled_from(["Q_s", "Q_lambda"]).flatmap(scalar_triple))
     def test_matches_cross_multiplication(self, case):

@@ -13,7 +13,7 @@ from pdc.ratfun import (RationalFunction, RFParseError, _cyclotomic_reach,
                         fe_check, parse_rf, pole_check, q_ddq)
 from pdc.series import builtin_db, cap_series, local_curve_series, rf_to_obj
 
-from helpers import invert_q
+from helpers import degree_six_pair, invert_q
 
 
 def rand_rf(rng):
@@ -102,6 +102,21 @@ class TestCanonicalForm:
         F = RationalFunction(Polynomial.one(fs), Polynomial(fs, [1, part]))
         assert str(F.den.coeffs[1]) == str(part)
 
+    def test_parameter_denominators_are_lcms(self):
+        # dividing out a lowest coefficient whose parameter denominator is
+        # not constant leaves each part over the lcm of its coefficients'
+        # denominators; a product on the rows kept every factor they
+        # shared with the scale, and a q-expansion then took gcds against
+        # powers of it (7.7 s against 0.07 s to q^8 on a Q_lambda draw)
+        fs = FIELDS["Q_s"]
+        s1, s2, s3 = fs.gens()
+        a, b, _ = degree_six_pair()
+        for num, den in ((a, b), (Polynomial(fs, [s1 / (s2 + 1), 1]),
+                                  Polynomial(fs, [(s1 + 1) / (s2 + 1), s3]))):
+            F = RationalFunction(num, den)
+            for p in (F.num, F.den):
+                assert p.denom.poly == Polynomial(fs, p.coeffs).denom.poly
+
     def test_pow_negative(self):
         F = parse_rf("q/(1+q)")
         assert F ** -2 == parse_rf("(1+q)^2/q^2")
@@ -162,8 +177,8 @@ class TestScaleMonomial:
             F = rand_rf(rng)
             c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             k = rng.randint(-3, 3)
-            qk = RationalFunction(Polynomial.monomial(Q, 1, max(k, 0)),
-                                  Polynomial.monomial(Q, 1, max(-k, 0)))
+            qk = RationalFunction(Polynomial(Q, [0] * max(k, 0) + [1]),
+                                  Polynomial(Q, [0] * max(-k, 0) + [1]))
             assert F.scale_monomial(c, k) == F * qk * c
 
     def test_result_is_canonical(self):
