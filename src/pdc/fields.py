@@ -207,15 +207,38 @@ def _mv_quo(a: dict, b: dict) -> dict | None:
 
 
 def _digits(n: int, x: int) -> list[int]:
-    """The polynomial h with h(x) = n and balanced digits in (-x/2, x/2]."""
-    out = []
-    while n:
-        d = n % x
-        if d > x // 2:
-            d -= x
-        out.append(d)
-        n = (n - d) // x
-    return out
+    """The polynomial h with h(x) = n and balanced digits in (-x/2, x/2],
+    for x >= 3.
+
+    Divide and conquer.  Adding R_k, the number whose 32 * 2^k digits are
+    all t = (x-1)//2, turns the balanced digits d into standard ones
+    d + t, so one divmod of n + R_k by X_k = x^(32 * 2^k) splits n into
+    its low 32 * 2^k digits and the rest; each part is split again at
+    X_(k-1), and a part of at most 32 digits is read by one divmod by x
+    per digit.  So the cost is a few divisions of large ints, not one `%`
+    of the whole image per digit.
+    """
+    t, powers = (x - 1) // 2, [x ** 32]
+    reps = [t * (powers[0] - 1) // (x - 1)]
+    while reps[-1] < abs(n):
+        reps.append(reps[-1] * (powers[-1] + 1))
+        powers.append(powers[-1] ** 2)
+
+    def split(n: int, k: int) -> list[int]:
+        # the digits of n (at most 64 << k, and 32 for k < 0) without
+        # trailing zeros; the low part is padded with zeros to its 32 << k
+        # digits when the high part is not empty
+        if k < 0:
+            out = []
+            while n:
+                n, d = divmod(n + t, x)
+                out.append(d - t)
+            return out
+        hi, lo = divmod(n + reps[k], powers[k])
+        low, high = split(lo - reps[k], k - 1), split(hi, k - 1)
+        return low + [0] * ((32 << k) - len(low)) + high if high else low
+
+    return split(n, len(reps) - 2)
 
 
 def _next_point(x: int) -> int:
@@ -225,15 +248,16 @@ def _next_point(x: int) -> int:
 
 
 # the largest evaluation image `_mv_gcd` builds, in bits.  Reading one
-# back as digits at a small point is quadratic in its size, about 4 s at
-# this bound; the gcds of the tests and of q-expansions to q^16 stay
+# back as digits takes about 0.1 s at this bound, but the trial division
+# of a refused candidate (`_mv_quo`) is quadratic in its size and can
+# take seconds; the gcds of the tests and of q-expansions to q^16 stay
 # below 2^17.
 MAX_GCD_IMAGE_BITS = 2 ** 18
 
 
-def _mv_gcd(f: dict, g: dict) -> dict:
-    """gcd over Z of two polynomials (exponent tuple -> int or
-    integer-valued Fraction), up to sign; gcd(f, 0) is f.
+def _mv_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
+    """(h, f/h, g/h) for h the gcd over Z of two polynomials (exponent
+    tuple -> int or integer-valued Fraction), up to sign; gcd(f, 0) is f.
 
     The heuristic gcd of Char, Geddes and Gonnet, one variable at a time.
     With the integer contents taken out, the last variable v that either
@@ -241,13 +265,14 @@ def _mv_gcd(f: dict, g: dict) -> dict:
     the gcd h of the two images is taken by recursion, and h is read back
     as balanced base-x digits in v.  Its primitive part is accepted once
     it divides both inputs exactly; at such x a candidate that divides
-    both is the gcd.  Otherwise x grows (`_next_point`), with no cap:
-    h is the gcd times gcd(F(x), G(x)) for the cofactors F and G, which
-    is non-constant only at the finitely many roots of their resultants
-    and is otherwise an integer bounded by them.  So every point past a
-    bound set by those resultants is accepted, and since the bit length
-    of x grows geometrically, the number of points tried is logarithmic
-    in the bit length of that bound.
+    both is the gcd.  The quotients of that test are the cofactors, as
+    in Liao and Fateman (ISSAC 1995).  Otherwise x grows (`_next_point`),
+    with no cap: h is the gcd times gcd(F(x), G(x)) for the cofactors F
+    and G, which is non-constant only at the finitely many roots of their
+    resultants and is otherwise an integer bounded by them.  So every
+    point past a bound set by those resultants is accepted, and since the
+    bit length of x grows geometrically, the number of points tried is
+    logarithmic in the bit length of that bound.
 
     The images have about (degree + 1) * log2(x) bits in the variable set,
     so they grow as the product of the degrees in all the variables;
@@ -255,30 +280,34 @@ def _mv_gcd(f: dict, g: dict) -> dict:
     for s1^200*s2^200*s3^200 + 1 and s1^200 + s2^200 + s3^200 + 1.
     """
     if not (f and g):
-        return f or g
+        unit = (0,) * len(next(iter(f or g), ()))
+        return f or g, {unit: 1} if f else {}, {unit: 1} if g else {}
     cf, cg = (gcd(*map(int, p.values())) for p in (f, g))
     f = {e: c // cf for e, c in f.items()}
     g = {e: c // cg for e, c in g.items()}
     content = gcd(cf, cg)
     v = max((t for e in (*f, *g) for t, k in enumerate(e) if k), default=-1)
-    if v < 0:
-        return {next(iter(f)): content}
+    cand, qf, qg = {next(iter(f)): 1}, f, g
     x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     deg = max(e[v] for e in (*f, *g))
-    while True:
+    while v >= 0:
         if (deg + 1) * x.bit_length() > MAX_GCD_IMAGE_BITS:
             raise ValueError(f"parameter gcd too large: degree {deg} in "
                              f"one variable at a {x.bit_length()}-bit point")
         images = [accumulate({}, ((e[:v] + (0,) + e[v + 1:], c * x ** e[v])
                                   for e, c in p.items())) for p in (f, g)]
         cand = {e[:v] + (k,) + e[v + 1:]: d
-                for e, c in _mv_gcd(*images).items()
+                for e, c in _mv_gcd(*images)[0].items()
                 for k, d in enumerate(_digits(c, x)) if d}
         m = gcd(*cand.values())
         cand = {e: c // m for e, c in cand.items()}
-        if _mv_quo(f, cand) is not None and _mv_quo(g, cand) is not None:
-            return {e: c * content for e, c in cand.items()}
+        qf = _mv_quo(f, cand)
+        qg = None if qf is None else _mv_quo(g, cand)
+        if qg is not None:
+            break
         x = _next_point(x)
+    return tuple({e: c * k for e, c in p.items()} for p, k in (
+        (cand, content), (qf, cf // content), (qg, cg // content)))
 
 
 def _mv_canonical(num: dict, den: dict, nvars: int) -> tuple[dict, dict]:
@@ -300,8 +329,7 @@ def _mv_canonical(num: dict, den: dict, nvars: int) -> tuple[dict, dict]:
     # divide out the gcd of a non-constant denominator and the numerator,
     # common monomial factors included
     if len(den) > 1 or unit not in den:
-        g = _mv_gcd(num, den)
-        num, den = _mv_quo(num, g), _mv_quo(den, g)
+        _, num, den = _mv_gcd(num, den)
     # fix the sign of the denominator's lexicographically leading term
     if den[max(den)] < 0:
         num = _mv_neg(num)
@@ -461,7 +489,7 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int | ParamScale]:
         # a non-constant denominator: every numerator over the lcm in Z[s]
         common = {unit: 1}
         for c in coeffs:
-            common = _mv_mul(common, _mv_quo(c.den, _mv_gcd(common, c.den)))
+            common = _mv_mul(common, _mv_gcd(common, c.den)[2])
         nums = [_mv_mul(c.num, _mv_quo(common, c.den)) for c in coeffs]
         consts = [1] * len(coeffs)
     scale = lcm(*consts)

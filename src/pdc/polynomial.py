@@ -24,9 +24,10 @@ the integer gcd of P and every row of the other input: Q is
 algebraically closed in the purely transcendental Q(s), so the factors
 of P over Q(s) are defined over Q, and the monomials s^e are independent
 over Q(q).  Any other gcd is the gcd of the rows in Z[s, q]
-(`fields._mv_gcd`).  Exact division by a polynomial in Q[q] divides each
-row over Z by its primitive part.  A sum over two int denominators adds
-the rows over their lcm; one with a `ParamScale` adds the coefficients.
+(`fields._mv_gcd`).  Either gcd comes with the quotients of both inputs
+by it (`Polynomial.gcd_cofactors`), so cancelling a common factor
+divides nothing again.  A sum over two int denominators adds the rows
+over their lcm; one with a `ParamScale` adds the coefficients.
 
 Every integer product runs through one kernel, `_zz_mul`: the schoolbook
 loop when the shorter factor has fewer than 16 entries, and otherwise
@@ -39,20 +40,22 @@ reads the product back as balanced digits.  `Polynomial.__mul__` and
 Two integer lists get their gcd from the heuristic gcd of Char, Geddes
 and Gonnet (evaluate at a large integer, take the integer gcd, read the
 polynomial back from balanced base-x digits).  A candidate is accepted
-only once it divides both primitive inputs exactly over Z; a refused
-point is followed by a larger one, and every point past a bound set by
-the inputs is accepted.  `fields._mv_gcd` is the same method over Z[s, q].
-Neither has the coefficient swell of Euclid over Fractions or over
-parameter ratios.
+only once it divides both primitive inputs exactly over Z, and the
+quotients of that test are the cofactors (Liao and Fateman, ISSAC 1995);
+a refused point is followed by a larger one, and every point past a
+bound set by the inputs is accepted.  `fields._mv_gcd` is the same
+method over Z[s, q].  Neither has the coefficient swell of Euclid over
+Fractions or over parameter ratios.
 
-One route stays over the field, on `coeffs`: long division (`divmod_`),
-for an exact division by a divisor that is not one integer row in Q[q].
+The closed-form evaluators of `pdc.series` multiply and divide by
+binomials 1 + c x^m in place (`_times_binomial`, `_over_binomial`).
+Long division over the field, on `coeffs` (`divmod_`), has no caller in
+the library; the tests use it as an oracle.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd, lcm
 
 from .fields import (Field, ParamScale, _digits, _mv_gcd, _next_point, field,
@@ -257,60 +260,46 @@ class Polynomial:
                 rem[k + j] = rem[k + j] - c * b
         return Polynomial(f, quo), Polynomial(f, rem)
 
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """self / other, which must be exact.
-
-        When other is one integer row in Q[q] (an int denom), each row
-        of self is divided over Z by the primitive part of other (Gauss's
-        lemma: a quotient by a primitive divisor is integral); otherwise
-        by long division over the field.
-        """
-        row = _q_row(other)
-        if self and row is not None:
-            g = _primitive_ints(row)
-            rows = {}
-            for e, r in self.rows.items():
-                quo = _zz_quo(r, g)
-                if quo is None:
-                    raise ValueError("polynomial division is not exact")
-                rows[e] = [c * other.denom for c in quo]
-            return Polynomial.from_rows(self.field, rows,
-                                        self.denom * (row[-1] // g[-1]))
-        quo, rem = self.divmod_(other)
-        if not rem.is_zero:
-            raise ValueError("polynomial division is not exact")
-        return quo
-
     @staticmethod
     def gcd(a: "Polynomial", b: "Polynomial") -> "Polynomial":
         """Monic-by-lowest-coefficient gcd over the coefficient field.
 
         The result's lowest-order nonzero coefficient is one; gcd(0, 0) is
-        zero.  The denominators are constants in q and play no part.
-        When one input is s^e P(q) / L, a single row, the gcd is the
-        integer gcd (`_zz_gcd`) of P and every row of the other: Q is
-        algebraically closed in Q(s), so every factor of P over Q(s) is
-        defined over Q, and it divides sum_e s^e B_e(q) exactly when it
-        divides each B_e.  Every other case takes the gcd of the rows in
-        Z[s, q] (`fields._mv_gcd`, q the last variable), and divides it by
-        its lowest coefficient in q, an element of Z[s].
+        zero.  It is the first of `gcd_cofactors`, divided by its lowest
+        coefficient in q, an element of Z[s].
         """
-        ra, rb, unit = a.rows, b.rows, (0,) * len(a.field.var_names)
+        h = Polynomial.gcd_cofactors(a, b)[0]
+        return h and Polynomial.from_rows(h.field, h.rows, _lowest_coeff(h))
+
+    @staticmethod
+    def gcd_cofactors(a: "Polynomial", b: "Polynomial") -> tuple[
+            "Polynomial", "Polynomial", "Polynomial"]:
+        """(h, a/h, b/h) for h a gcd of a and b over the coefficient field
+        whose rows lie in Z[s, q] (denominator one); h is zero only when
+        a and b are, and then so are the other two.
+
+        The denominators are constants in q and play no part: a/h has the
+        denominator of a.  When one input is s^e P(q) / L, a single row,
+        h is the integer gcd (`_zz_gcd_rows`) of P and every row of the
+        other: Q is algebraically closed in Q(s), so every factor of P
+        over Q(s) is defined over Q, and it divides sum_e s^e B_e(q)
+        exactly when it divides each B_e.  Every other case takes the gcd
+        of the rows in Z[s, q] (`fields._mv_gcd`, q the last variable).
+        Either way the quotients are those that accepted h.
+        """
+        f, ra, rb = a.field, a.rows, b.rows
         if ra and rb and min(len(ra), len(rb)) == 1:
-            g = _zz_gcd_rows([*ra.values(), *rb.values()])
-            return Polynomial.from_rows(a.field, {unit: g},
-                                        next(c for c in g if c))
-        g = _mv_gcd(*({e + (k,): c for e, r in p.rows.items()
-                       for k, c in enumerate(r) if c} for p in (a, b)))
-        if not g:
-            return Polynomial.zero(a.field)
-        n, v = max(e[-1] for e in g) + 1, min(e[-1] for e in g)
-        rows: dict = {}
-        for e, c in g.items():
-            rows.setdefault(e[:-1], [0] * n)[e[-1]] = c
-        low = {e[:-1]: c for e, c in g.items() if e[-1] == v}
-        denom = low[unit] if list(low) == [unit] else ParamScale(low)
-        return Polynomial.from_rows(a.field, rows, denom)
+            g, quos = _zz_gcd_rows([*ra.values(), *rb.values()])
+            if len(g) == 1:
+                return Polynomial.one(f), a, b
+            rows = ({(0,) * len(f.var_names): g}, dict(zip(ra, quos)),
+                    dict(zip(rb, quos[len(ra):])))
+        else:
+            rows = [_rows_of(p) for p in _mv_gcd(*(
+                {e + (k,): c for e, r in p.rows.items()
+                 for k, c in enumerate(r) if c} for p in (a, b)))]
+        return tuple(Polynomial.from_rows(f, r, d)
+                     for r, d in zip(rows, (1, a.denom, b.denom)))
 
     # -- display -------------------------------------------------------------
 
@@ -347,24 +336,37 @@ def _product(a: Polynomial, b: Polynomial) -> Polynomial:
 _KRONECKER_CUT = 16   # see `_zz_mul`
 
 
-def _q_row(p: Polynomial) -> list[int] | None:
-    """The row P when p = P(q) / L with an int L, a polynomial in Q[q];
-    else None."""
-    row = p.rows.get((0,) * len(p.field.var_names))
-    return row if len(p.rows) == 1 and isinstance(p.denom, int) else None
+def _lowest_coeff(p: Polynomial) -> int | ParamScale:
+    """The lowest nonzero coefficient in q of p's rows: an int when it is
+    constant in s, and otherwise the `ParamScale` of that element of
+    Z[s]."""
+    v, unit = p.valuation, (0,) * len(p.field.var_names)
+    low = {e: r[v] for e, r in p.rows.items() if v < len(r) and r[v]}
+    return low[unit] if list(low) == [unit] else ParamScale(low)
 
 
-def _primitive_ints(ints: list[int]) -> list[int]:
-    """A nonzero integer list divided by its content."""
-    content = gcd(*ints)
-    return [c // content for c in ints]
+def _rows_of(poly: dict) -> dict:
+    """The rows, as `Polynomial.rows` holds them, of a polynomial in
+    Z[s, q] stored as exponent tuple -> int, q the last variable."""
+    n, rows = max((e[-1] for e in poly), default=0) + 1, {}
+    for e, c in poly.items():
+        rows.setdefault(e[:-1], [0] * n)[e[-1]] = c
+    return rows
 
 
 def _times_binomial(p: list[int], m: int, c: int) -> None:
     """p *= 1 + c*q^m in place, for an integer list p."""
     p.extend([0] * m)
-    for k in range(len(p) - 1, m - 1, -1):
-        p[k] += c * p[k - m]
+    p[m:] = [a + c * b for a, b in zip(p[m:], p)]
+
+
+def _over_binomial(p: list[int], m: int) -> list[int]:
+    """p /= 1 - x^m in place, for an integer list p in powers of x, as a
+    power series cut after len(p) terms: a running sum along each residue
+    class mod m.  Exact when 1 - x^m divides p.  Returns p."""
+    for r in range(m):
+        p[r::m] = accumulate(p[r::m])
+    return p
 
 
 def _zz_mul(f: list[int], g: list[int], out: list[int] | None = None
@@ -461,19 +463,22 @@ def _value(f: list[int], x: int) -> int:
     return v
 
 
-def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
-    """gcd of two nonzero primitive integer lists, up to sign: [1] when
-    either is a constant, and otherwise GCDHEU.
+def _zz_gcd(f: list[int], g: list[int]
+            ) -> tuple[list[int], list[int], list[int]]:
+    """(h, f/h, g/h) for h the gcd of two nonzero primitive integer lists,
+    up to sign: h = [1] when either is a constant, and otherwise GCDHEU.
 
     Every evaluation point exceeds 2*min(|f|, |g|) + 2 (max norms), so a
     candidate that divides both inputs is their gcd up to sign.  The
     candidates are the primitive part of the interpolated integer gcd and
-    the quotients of f and g by their interpolated cofactors.  A refused
-    point is followed by a larger one with no cap; as for `_mv_gcd`, every
-    point past a bound set by the cofactors' resultant is accepted.
+    the quotients of f and g by their interpolated cofactors; the
+    quotients that accept a candidate are returned with it (Liao and
+    Fateman, ISSAC 1995).  A refused point is followed by a larger one
+    with no cap; as for `_mv_gcd`, every point past a bound set by the
+    cofactors' resultant is accepted.
     """
     if len(f) == 1 or len(g) == 1:
-        return [1]
+        return [1], f, g
     fn, gn = max(map(abs, f)), max(map(abs, g))
     x = max(2 * min(fn, gn) + 29,
             2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4)
@@ -481,17 +486,34 @@ def _zz_gcd(f: list[int], g: list[int]) -> list[int]:
         ff, gg = _value(f, x), _value(g, x)
         if ff and gg:
             h = gcd(ff, gg)
-            cand = _primitive_ints(_digits(h, x))
-            if _zz_quo(f, cand) is not None and _zz_quo(g, cand) is not None:
-                return cand
+            cand = _digits(h, x)
+            m = gcd(*cand)
+            cand = [c // m for c in cand]
+            qf = _zz_quo(f, cand)
+            qg = None if qf is None else _zz_quo(g, cand)
+            if qg is not None:
+                return cand, qf, qg
             for p, other, v in ((f, g, ff), (g, f, gg)):
-                cand = _zz_quo(p, _digits(v // h, x))
-                if cand is not None and _zz_quo(other, cand) is not None:
-                    return cand
+                cof = _digits(v // h, x)
+                cand = _zz_quo(p, cof)
+                quo = None if cand is None else _zz_quo(other, cand)
+                if quo is not None:
+                    return (cand, cof, quo) if p is f else (cand, quo, cof)
         x = _next_point(x)
 
 
-def _zz_gcd_rows(rows) -> list[int]:
-    """gcd over Z of the primitive parts of nonzero integer lists, up to
-    sign."""
-    return reduce(_zz_gcd, map(_primitive_ints, rows))
+def _zz_gcd_rows(rows) -> tuple[list[int], list[list[int]]]:
+    """(h, [r/h for r in rows]) for h the gcd over Z of the primitive parts
+    of a list of nonzero integer lists, up to sign.  Each `_zz_gcd`
+    returns the quotients of its two inputs; the quotients of the rows
+    before it are multiplied by the first.  Once the gcd is a constant,
+    h is [1] and the quotients are the rows themselves."""
+    h, quos = None, []
+    for r in rows:
+        c = gcd(*r)
+        p = [x // c for x in r]
+        h, a, b = _zz_gcd(h, p) if h else (p, [1], [1])
+        if len(h) == 1:
+            return [1], rows
+        quos = [_zz_mul(a, q) for q in quos] + [[c * x for x in b]]
+    return h, quos

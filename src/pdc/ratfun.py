@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import Field, ParamRational, field
-from .polynomial import (Polynomial, _times_binomial, _zz_gcd_rows,
-                         _zz_mul_rows, _zz_quo)
+from .polynomial import (Polynomial, _lowest_coeff, _times_binomial,
+                         _zz_gcd_rows, _zz_mul_rows)
 from .text import ParseError, Scanner
 
 
@@ -28,6 +28,13 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
+        """num / den in canonical form.
+
+        `Polynomial.gcd_cofactors` gives a gcd h together with num / h
+        and den / h, the quotients its acceptance test computed.  Those
+        are the coprime pair, so no division follows; then den's lowest
+        nonzero coefficient is divided out (`_lowest_den_coeff_one`).
+        """
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         f = num.field
@@ -36,10 +43,7 @@ class RationalFunction:
         if num.is_zero:
             num, den = Polynomial.zero(f), Polynomial.one(f)
         else:
-            g = Polynomial.gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            _, num, den = Polynomial.gcd_cofactors(num, den)
             num, den = _lowest_den_coeff_one(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -198,19 +202,15 @@ def _lowest_den_coeff_one(num: Polynomial,
     coefficients' denominators; a product on the rows would keep every
     factor that those share with the scale.
     """
-    f, v = den.field, den.valuation
-    low = {e: r[v] for e, r in den.rows.items() if v < len(r) and r[v]}
-    unit = (0,) * len(f.var_names)
-    if (list(low) == [unit] and isinstance(num.denom, int)
-            and isinstance(den.denom, int)):
-        c, L = low[unit], den.denom
+    f, c, L = den.field, _lowest_coeff(den), den.denom
+    if all(isinstance(x, int) for x in (c, L, num.denom)):
         if c == L:
             return num, den
         return (Polynomial.from_rows(f, {e: [x * L for x in r] for e, r
                                          in num.rows.items()},
                                      num.denom * c),
                 Polynomial.from_rows(f, den.rows, c))
-    inv = 1 / den.coeff(v)
+    inv = 1 / den.coeff(den.valuation)
     return tuple(Polynomial(f, [c * inv for c in p.coeffs])
                  for p in (num, den))
 
@@ -252,11 +252,11 @@ def pole_check(F: RationalFunction, d: int) -> bool:
     1 - (-q)**m with m <= d.  Decided by repeatedly dividing out
     gcd(den, q * prod(1 - (-q)**m)); no factorization is needed.  The
     loop runs on the integer rows of den, whose common factor with that
-    product is the gcd (`_zz_gcd_rows`), as in
-    `Polynomial.gcd`; the rows carry any parameter denominators cleared,
-    and those are constants in q, so no gcd runs over the field.  A
-    factor Phi_k(-q) of den has phi(k) <= deg den, so d is first cut to
-    the largest such k (`_cyclotomic_reach`).
+    product is the gcd (`_zz_gcd_rows`, which returns the rows divided
+    by it), as in `Polynomial.gcd`; the rows carry any parameter
+    denominators cleared, and those are constants in q, so no gcd runs
+    over the field.  A factor Phi_k(-q) of den has phi(k) <= deg den, so
+    d is first cut to the largest such k (`_cyclotomic_reach`).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -270,10 +270,9 @@ def pole_check(F: RationalFunction, d: int) -> bool:
         _times_binomial(allowed, m, -(-1) ** m)
     rows = list(den.rows.values())
     while max(map(len, rows)) > 1:
-        g = _zz_gcd_rows([allowed, *rows])
+        g, (_, *rows) = _zz_gcd_rows([allowed, *rows])
         if len(g) == 1:
             return False
-        rows = [_zz_quo(r, g) for r in rows]
     return True
 
 

@@ -35,8 +35,9 @@ from typing import NamedTuple
 
 from .descendents import (DescElement, Monomial, format_monomial,
                           monomial, monomial_degree, normalize, parse_element)
-from .fields import FIELDS
-from .polynomial import Polynomial, _times_binomial, _zz_mul, q_field
+from .fields import FIELDS, ParamRational
+from .polynomial import (Polynomial, _over_binomial, _times_binomial, _zz_mul,
+                         q_field)
 from .ratfun import RationalFunction, fe_check, q_ddq
 from .virasoro import apply_op, build_constraint
 
@@ -257,88 +258,80 @@ def builtin_db() -> SeriesDB:
 # closed-form evaluators
 
 
-def _running_products(ms) -> list[list[int]]:
-    """The products of the first 0, 1, 2, ... factors 1-(-q)^m, m in ms,
-    as integer lists."""
-    out = [[1]]
-    for m in ms:
-        p = list(out[-1])
-        _times_binomial(p, m, -(-1) ** m)
-        out.append(p)
-    return out
+def _alternate(p: list[int]) -> list[int]:
+    """The coefficients in q of p(-q), for an integer list p in powers of
+    x: the odd-degree entries negated, in place."""
+    p[1::2] = [-c for c in p[1::2]]
+    return p
 
 
 def local_curve_series(d: int) -> RationalFunction:
     """Degree-d series of the local Calabi-Yau curve geometry.
 
     The sum over partitions mu of d of (-1)^len(mu)/zaut(mu) times the
-    product over parts m of y_m = (-q)^m / (1-(-q)^m)^2, computed exactly.
-    That sum is [t^d] exp(-sum_m y_m t^m / m) (Macdonald, I.2), so it is
-    b_d / d! for the integer series b_0 = 1 and
-    b_n = -sum_{m=1..n} (n-1)!/(n-m)! * y_m * b_(n-m),
-    with y_m = sum_k k (-q)^(mk).
+    product over parts m of y_m = x^m / (1-x^m)^2, x = -q, computed
+    exactly.  That sum is [t^d] exp(-sum_m y_m t^m / m) (Macdonald, I.2),
+    so it is b_d / d! for the integer series b_0 = 1 and
+    b_n = -sum_{m=1..n} (n-1)!/(n-m)! * y_m * b_(n-m).
 
-    Over D_d = prod_m (1-(-q)^m)^(2*floor(d/m)) the sum has a numerator
-    of degree at most deg D_d - d, so b_d * D_d truncated after that
-    degree, over d! * D_d, is the series.  The series run on integer
-    lists truncated there, every product through `_zz_mul`; one gcd then
-    cancels the quotient.
+    Over D_d = prod_m (1-x^m)^(2*floor(d/m)) the sum has a numerator of
+    degree at most deg D_d - d, so b_d * D_d truncated after that degree,
+    over d! * D_d, is the series.  The series run on integer lists in x,
+    truncated there.  Multiplying by y_m is a shift by m and two
+    divisions by 1 - x^m, each a running sum in place
+    (`_over_binomial`); one product by D_d and one gcd then give the
+    quotient, read back at x = -q.
     """
     if d < 1:
         raise ValueError("degree must be a positive integer")
     den = [1]
     for m in range(1, d + 1):
         for _ in range(2 * (d // m)):
-            _times_binomial(den, m, -(-1) ** m)
-    terms = len(den) - d   # q^0 .. q^(deg D_d - d)
-    # y[m] and b[k] hold the series divided by q^m and q^k, with the
-    # terms from q^terms on dropped
-    y = [None] + [[0] * (terms - m) for m in range(1, d + 1)]
-    for m in range(1, d + 1):
-        for k in range(1, (terms - 1) // m + 1):
-            y[m][m * (k - 1)] = k * (-1) ** (m * k)
+            _times_binomial(den, m, -1)
+    terms = len(den) - d   # x^0 .. x^(deg D_d - d)
+    # b[k] holds b_k divided by x^k, with the terms from x^terms on
+    # dropped; y_m b_(k-m) / x^k is b[k-m] over (1 - x^m)^2
     b = [[1] + [0] * (terms - 1)]
     for k in range(1, d + 1):
-        size = terms - k
-        acc = [0] * size
+        acc = [0] * (terms - k)
         for m in range(1, k + 1):
+            p = _over_binomial(_over_binomial(b[k - m][:terms - k], m), m)
             c = factorial(k - 1) // factorial(k - m)
-            prod = _zz_mul(y[m][:size], b[k - m][:size])
-            acc = [a - c * x for a, x in zip(acc, prod)]
+            acc = [a - c * x for a, x in zip(acc, p)]
         b.append(acc)
     num = [0] * d + _zz_mul(b[d], den[:terms - d])[:terms - d]
-    f = FIELDS["Q"]
-    return RationalFunction(Polynomial.from_rows(f, {(): num}, factorial(d)),
-                            Polynomial.from_rows(f, {(): den}))
+    return RationalFunction(
+        Polynomial.from_rows("Q", {(): _alternate(num)}, factorial(d)),
+        Polynomial.from_rows("Q", {(): _alternate(den)}))
 
 
 def cap_series(d: int) -> RationalFunction:
     """Equivariant cap series with the d-shifted point insertion and
     one-block boundary of size d.
 
-    (q^d / d!) * ((s1+s2)/2) * sum_{i=1..d} (1+(-q)^i)/(1-(-q)^i), exact
-    over the tangent-weight field.
+    (q^d / d!) * ((s1+s2)/2) * sum_{i=1..d} (1+x^i)/(1-x^i), x = -q,
+    exact over the tangent-weight field.
 
-    Over prod_i (1-(-q)^i) the numerator is
-    sum_i (1+(-q)^i) * prod_(j<i) (1-(-q)^j) * prod_(j>i) (1-(-q)^j),
-    built on integer lists from the prefix and suffix products: d
-    products by `_zz_mul`.  The quotient is cancelled once over Q and
-    lifted into Q_s by `RationalFunction.scale_monomial`.
+    Over P_d = prod_i (1-x^i) the numerator is
+    sum_i (1+x^i) * P_d/(1-x^i) = sum_i (2 P_d/(1-x^i) - P_d), built on
+    integer lists in x with one exact division of P_d by 1 - x^i per i
+    (`_over_binomial`).  The quotient is cancelled once over Q, read back
+    at x = -q, and lifted into Q_s by `RationalFunction.scale_monomial`.
     """
     if d < 1:
         raise ValueError("degree must be a positive integer")
-    prefix = _running_products(range(1, d + 1))
-    suffix = _running_products(range(d, 1, -1))
-    num = [0] * len(prefix[d])
+    den = [1]
     for i in range(1, d + 1):
-        term = _zz_mul(prefix[i - 1], suffix[d - i])
-        _times_binomial(term, i, (-1) ** i)
-        num = [a + t for a, t in zip(num, term)]
-    f = FIELDS["Q"]
-    value = RationalFunction(Polynomial.from_rows(f, {(): num}),
-                             Polynomial.from_rows(f, {(): prefix[d]}))
-    s1, s2, _ = FIELDS["Q_s"].gens()
-    return value.scale_monomial((s1 + s2) / (2 * factorial(d)), d)
+        _times_binomial(den, i, -1)
+    num = [-d * c for c in den]
+    for i in range(1, d + 1):
+        num = [a + 2 * c for a, c in zip(num, _over_binomial(list(den), i))]
+    value = RationalFunction(Polynomial.from_rows("Q", {(): _alternate(num)}),
+                             Polynomial.from_rows("Q", {(): _alternate(den)}))
+    # (s1 + s2) / (2 * d!), canonical as it stands
+    half_sum = ParamRational("Q_s", {(1, 0, 0): 1, (0, 1, 0): 1},
+                             {(0, 0, 0): 2 * factorial(d)})
+    return value.scale_monomial(half_sum, d)
 
 
 # ---------------------------------------------------------------------------

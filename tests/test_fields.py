@@ -12,9 +12,12 @@ from hypothesis import given, settings, strategies as st
 from pdc import fields
 from pdc.descendents import DescElement
 from pdc.fields import (FIELDS, QS, GaussianRational, I, ParamRational,
-                        _mono_from_key, _mv_gcd, _mv_mul, _mv_quo, field, rat)
+                        _digits, _mono_from_key, _mv_gcd, _mv_mul, _mv_quo,
+                        field, rat)
 from pdc.polynomial import Polynomial
 from pdc.virasoro import build_quadratic
+
+from helpers import digits_by_loop
 
 
 def test_rat_accepts_int_str_fraction():
@@ -217,11 +220,14 @@ class TestIntegerGcd:
         # then q
         n, a, b, c = case
         f, g = _mv_mul(a, c), _mv_mul(b, c)
-        got = to_sympy_zz(_mv_gcd(f, g), n)
+        h, cf, cg = _mv_gcd(f, g)
+        got = to_sympy_zz(h, n)
         want = sympy.gcd(to_sympy_zz(f, n), to_sympy_zz(g, n))
         assert got in (want, -want)
-        assert to_sympy_zz(_mv_gcd(f, {}), n) in (to_sympy_zz(f, n),
-                                                   -to_sympy_zz(f, n))
+        # the quotients of the acceptance test are the cofactors
+        assert _mv_mul(h, cf) == f and _mv_mul(h, cg) == g
+        assert to_sympy_zz(_mv_gcd(f, {})[0], n) in (to_sympy_zz(f, n),
+                                                      -to_sympy_zz(f, n))
 
     def test_refused_evaluation_points(self, monkeypatch):
         # a seeded draw on which evaluation points are refused (three, in
@@ -234,8 +240,9 @@ class TestIntegerGcd:
         b = {(0, 0, 2): -1, (1, 1, 1): 1}
         c = {(0, 0, 2): -1, (1, 0, 1): 1, (0, 0, 0): -1}
         f, g = _mv_mul(a, c), _mv_mul(b, c)
-        got = _mv_gcd(f, g)
+        got, cf, cg = _mv_gcd(f, g)
         assert tried
+        assert _mv_mul(got, cf) == f and _mv_mul(got, cg) == g
         want = sympy.gcd(to_sympy_zz(f, 3), to_sympy_zz(g, 3))
         assert to_sympy_zz(got, 3) in (want, -want)
 
@@ -253,9 +260,29 @@ class TestIntegerGcd:
             QS.coeff_from_json({"num": num, "den": den})
 
     def test_constants_and_contents(self):
-        assert _mv_gcd({(0, 0): 6}, {(0, 0): Fraction(-4)}) == {(0, 0): 2}
-        assert _mv_gcd({(1, 0): 6}, {(0, 1): 4}) == {(0, 0): 2}
-        assert _mv_gcd({}, {}) == {}
+        assert _mv_gcd({(0, 0): 6}, {(0, 0): Fraction(-4)}) == (
+            {(0, 0): 2}, {(0, 0): 3}, {(0, 0): -2})
+        assert _mv_gcd({(1, 0): 6}, {(0, 1): 4}) == (
+            {(0, 0): 2}, {(1, 0): 3}, {(0, 1): 2})
+        assert _mv_gcd({(1, 0): 6}, {}) == ({(1, 0): 6}, {(0, 0): 1}, {})
+        assert _mv_gcd({}, {}) == ({}, {}, {})
+
+    @settings(max_examples=200)
+    @given(st.integers(-2 ** 5000, 2 ** 5000),
+           st.one_of(st.integers(3, 40), st.integers(41, 2 ** 70)))
+    def test_digits_match_the_digit_loop(self, n, x):
+        # below about 64 digits the pieces are read one digit at a time;
+        # a small x and a long n split them by powers x^(2^k)
+        assert _digits(n, x) == digits_by_loop(n, x)
+
+    @pytest.mark.parametrize("x", [3, 4, 31, 32])
+    def test_digits_at_the_ends_of_the_balanced_range(self, x):
+        # n = +-(x^k - 1)/2 and its neighbours, where a digit sits at
+        # the edge of (-x/2, x/2]
+        for k in range(0, 200, 7):
+            for c in (x ** k // 2, -(x ** k // 2)):
+                for n in (c - 1, c, c + 1):
+                    assert _digits(n, x) == digits_by_loop(n, x)
 
 
 def _mv_add_one(a):

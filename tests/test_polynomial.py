@@ -14,7 +14,7 @@ from pdc.fields import (FIELDS, Q, ParamRational, ParamScale,
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction
 
-from helpers import degree_six_pair, euclid_gcd
+from helpers import degree_six_pair, euclid_gcd, exact_div
 
 
 def rand_poly(rng, max_deg=6):
@@ -41,6 +41,13 @@ def lowest_one(p: Polynomial) -> Polynomial:
 
 def sympy_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return lowest_one(from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))))
+
+
+def cofactors_multiply_back(a: Polynomial, b: Polynomial) -> bool:
+    """Are the quotients of `Polynomial.gcd_cofactors` exact: h * (a/h)
+    == a and h * (b/h) == b?"""
+    h, p, q = Polynomial.gcd_cofactors(a, b)
+    return h * p == a and h * q == b
 
 
 def divides(a: Polynomial, b: Polynomial) -> bool:
@@ -123,7 +130,7 @@ class TestDivision:
         a = Polynomial(Q, [1, 1])
         b = Polynomial(Q, [1, 1, 1])
         with pytest.raises(ValueError):
-            b.exact_div(a)
+            exact_div(b, a)
 
     def test_gcd_matches_sympy(self):
         rng = random.Random(5)
@@ -163,6 +170,7 @@ class TestIntegerGcd:
         assert g == sympy_gcd(a, b)
         if g:
             assert divides(g, a) and divides(g, b)
+        assert cofactors_multiply_back(a, b)
 
     def test_local_curve_shape(self):
         # a numerator against a product of cyclotomic powers, as in the
@@ -425,6 +433,7 @@ class TestParameterKernel:
             assert g == euclid_gcd(a, b)
         if a or b:
             assert sympy_poly(g).monic() == sympy_poly(a).gcd(sympy_poly(b))
+        assert cofactors_multiply_back(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(PARAM_TAGS).flatmap(
@@ -447,15 +456,23 @@ class TestParameterKernel:
         if a or b:
             assert sympy_poly(g).monic() == sympy_gcd_of_rows(a, b)
             assert g.coeffs[g.valuation] == f.one
+        assert cofactors_multiply_back(a, b)
 
-    def test_degree_six_pair_within_budget(self, budget):
+    def test_degree_six_pair_within_budget(self, budget, monkeypatch):
         # Euclid's remainders over the parameter ratios swell without end
         # on this pair
         a, b, c = degree_six_pair()
         with budget(1):
             g = Polynomial.gcd(a, b)
         assert g == c.scale(1 / c.coeffs[0])
-        assert a.exact_div(g) * g == a
+        assert exact_div(a, g) * g == a
+        assert cofactors_multiply_back(a, b)
+        # the quotients come with the gcd, so no long division over the
+        # parameter ratios follows it
+        monkeypatch.setattr(Polynomial, "divmod_", None)
+        with budget(1):
+            F = RationalFunction(a, b)
+        assert F.num.degree == a.degree - 6 and F.num * b == F.den * a
 
     @settings(max_examples=60)
     @given(param_case())
@@ -465,11 +482,11 @@ class TestParameterKernel:
             if not y:
                 continue
             prod = x * y
-            assert prod.exact_div(y) == x
-            assert prod.exact_div(y) == prod.divmod_(y)[0]
+            assert exact_div(prod, y) == x
+            assert cofactors_multiply_back(prod, y)
             if y.degree > 0:
                 with pytest.raises(ValueError):
-                    (prod + Polynomial.one(y.field)).exact_div(y)
+                    exact_div(prod + Polynomial.one(y.field), y)
 
     def test_gcd_takes_every_component(self):
         # a = 1 - q^2 against x (1 - q^2) + y (1 + q): the x component
@@ -492,7 +509,7 @@ class TestParameterKernel:
         den = onepq ** 3 * Polynomial(fs, [1, 0, -1])
         g = Polynomial.gcd(num, den)
         assert g == Polynomial(fs, [1, 1]) ** 2 * Polynomial(fs, [1, -1])
-        assert num.exact_div(g) == Polynomial(fs, [0, 1]).scale(
+        assert exact_div(num, g) == Polynomial(fs, [0, 1]).scale(
             (s1 + s2) / 12)
 
 
@@ -648,7 +665,7 @@ class TestRepresentation:
         q = [Polynomial(f, other[1]) if other[0] == f else p,
              p * Polynomial.one(f),
              p + Polynomial(f, [0, 0, 1]),
-             (p * Polynomial(f, [1, -1])).exact_div(Polynomial(f, [2, -2]))
+             exact_div(p * Polynomial(f, [1, -1]), Polynomial(f, [2, -2]))
              ][how]
         assert (p == q) == (q == p) == (len(p.coeffs) == len(q.coeffs) and all(
             a == b for a, b in zip(p.coeffs, q.coeffs)))

@@ -26,6 +26,8 @@ from pdc.series import (GEOMETRIES, PROVENANCES, CobordismSeries, SeriesDB,
                         reduce, rf_from_obj, rf_to_obj,
                         virasoro_constraint_check)
 
+from helpers import cap_by_products, local_curve_by_products
+
 
 class TestKeys:
     def test_canonical_insertions_forms(self):
@@ -208,6 +210,23 @@ class TestEvaluators:
     @pytest.mark.parametrize("d", range(1, 13))
     def test_cap_matches_quadratic_reference(self, d):
         assert_same_series(cap_series(d), cap_series_quadratic(d))
+
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_local_curve_prints_as_the_product_oracle(self, d):
+        # the running sums against full products by y_m: the same str
+        # and the same JSON
+        got, want = local_curve_series(d), local_curve_by_products(d)
+        assert str(got) == str(want)
+        assert json.dumps(rf_to_obj(got)) == json.dumps(rf_to_obj(want))
+
+    @pytest.mark.parametrize("d", range(1, 31))
+    def test_cap_prints_as_the_product_oracle(self, d):
+        # one binomial division per term against prefix and suffix
+        # products, and (s1 + s2) / (2 d!) built at once against field
+        # arithmetic
+        got, want = cap_series(d), cap_by_products(d)
+        assert str(got) == str(want)
+        assert json.dumps(rf_to_obj(got)) == json.dumps(rf_to_obj(want))
 
     @pytest.mark.parametrize("d", [*range(11, 17), 20])
     def test_local_curve_rationality_and_functional_equation(self, d):
