@@ -12,7 +12,8 @@ Qi holds only u-side series coefficients (-q = exp(i*u)); it is printed
 and written to JSON, and no record is read over it.
 
 Elements of the two parameter fields are stored as ratios of multivariate
-polynomials over the integers, in canonical form: numerator and
+polynomials over the integers, with integer-valued Fraction coefficients
+on every route, in canonical form: numerator and
 denominator coprime in Z[s] (the gcd is `_mv_gcd`, a heuristic gcd over
 Z checked by exact division), with no joint integer content, and the
 denominator's lexicographically leading term positive.  That form is
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .text import ParseError, Scanner, power, signed_sum
 
@@ -163,19 +164,21 @@ def accumulate(acc: dict, items) -> dict:
     return acc
 
 
-# multivariate polynomials: exponent tuple -> Fraction
-
-def _mv_add(a: dict, b: dict) -> dict:
-    return accumulate(dict(a), b.items())
-
-
-def _mv_neg(a: dict) -> dict:
-    return {e: -c for e, c in a.items()}
-
+# multivariate polynomials over Z: exponent tuple -> int, or an
+# integer-valued Fraction as a canonical `ParamRational` stores it
 
 def _mv_mul(a: dict, b: dict) -> dict:
+    """a * b; the product has int coefficients."""
+    a, b = ([(e, c.numerator) for e, c in p.items()] for p in (a, b))
     return accumulate({}, ((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-                           for ea, ca in a.items() for eb, cb in b.items()))
+                           for ea, ca in a for eb, cb in b))
+
+
+def _mv_value(p: dict, m: int | None = None) -> int:
+    """p at the integer point (2, 3, 4, ...), or that value mod m."""
+    v = sum(int(c) * prod(pow(x, k, m) for x, k in enumerate(e, 2))
+            for e, c in p.items())
+    return v if m is None else v % m
 
 
 def _mv_quo(a: dict, b: dict) -> dict | None:
@@ -187,14 +190,25 @@ def _mv_quo(a: dict, b: dict) -> dict | None:
     quotient monomial outside that box proves that b does not divide a;
     the quotient monomials fall strictly in lex order, so the loop ends
     after at most as many steps as the box has monomials.
+
+    An exact division takes one step per term of h, and h has more terms
+    than a only when the terms of b * h cancel.  So once the division
+    has taken as many steps as a has terms, a necessary condition is
+    tested: b(t) divides a(t) at the integer point t = (2, 3, 4, ...),
+    with a(t) read mod b(t), one modular power per term.  So s1 - 15 is
+    refused as a divisor of s1^50000 + 3 after two steps, not 50000.
     """
     if not a:
         return {}
-    lead = max(b)
+    b, lead = {e: c.numerator for e, c in b.items()}, max(b)
     top = [max(e[t] for e in a) - max(e[t] for e in b)
            for t in range(len(lead))]
     rem, quo = dict(a), {}
     while rem:
+        if len(quo) == len(a):
+            v = abs(_mv_value(b))
+            if v > 1 and _mv_value(a, v):
+                return None
         e = max(rem)
         m = tuple(x - y for x, y in zip(e, lead))
         c, r = divmod(rem[e], b[lead])
@@ -249,9 +263,9 @@ def _next_point(x: int) -> int:
 
 # the largest evaluation image `_mv_gcd` builds, in bits.  Reading one
 # back as digits takes about 0.1 s at this bound, but the trial division
-# of a refused candidate (`_mv_quo`) is quadratic in its size and can
-# take seconds; the gcds of the tests and of q-expansions to q^16 stay
-# below 2^17.
+# of a refused candidate that `_mv_quo` does not refuse at its point is
+# quadratic in its size and can take seconds; the gcds of the tests and
+# of q-expansions to q^16 stay below 2^17.
 MAX_GCD_IMAGE_BITS = 2 ** 18
 
 
@@ -318,23 +332,21 @@ def _mv_canonical(num: dict, den: dict, nvars: int) -> tuple[dict, dict]:
     unit = (0,) * nvars
     if not num:
         return {}, {unit: Fraction(1)}
-    # clear to integer coefficients, then remove the joint integer content
-    coeffs = (*num.values(), *den.values())
-    scale = lcm(*(c.denominator for c in coeffs))
-    factor = Fraction(scale, gcd(*(c.numerator * (scale // c.denominator)
-                                   for c in coeffs)))
-    if factor != 1:
-        num = {e: c * factor for e, c in num.items()}
-        den = {e: c * factor for e, c in den.items()}
-    # divide out the gcd of a non-constant denominator and the numerator,
-    # common monomial factors included
+    # clear to integer coefficients
+    scale = lcm(*(c.denominator for p in (num, den) for c in p.values()))
+    num, den = ({e: c.numerator * (scale // c.denominator)
+                 for e, c in p.items()} for p in (num, den))
     if len(den) > 1 or unit not in den:
+        # divide out the gcd of a non-constant denominator and the
+        # numerator, common monomial factors included
         _, num, den = _mv_gcd(num, den)
-    # fix the sign of the denominator's lexicographically leading term
+    # then the joint integer content, with the sign that makes the
+    # denominator's lexicographically leading term positive
+    g = gcd(*num.values(), *den.values())
     if den[max(den)] < 0:
-        num = _mv_neg(num)
-        den = _mv_neg(den)
-    return num, den
+        g = -g
+    return tuple({e: Fraction(c // g) for e, c in p.items()}
+                 for p in (num, den))
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,16 +359,12 @@ class ParamRational:
 
     @classmethod
     def make(cls, tag: str, num: dict, den: dict) -> "ParamRational":
-        nvars = len(FIELD_VARS[tag])
-        n, d = _mv_canonical(num, den, nvars)
-        return cls(tag, n, d)
+        return cls(tag, *_mv_canonical(num, den, len(FIELD_VARS[tag])))
 
     @classmethod
     def const(cls, tag: str, c) -> "ParamRational":
-        nvars = len(FIELD_VARS[tag])
-        unit = (0,) * nvars
-        c = rat(c)
-        return cls.make(tag, {unit: c} if c else {}, {unit: Fraction(1)})
+        unit = (0,) * len(FIELD_VARS[tag])
+        return cls.make(tag, {unit: rat(c)}, {unit: Fraction(1)})
 
     @classmethod
     def gen(cls, tag: str, name: str) -> "ParamRational":
@@ -377,13 +385,15 @@ class ParamRational:
 
     def __add__(self, other):
         o = self._of(other)
-        num = _mv_add(_mv_mul(self.num, o.den), _mv_mul(o.num, self.den))
+        num = accumulate(_mv_mul(self.num, o.den),
+                         _mv_mul(o.num, self.den).items())
         return ParamRational.make(self.tag, num, _mv_mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamRational(self.tag, _mv_neg(self.num), self.den)
+        return ParamRational(self.tag, {e: -c for e, c in self.num.items()},
+                             self.den)
 
     def __sub__(self, other):
         return self + (-self._of(other))

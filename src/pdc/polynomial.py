@@ -26,8 +26,10 @@ of P over Q(s) are defined over Q, and the monomials s^e are independent
 over Q(q).  Any other gcd is the gcd of the rows in Z[s, q]
 (`fields._mv_gcd`).  Either gcd comes with the quotients of both inputs
 by it (`Polynomial.gcd_cofactors`), so cancelling a common factor
-divides nothing again.  A sum over two int denominators adds the rows
-over their lcm; one with a `ParamScale` adds the coefficients.
+divides nothing again.  A sum a/A + b/B is (a*B + b*A) / (A*B) on the
+rows, and equality compares a*B with b*A, for int and `ParamScale`
+denominators alike (`_times_const`); as after a product, an int
+denominator is then reduced and a `ParamScale` is left as it is.
 
 Every integer product runs through one kernel, `_zz_mul`: the schoolbook
 loop when the shorter factor has fewer than 16 entries, and otherwise
@@ -55,8 +57,8 @@ the library; the tests use it as an oracle.
 
 from __future__ import annotations
 
-from itertools import accumulate, zip_longest
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd
 
 from .fields import (Field, ParamScale, _digits, _mv_gcd, _next_point, field,
                      from_components, to_components)
@@ -96,12 +98,7 @@ class Polynomial:
     def _set(self, f: Field, rows: dict, denom, coeffs) -> None:
         # the canonical form: no trailing zeros, no zero rows, and an int
         # denom positive and coprime to the entries
-        out = {}
-        for e, r in rows.items():
-            while r and not r[-1]:
-                r.pop()
-            if r:
-                out[e] = r
+        out = _trimmed(rows)
         if not out:
             denom = 1
         elif isinstance(denom, int):
@@ -175,9 +172,11 @@ class Polynomial:
             return NotImplemented
         if self.field.tag != other.field.tag:
             return False
-        if isinstance(self.denom, int) and isinstance(other.denom, int):
-            return self.denom == other.denom and self.rows == other.rows
-        return self.coeffs == other.coeffs
+        # a/A == b/B when a*B == b*A; a sum of pairs can cancel an entry
+        # or a whole row, so both sides are trimmed
+        n = max(self.degree, other.degree) + 1
+        return (_trimmed(_times_const(self.rows, other.denom, n))
+                == _trimmed(_times_const(other.rows, self.denom, n)))
 
     def __hash__(self):
         raise TypeError("Polynomial is not hashable")
@@ -185,16 +184,12 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        # a/A + b/B = (a*B + b*A) / (A*B)
         f = _common_field(self, other)
-        a, b = self.denom, other.denom
-        if not (isinstance(a, int) and isinstance(b, int)):
-            return Polynomial(f, [x + y for x, y in zip_longest(
-                self.coeffs, other.coeffs, fillvalue=f.zero)])
-        L, n, rows = lcm(a, b), max(self.degree, other.degree) + 1, {}
-        for p in (self, other):
-            for e, r in p.rows.items():
-                _zz_mul([L // p.denom], r, rows.setdefault(e, [0] * n))
-        return Polynomial.from_rows(f, rows, L)
+        n = max(self.degree, other.degree) + 1
+        rows = _times_const(self.rows, other.denom, n)
+        _times_const(other.rows, self.denom, n, rows)
+        return Polynomial.from_rows(f, rows, self.denom * other.denom)
 
     def _map_rows(self, fn) -> "Polynomial":
         """The polynomial over the same denominator with rows fn(row)."""
@@ -345,6 +340,15 @@ def _lowest_coeff(p: Polynomial) -> int | ParamScale:
     return low[unit] if list(low) == [unit] else ParamScale(low)
 
 
+def _trimmed(rows: dict) -> dict:
+    """rows without trailing zeros or zero rows; each list is trimmed in
+    place."""
+    for r in rows.values():
+        while r and not r[-1]:
+            r.pop()
+    return {e: r for e, r in rows.items() if r}
+
+
 def _rows_of(poly: dict) -> dict:
     """The rows, as `Polynomial.rows` holds them, of a polynomial in
     Z[s, q] stored as exponent tuple -> int, q the last variable."""
@@ -393,16 +397,25 @@ def _zz_mul(f: list[int], g: list[int], out: list[int] | None = None
     return out
 
 
-def _zz_mul_rows(a: dict, b: dict, n: int) -> dict:
+def _zz_mul_rows(a: dict, b: dict, n: int, out=None) -> dict:
     """The product of two row dicts, as `Polynomial.rows` holds them:
     every pair of rows is added into the row of its summed exponent, n
-    entries long, by `_zz_mul`.  The rows returned may hold zeros."""
-    rows: dict = {}
+    entries long, by `_zz_mul`, into out (in place) when it is given and
+    into a new dict otherwise.  The rows returned may hold zeros."""
+    rows = {} if out is None else out
     for ea, ra in a.items():
         for eb, rb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
             _zz_mul(ra, rb, rows.setdefault(e, [0] * n))
     return rows
+
+
+def _times_const(rows: dict, c, n: int, out=None) -> dict:
+    """rows times c, a nonzero constant in q (an int or a `ParamScale`),
+    as `_zz_mul_rows` forms a product."""
+    poly = c.poly if isinstance(c, ParamScale) else {
+        (0,) * len(next(iter(rows), ())): c}
+    return _zz_mul_rows(rows, {e: [v] for e, v in poly.items()}, n, out)
 
 
 def _zz_kronecker(f: list[int], g: list[int]) -> list[int]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .fields import Field, ParamRational, field
 from .polynomial import (Polynomial, _lowest_coeff, _times_binomial,
-                         _zz_gcd_rows, _zz_mul_rows)
+                         _times_const, _zz_gcd_rows, _zz_mul_rows)
 from .text import ParseError, Scanner
 
 
@@ -206,9 +206,8 @@ def _lowest_den_coeff_one(num: Polynomial,
     if all(isinstance(x, int) for x in (c, L, num.denom)):
         if c == L:
             return num, den
-        return (Polynomial.from_rows(f, {e: [x * L for x in r] for e, r
-                                         in num.rows.items()},
-                                     num.denom * c),
+        rows = _times_const(num.rows, L, num.degree + 1)
+        return (Polynomial.from_rows(f, rows, num.denom * c),
                 Polynomial.from_rows(f, den.rows, c))
     inv = 1 / den.coeff(den.valuation)
     return tuple(Polynomial(f, [c * inv for c in p.coeffs])

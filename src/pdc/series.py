@@ -329,8 +329,9 @@ def cap_series(d: int) -> RationalFunction:
     value = RationalFunction(Polynomial.from_rows("Q", {(): _alternate(num)}),
                              Polynomial.from_rows("Q", {(): _alternate(den)}))
     # (s1 + s2) / (2 * d!), canonical as it stands
-    half_sum = ParamRational("Q_s", {(1, 0, 0): 1, (0, 1, 0): 1},
-                             {(0, 0, 0): 2 * factorial(d)})
+    half_sum = ParamRational("Q_s", {(1, 0, 0): Fraction(1),
+                                     (0, 1, 0): Fraction(1)},
+                             {(0, 0, 0): Fraction(2 * factorial(d))})
     return value.scale_monomial(half_sum, d)
 
 

@@ -195,6 +195,28 @@ class TestExactQuotient:
         if a and b:
             assert _mv_quo(_mv_mul(a, b), b) == a
 
+    @settings(max_examples=100)
+    @given(st.sampled_from([2, 4]).flatmap(
+        lambda n: st.tuples(st.just(n), int_poly(n), int_poly(n),
+                            st.one_of(st.just({}), int_poly(n)))))
+    def test_matches_sympy_exact_division(self, case):
+        # a multiple b * h, or one plus a remainder r
+        n, b, h, r = case
+        a = fields.accumulate(_mv_mul(b, h), r.items())
+        try:
+            want = to_sympy_zz(a, n).exquo(to_sympy_zz(b, n), auto=False)
+        except sympy.polys.polyerrors.ExactQuotientFailed:
+            want = None
+        got = _mv_quo(a, b)
+        assert (got if got is None else to_sympy_zz(got, n)) == want
+
+    def test_refuses_a_non_divisor_at_a_point(self, budget):
+        # at s1 = 2, -13 does not divide 2^50000 + 3; long division would
+        # take 50000 steps on numbers of up to 200000 bits to say so
+        with budget(1):
+            assert _mv_quo({(50000, 0, 0): 1, (0, 0, 0): 3},
+                           {(1, 0, 0): 1, (0, 0, 0): -15}) is None
+
 
 def to_sympy_zz(p: dict, n: int):
     return sympy.Poly.from_dict(p, sympy.symbols(f"x0:{n}"),

@@ -1,8 +1,10 @@
 """Dense univariate polynomials over the exact coefficient fields."""
 
 import random
+import sys
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -678,3 +680,97 @@ class TestRepresentation:
                    lambda: r - p):
             with pytest.raises(TypeError, match="polynomials over"):
                 op()
+
+
+# ---------------------------------------------------------------------------
+# sums and equality on the rows over a `ParamScale`, and the coefficients
+# read back from rows
+
+class TestSumsOnRows:
+    def test_param_scale_sums_do_no_field_arithmetic(self, monkeypatch):
+        f = FIELDS["Q_s"]
+        s1, s2, s3 = f.gens()
+        p = Polynomial(f, [1 / (s1 + 1), s2, s3 / (s2 + 2)])
+        q = Polynomial(f, [s1 / (s1 + 1), 0, 1 / (s1 * s3 + 1)])
+        r = p * Polynomial(f, [1, 1])   # over the product of the scales
+        assert all(isinstance(x.denom, ParamScale) for x in (p, q, r))
+
+        def by_coeffs(x, y, sign=1):
+            return Polynomial(f, [a + sign * b for a, b in zip(
+                x.coeffs, y.coeffs + (f.zero,) * (x.degree - y.degree))])
+
+        want = [by_coeffs(p, q), by_coeffs(p, q, -1), by_coeffs(r, p),
+                Polynomial.zero(f), False, True, True]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("field-element arithmetic")
+
+        monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
+        for name in ("make", "const", "__add__", "__radd__", "__neg__",
+                     "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__eq__"):
+            monkeypatch.setattr(ParamRational, name, refuse)
+        for name in ("from_components", "to_components"):
+            monkeypatch.setattr(polynomial, name, refuse)
+        got = [p + q, p - q, r + p, p - p, p == q, r == r, p + q == q + p]
+        monkeypatch.undo()
+        assert got == want
+        assert [str(x) for x in got[:4]] == [str(x) for x in want[:4]]
+
+    def test_cross_multiplied_rows_cancel_a_whole_row(self):
+        # (s1^2 - 1)(1 + 2q^2)/(s1 - 1) against (s1 + 1)(1 + 2q^2): the
+        # rows of s1 + 1 times s1 - 1 add s1 - s1 into the row of s1
+        f = FIELDS["Q_s"]
+        s1 = f.gens()[0]
+        p = Polynomial.from_rows(
+            f, {(2, 0, 0): [1, 0, 2], (0, 0, 0): [-1, 0, -2]},
+            ParamScale({(1, 0, 0): 1, (0, 0, 0): -1}))
+        q = Polynomial(f, [s1 + 1, 0, 2 * s1 + 2])
+        assert p == q and q == p
+        assert p - q == Polynomial.zero(f) and not p - q
+        assert (p.rows, p.denom) != (q.rows, q.denom)
+        assert p != q + Polynomial(f, [0, 0, 1])
+        assert p.coeffs == q.coeffs
+
+
+def is_canonical_ratio(c) -> bool:
+    """A parameter ratio as `ParamRational.make` leaves it, with every
+    stored value a Fraction."""
+    return (all(type(v) is Fraction for part in (c.num, c.den)
+                for v in part.values())
+            and ParamRational.make(c.tag, c.num, c.den) == c)
+
+
+class TestRatioCoefficients:
+    @settings(max_examples=60)
+    @given(st.sampled_from(PARAM_TAGS).flatmap(
+        lambda tag: st.tuples(param_poly(tag), param_poly(tag))))
+    def test_every_route_stores_fractions(self, pair):
+        p, q = pair
+        polys = [p, q, p * q, p + q, p - q, p.scale(2), q.shift(1)]
+        if q:
+            F = RationalFunction(p, q)
+            polys += [F.num, F.den]
+        for x in polys:
+            assert all(map(is_canonical_ratio, x.coeffs))
+
+    def test_construction_under_the_benchmark_tracer(self):
+        # the tracer reads the size of every coefficient of a rational
+        # function built, and expects Fractions in parameter ratios
+        root = str(Path(__file__).resolve().parents[1])
+        if root not in sys.path:
+            sys.path.insert(0, root)
+        import pdc.cli  # noqa: F401  (the tracer wraps pdc.cli.main)
+        from perfbench.tracing import Tracer
+        f = FIELDS["Q_s"]
+        s1, s2, s3 = f.gens()
+        tracer = Tracer()
+        tracer.install()
+        try:
+            F = RationalFunction(
+                Polynomial(f, [1 / (s1 + 1), s2]) * Polynomial(f, [1, 1]),
+                Polynomial(f, [1, s3]))
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["ratfun.coeff_bits_max"] > 0
+        assert all(map(is_canonical_ratio, F.num.coeffs + F.den.coeffs))
