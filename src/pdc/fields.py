@@ -30,7 +30,10 @@ when a polynomial is built from field elements: a list whose parameter
 denominators are all constant is sum_e s^e P_e(q) / L, with integer
 lists P_e and one integer L.  In any other list, each numerator is
 multiplied by the lcm in Z[s] of the denominators over its own, and the
-scale is that lcm (`ParamScale`).  `from_components` reads rows back
+scale is that lcm (`ParamScale`), which has no common factor with the
+rows.  A `Polynomial` keeps every scale in that reduced form, with a
+positive leading term, so a `ParamScale` compares by value and equal
+polynomials store equal rows.  `from_components` reads rows back
 into field elements, for a polynomial's `coeffs` and for the q-expansion
 of `pdc.laurent.laurent_expand`; over a `ParamScale` each coefficient is
 one canonical ratio, so a product or quotient built on the rows prints
@@ -453,16 +456,15 @@ class ParamRational:
     __repr__ = __str__
 
 
+@dataclass(frozen=True)
 class ParamScale:
     """The scale of a coefficient list that has a non-constant parameter
     denominator: one polynomial in Z[s], the lcm of the denominators
     (`to_components`).  Scales multiply with each other and with ints, as
-    the scales of products and quotients do."""
+    the scales of products and quotients do.  A `Polynomial` keeps its
+    scale reduced, so two scales compare by value."""
 
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: dict):
-        self.poly = poly
+    poly: dict
 
     def __mul__(self, other):
         if isinstance(other, ParamScale):

@@ -8,9 +8,11 @@ with `rows` mapping a parameter exponent e to the integer list P_e
 the single exponent ()).  This is the (rows, scale) of
 `fields.to_components`: denom is an int when the parameter denominators
 are constant, and otherwise a `ParamScale`, one polynomial in Z[s].
-Rows end in a nonzero entry and the zero polynomial has none.  An int
-denom is positive and coprime to the entries, so that form is canonical
-and equality compares it.
+Rows end in a nonzero entry and the zero polynomial has none.  Either
+denom is reduced on every route (`_set`): it has no common factor with
+the rows in Z[s] (for an int, with the entries) and a positive leading
+term, and a scale that comes out constant is an int.  So there is one
+form for each polynomial, and equality compares it.
 
 `coeffs` is a read-only tuple of field elements.  A polynomial built
 from field elements keeps them as given, so it prints as spelled; one
@@ -27,9 +29,10 @@ over Q(q).  Any other gcd is the gcd of the rows in Z[s, q]
 (`fields._mv_gcd`).  Either gcd comes with the quotients of both inputs
 by it (`Polynomial.gcd_cofactors`), so cancelling a common factor
 divides nothing again.  A sum a/A + b/B is (a*B + b*A) / (A*B) on the
-rows, and equality compares a*B with b*A, for int and `ParamScale`
-denominators alike (`_times_const`); as after a product, an int
-denominator is then reduced and a `ParamScale` is left as it is.
+rows, for int and `ParamScale` denominators alike (`_times_const`).  As
+after a product, the denominator is then reduced: an int by its gcd with
+the entries, and a `ParamScale` by one `fields._mv_gcd` of the scale,
+read in Z[s, q], against the rows, whose cofactors are the reduced pair.
 
 Every integer product runs through one kernel, `_zz_mul`: the schoolbook
 loop when the shorter factor has fewer than 16 entries, and otherwise
@@ -96,9 +99,18 @@ class Polynomial:
         return obj
 
     def _set(self, f: Field, rows: dict, denom, coeffs) -> None:
-        # the canonical form: no trailing zeros, no zero rows, and an int
-        # denom positive and coprime to the entries
+        # the canonical form: no trailing zeros, no zero rows, and a denom
+        # coprime to the rows in Z[s] with a positive leading term, an int
+        # when it is constant
         out = _trimmed(rows)
+        if out and isinstance(denom, ParamScale):
+            # the gcd of the scale, read in Z[s, q], and the rows is that
+            # of the scale and the rows' content in Z[s]
+            _, scale, rest = _mv_gcd(
+                {e + (0,): c for e, c in denom.poly.items()}, _zsq(out))
+            sign = 1 if scale[max(scale)] > 0 else -1
+            out = _trimmed(_rows_of({e: sign * c for e, c in rest.items()}))
+            denom = _scale({e[:-1]: sign * c for e, c in scale.items()})
         if not out:
             denom = 1
         elif isinstance(denom, int):
@@ -170,13 +182,9 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.field.tag != other.field.tag:
-            return False
-        # a/A == b/B when a*B == b*A; a sum of pairs can cancel an entry
-        # or a whole row, so both sides are trimmed
-        n = max(self.degree, other.degree) + 1
-        return (_trimmed(_times_const(self.rows, other.denom, n))
-                == _trimmed(_times_const(other.rows, self.denom, n)))
+        # the canonical form is unique
+        return ((self.field.tag, self.rows, self.denom)
+                == (other.field.tag, other.rows, other.denom))
 
     def __hash__(self):
         raise TypeError("Polynomial is not hashable")
@@ -216,13 +224,12 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        # from the top bit down: a square per bit, a product per set bit
+        out = self if n else Polynomial.one(self.field)
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def shift(self, n: int) -> "Polynomial":
@@ -290,9 +297,7 @@ class Polynomial:
             rows = ({(0,) * len(f.var_names): g}, dict(zip(ra, quos)),
                     dict(zip(rb, quos[len(ra):])))
         else:
-            rows = [_rows_of(p) for p in _mv_gcd(*(
-                {e + (k,): c for e, r in p.rows.items()
-                 for k, c in enumerate(r) if c} for p in (a, b)))]
+            rows = [_rows_of(p) for p in _mv_gcd(_zsq(ra), _zsq(rb))]
         return tuple(Polynomial.from_rows(f, r, d)
                      for r, d in zip(rows, (1, a.denom, b.denom)))
 
@@ -332,12 +337,17 @@ _KRONECKER_CUT = 16   # see `_zz_mul`
 
 
 def _lowest_coeff(p: Polynomial) -> int | ParamScale:
-    """The lowest nonzero coefficient in q of p's rows: an int when it is
-    constant in s, and otherwise the `ParamScale` of that element of
-    Z[s]."""
-    v, unit = p.valuation, (0,) * len(p.field.var_names)
-    low = {e: r[v] for e, r in p.rows.items() if v < len(r) and r[v]}
-    return low[unit] if list(low) == [unit] else ParamScale(low)
+    """The lowest nonzero coefficient in q of p's rows, an element of
+    Z[s], as `_scale` writes it."""
+    v = p.valuation
+    return _scale({e: r[v] for e, r in p.rows.items() if v < len(r) and r[v]})
+
+
+def _scale(poly: dict) -> int | ParamScale:
+    """A nonzero element of Z[s] as a denominator: an int when it is
+    constant, and otherwise its `ParamScale`."""
+    e = next(iter(poly))
+    return poly[e] if len(poly) == 1 and not any(e) else ParamScale(poly)
 
 
 def _trimmed(rows: dict) -> dict:
@@ -356,6 +366,12 @@ def _rows_of(poly: dict) -> dict:
     for e, c in poly.items():
         rows.setdefault(e[:-1], [0] * n)[e[-1]] = c
     return rows
+
+
+def _zsq(rows: dict) -> dict:
+    """rows as a polynomial in Z[s, q], exponent tuple -> int, q the last
+    variable; the inverse of `_rows_of`."""
+    return {e + (k,): c for e, r in rows.items() for k, c in enumerate(r) if c}
 
 
 def _times_binomial(p: list[int], m: int, c: int) -> None:

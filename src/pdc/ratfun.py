@@ -3,7 +3,11 @@
 The canonical representative has coprime numerator and denominator and a
 denominator whose lowest-order nonzero coefficient equals one, so series
 like q/(1+q)^2 print with the denominator expanded exactly as written.
-Equality is plain structural comparison of canonical forms.
+Equality is plain structural comparison of canonical forms, down to the
+reduced denominators of `Polynomial`.  The canonical form is built on
+the integer rows alone: the cofactors of one gcd, then the rows scaled
+by the denominator's lowest coefficient, with no arithmetic over the
+field.
 
 Besides field arithmetic the module provides the operations that the
 series checks are built from: the operator q d/dq, the
@@ -194,24 +198,18 @@ def _lowest_den_coeff_one(num: Polynomial,
                           den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """num and den scaled so that den's lowest nonzero coefficient is one.
 
-    When that coefficient is c / L, a rational with L den's int
-    denominator, and num's denominator is an int too, both are divided
-    by it on the rows: num's rows times L over num's denominator times c,
-    and den's rows over c.  Otherwise every coefficient is divided by it
-    in the field, so that each denominator is the lcm of its canonical
-    coefficients' denominators; a product on the rows would keep every
-    factor that those share with the scale.
+    That coefficient is c / L, for c in Z[s] and L den's denominator, so
+    both are divided by it on the rows: num's rows times L over num's
+    denominator times c, and den's rows over c.  Each denominator is then
+    reduced to the canonical form (`Polynomial`), the lcm of its
+    coefficients' denominators.
     """
     f, c, L = den.field, _lowest_coeff(den), den.denom
-    if all(isinstance(x, int) for x in (c, L, num.denom)):
-        if c == L:
-            return num, den
-        rows = _times_const(num.rows, L, num.degree + 1)
-        return (Polynomial.from_rows(f, rows, num.denom * c),
-                Polynomial.from_rows(f, den.rows, c))
-    inv = 1 / den.coeff(den.valuation)
-    return tuple(Polynomial(f, [c * inv for c in p.coeffs])
-                 for p in (num, den))
+    if c == L:
+        return num, den
+    rows = _times_const(num.rows, L, num.degree + 1)
+    return (Polynomial.from_rows(f, rows, num.denom * c),
+            Polynomial.from_rows(f, den.rows, c))
 
 
 def q_ddq(F: RationalFunction) -> RationalFunction:

@@ -1,5 +1,5 @@
 """Functions only the tests use: oracles for the functional-equation
-check, the polynomial gcd and its quotients, the balanced digits and the
+check, the polynomial quotients, the balanced digits and the
 two closed-form evaluators, and small builders that no command, check or
 workload needs."""
 
@@ -43,14 +43,6 @@ def kunneth_expand(a: int, b: int, j: int) -> DescElement:
     for dl, dr in kunneth_pairs(j):
         out = out + DescElement.of(gen(a, dl), gen(b, dr))
     return out
-
-
-def euclid_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """gcd by Euclid's algorithm over the coefficient field, lowest
-    coefficient one: the oracle for `Polynomial.gcd`."""
-    while b:
-        a, b = b, a.divmod_(b)[1]
-    return a.scale(1 / a.coeffs[a.valuation]) if a else a
 
 
 def degree_six_pair() -> tuple[Polynomial, Polynomial, Polynomial]:

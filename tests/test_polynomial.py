@@ -16,7 +16,7 @@ from pdc.fields import (FIELDS, Q, ParamRational, ParamScale,
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction
 
-from helpers import degree_six_pair, euclid_gcd, exact_div
+from helpers import degree_six_pair, exact_div
 
 
 def rand_poly(rng, max_deg=6):
@@ -107,6 +107,23 @@ class TestArithmetic:
         p = Polynomial(Q, [1, 1])
         assert (p ** 3).coeffs == (1, 3, 3, 1)
         assert (p ** 0).coeffs == (1,)
+
+    def test_pow_runs_one_product_per_bit(self, monkeypatch):
+        # a square for each bit below the top one and a product for each
+        # set bit below it; nothing is squared past the top bit
+        p = Polynomial(Q, [1, 1])
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        product = polynomial._product
+        monkeypatch.setattr(polynomial, "_product", counted)
+        for n in range(1, 10):
+            calls.clear()
+            assert (p ** n).coeffs == tuple(comb(n, k) for k in range(n + 1))
+            assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
 
     def test_gaussian_field_is_refused(self):
         # Qi is only the field of u-side Laurent series
@@ -379,6 +396,14 @@ def sympy_poly(p: Polynomial):
     return sympy.Poly(expr, q, domain=sympy.QQ.frac_field(*names))
 
 
+def sympy_gcd_lowest_one(a: Polynomial, b: Polynomial):
+    """gcd(a, b) over QQ(parameters) by sympy, scaled so that its
+    lowest-order nonzero coefficient is one, as `Polynomial.gcd` scales
+    it."""
+    h = sympy_poly(a).gcd(sympy_poly(b))
+    return h.quo_ground(h.coeffs()[-1])
+
+
 def sympy_gcd_of_rows(a: Polynomial, b: Polynomial):
     """gcd(a, b) over QQ(parameters), monic in q, read from sympy's gcd
     over ZZ[parameters, q] of the integer rows (by Gauss's lemma they
@@ -430,12 +455,23 @@ class TestParameterKernel:
         b = b * c
         g = Polynomial.gcd(a, b)
         assert Polynomial.gcd(b, a) == g
-        if a.degree + b.degree <= 5:
-            # Euclid's remainders over the field swell fast with degree
-            assert g == euclid_gcd(a, b)
         if a or b:
-            assert sympy_poly(g).monic() == sympy_poly(a).gcd(sympy_poly(b))
+            assert sympy_poly(g) == sympy_gcd_lowest_one(a, b)
         assert cofactors_multiply_back(a, b)
+
+    def test_gcd_of_a_pair_whose_euclid_remainders_swell(self, budget):
+        # Euclid over Q_lambda meets the parameter gcd's size bound on
+        # this pair
+        f = FIELDS["Q_lambda"]
+        lam0, lam1, lam2, lam3 = f.gens()
+        a = Polynomial(f, [1, 1, 7])
+        b = Polynomial(f, [0, 3 * lam2 * lam2,
+                           lam0 * lam0 * lam3 * lam3 + lam1 * lam1])
+        with budget(10):
+            g = Polynomial.gcd(a, b)
+            assert Polynomial.gcd(b, a) == g == Polynomial.one(f)
+            assert sympy_poly(g) == sympy_gcd_lowest_one(a, b)
+            assert cofactors_multiply_back(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(PARAM_TAGS).flatmap(
@@ -608,13 +644,24 @@ def constant_denominators(p: Polynomial) -> bool:
 
 
 def assert_canonical(p: Polynomial) -> None:
-    """The int-denominator form: no trailing zeros, no zero rows, a
-    positive denominator coprime to the entries; zero is ({}, 1)."""
-    if not isinstance(p.denom, int):
-        return
+    """The canonical form: no trailing zeros, no zero rows, and either a
+    positive int denominator coprime to the entries, or a `ParamScale`
+    that is not constant, has a positive lex-leading coefficient and no
+    common factor with the rows in Z[s] (by sympy's gcd over ZZ); zero
+    is ({}, 1)."""
     assert all(r and r[-1] for r in p.rows.values())
-    assert p.denom > 0
-    assert gcd(p.denom, *(c for r in p.rows.values() for c in r)) == 1
+    if isinstance(p.denom, int):
+        assert p.denom > 0
+        assert gcd(p.denom, *(c for r in p.rows.values() for c in r)) == 1
+    else:
+        scale = p.denom.poly
+        assert scale[max(scale)] > 0
+        assert any(map(any, scale))
+        gens = sympy.symbols((*p.field.var_names, "q"))
+        g = sympy.gcd(*(sympy.Poly.from_dict(d, gens, domain=sympy.ZZ)
+                        for d in ({e + (0,): c for e, c in scale.items()},
+                                  polynomial._zsq(p.rows))))
+        assert g.is_one
     if not p:
         assert (p.rows, p.denom) == ({}, 1)
 
@@ -672,6 +719,20 @@ class TestRepresentation:
         assert (p == q) == (q == p) == (len(p.coeffs) == len(q.coeffs) and all(
             a == b for a, b in zip(p.coeffs, q.coeffs)))
 
+    @settings(max_examples=60)
+    @given(st.sampled_from(PARAM_TAGS).flatmap(param_poly))
+    def test_equal_polynomials_have_one_form(self, p):
+        # every denominator is reduced, so equality compares the stored
+        # form; the last polynomial is built over the scale 1 + s1 and
+        # reduced back
+        f = p.field
+        x = f.gens()[0] + 1
+        for r in (Polynomial(f, p.coeffs), p * 1, p + Polynomial.zero(f),
+                  p * Polynomial(f, [x]) * Polynomial(f, [1 / x])):
+            assert_canonical(r)
+            assert r == p
+            assert (r.rows, r.denom) == (p.rows, p.denom)
+
     def test_fields_do_not_mix(self):
         # rows of different fields are keyed by exponents of different
         # lengths, so a product or sum across fields is refused
@@ -683,8 +744,23 @@ class TestRepresentation:
 
 
 # ---------------------------------------------------------------------------
-# sums and equality on the rows over a `ParamScale`, and the coefficients
-# read back from rows
+# sums, equality and rational functions on the rows over a `ParamScale`,
+# and the coefficients read back from rows
+
+def refuse_field_arithmetic(monkeypatch) -> None:
+    """Patch `Polynomial.coeffs`, every `ParamRational` operator and the
+    bridge between field elements and rows to raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("field-element arithmetic")
+
+    monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
+    for name in ("make", "const", "__add__", "__radd__", "__neg__",
+                 "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__eq__"):
+        monkeypatch.setattr(ParamRational, name, refuse)
+    for name in ("from_components", "to_components"):
+        monkeypatch.setattr(polynomial, name, refuse)
+
 
 class TestSumsOnRows:
     def test_param_scale_sums_do_no_field_arithmetic(self, monkeypatch):
@@ -702,16 +778,7 @@ class TestSumsOnRows:
         want = [by_coeffs(p, q), by_coeffs(p, q, -1), by_coeffs(r, p),
                 Polynomial.zero(f), False, True, True]
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("field-element arithmetic")
-
-        monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
-        for name in ("make", "const", "__add__", "__radd__", "__neg__",
-                     "__sub__", "__rsub__", "__mul__", "__rmul__",
-                     "__truediv__", "__rtruediv__", "__eq__"):
-            monkeypatch.setattr(ParamRational, name, refuse)
-        for name in ("from_components", "to_components"):
-            monkeypatch.setattr(polynomial, name, refuse)
+        refuse_field_arithmetic(monkeypatch)
         got = [p + q, p - q, r + p, p - p, p == q, r == r, p + q == q + p]
         monkeypatch.undo()
         assert got == want
@@ -719,7 +786,7 @@ class TestSumsOnRows:
 
     def test_cross_multiplied_rows_cancel_a_whole_row(self):
         # (s1^2 - 1)(1 + 2q^2)/(s1 - 1) against (s1 + 1)(1 + 2q^2): the
-        # rows of s1 + 1 times s1 - 1 add s1 - s1 into the row of s1
+        # scale s1 - 1 cancels against the rows, so both store one form
         f = FIELDS["Q_s"]
         s1 = f.gens()[0]
         p = Polynomial.from_rows(
@@ -728,9 +795,44 @@ class TestSumsOnRows:
         q = Polynomial(f, [s1 + 1, 0, 2 * s1 + 2])
         assert p == q and q == p
         assert p - q == Polynomial.zero(f) and not p - q
-        assert (p.rows, p.denom) != (q.rows, q.denom)
+        assert (p.rows, p.denom) == (q.rows, q.denom)
         assert p != q + Polynomial(f, [0, 0, 1])
         assert p.coeffs == q.coeffs
+
+
+    def test_rational_functions_do_no_field_arithmetic(self, monkeypatch):
+        # the gcd's cofactors, the lowest denominator coefficient divided
+        # out and the equality of the results all run on the rows
+        f = FIELDS["Q_s"]
+        s1, s2, s3 = f.gens()
+        one_q = Polynomial(f, [1, 1])
+        pairs = [(Polynomial(f, [1 / (s1 + 1), s2, s3 / (s2 + 2)]) * one_q,
+                  Polynomial(f, [(s1 + 1) / (s2 + 1), s3]) * one_q),
+                 (Polynomial(f, [s1 / (s2 + 1), 1]),
+                  Polynomial(f, [2 * s1 + s2, 2 * s1 + s2])),
+                 (Polynomial(f, [s3, 1 / (s1 * s3 + 1)]),
+                  Polynomial(f, [1 / (s1 + 1), 0, s2]))]
+
+        refuse_field_arithmetic(monkeypatch)
+        got = [RationalFunction(a, b) for a, b in pairs]
+        same = [F == RationalFunction(F.num, F.den) for F in got]
+        monkeypatch.undo()
+        assert all(same)
+        # as the field route printed them
+        assert [str(F) for F in got] == [
+            "(((s2 + 1)/(s1^2 + 2*s1 + 1)) + ((s2^2 + s2)/(s1 + 1))*q + "
+            "((s2*s3 + s3)/(s1*s2 + 2*s1 + s2 + 2))*q^2)"
+            "/(1 + ((s2*s3 + s3)/(s1 + 1))*q)",
+            "((s1/(2*s1*s2 + 2*s1 + s2^2 + s2)) + (1/(2*s1 + s2))*q)"
+            "/(1 + q)",
+            "((s1*s3 + s3) + ((s1 + 1)/(s1*s3 + 1))*q)"
+            "/(1 + (s1*s2 + s2)*q^2)"]
+        for F, (a, b) in zip(got, pairs):
+            assert F.num * b == F.den * a
+            assert F.den.coeffs[F.den.valuation] == f.one
+            for p in (F.num, F.den):
+                assert_canonical(p)
+                assert p == Polynomial(f, p.coeffs)
 
 
 def is_canonical_ratio(c) -> bool:
