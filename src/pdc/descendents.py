@@ -131,9 +131,6 @@ class DescElement:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("DescElement is not hashable")
-
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "DescElement") -> "DescElement":

@@ -44,7 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm, prod
+from operator import add
 
 from .text import ParseError, Scanner, power, signed_sum
 
@@ -192,7 +194,10 @@ def _mv_quo(a: dict, b: dict) -> dict | None:
     the degree of h in each variable is that of a minus that of b, so a
     quotient monomial outside that box proves that b does not divide a;
     the quotient monomials fall strictly in lex order, so the loop ends
-    after at most as many steps as the box has monomials.
+    after at most as many steps as the box has monomials.  The leading
+    remainder term comes from a heap of negated exponents, not a scan of
+    the whole remainder: each exponent is pushed when it enters the
+    remainder, and one popped after its term has cancelled is skipped.
 
     An exact division takes one step per term of h, and h has more terms
     than a only when the terms of b * h cancel.  So once the division
@@ -206,69 +211,65 @@ def _mv_quo(a: dict, b: dict) -> dict | None:
     b, lead = {e: c.numerator for e, c in b.items()}, max(b)
     top = [max(e[t] for e in a) - max(e[t] for e in b)
            for t in range(len(lead))]
-    rem, quo = dict(a), {}
-    while rem:
+    # the remainder keyed by negated exponents, each pushed on the heap
+    # once, when it enters; a term keeps its key once it cancels
+    shifts = [(tuple(x - y for x, y in zip(lead, e)), c)
+              for e, c in b.items()]
+    rem, quo = {tuple(-k for k in e): c for e, c in a.items()}, {}
+    heap = list(rem)
+    heapify(heap)
+    while heap:
+        e = heappop(heap)
+        if not rem[e]:
+            continue
         if len(quo) == len(a):
             v = abs(_mv_value(b))
             if v > 1 and _mv_value(a, v):
                 return None
-        e = max(rem)
-        m = tuple(x - y for x, y in zip(e, lead))
+        m = tuple(-x - y for x, y in zip(e, lead))
         c, r = divmod(rem[e], b[lead])
         if r or any(k < 0 or k > t for k, t in zip(m, top)):
             return None
         quo[m] = c
-        accumulate(rem, ((tuple(x + y for x, y in zip(m, eb)), -c * cb)
-                         for eb, cb in b.items()))
+        for d, cb in shifts:
+            t = tuple(map(add, e, d))
+            if t not in rem:
+                heappush(heap, t)
+            rem[t] = rem.get(t, 0) - c * cb
     return quo
 
 
-def _digits(n: int, x: int) -> list[int]:
-    """The polynomial h with h(x) = n and balanced digits in (-x/2, x/2],
-    for x >= 3.
+def _digits(n: int, s: int) -> list[int]:
+    """The polynomial h with h(2^s) = n and balanced digits in
+    (-2^(s-1), 2^(s-1)], for s >= 2.
 
-    Divide and conquer.  Adding R_k, the number whose 32 * 2^k digits are
-    all t = (x-1)//2, turns the balanced digits d into standard ones
-    d + t, so one divmod of n + R_k by X_k = x^(32 * 2^k) splits n into
-    its low 32 * 2^k digits and the rest; each part is split again at
-    X_(k-1), and a part of at most 32 digits is read by one divmod by x
-    per digit.  So the cost is a few divisions of large ints, not one `%`
-    of the whole image per digit.
+    Adding t = 2^(s-1) - 1 to each of k digits turns them into standard
+    base-2^s digits, so n + t * (2^(sk) - 1) / (2^s - 1), a number in
+    [0, 2^(sk)) for k = bit length // s + 2, is written in binary, filled
+    to s*k bits (its top digits may be zeros), and cut into s-bit
+    pieces from the right, each less t.  One linear pass over a binary
+    string, not a division per digit.
     """
-    t, powers = (x - 1) // 2, [x ** 32]
-    reps = [t * (powers[0] - 1) // (x - 1)]
-    while reps[-1] < abs(n):
-        reps.append(reps[-1] * (powers[-1] + 1))
-        powers.append(powers[-1] ** 2)
-
-    def split(n: int, k: int) -> list[int]:
-        # the digits of n (at most 64 << k, and 32 for k < 0) without
-        # trailing zeros; the low part is padded with zeros to its 32 << k
-        # digits when the high part is not empty
-        if k < 0:
-            out = []
-            while n:
-                n, d = divmod(n + t, x)
-                out.append(d - t)
-            return out
-        hi, lo = divmod(n + reps[k], powers[k])
-        low, high = split(lo - reps[k], k - 1), split(hi, k - 1)
-        return low + [0] * ((32 << k) - len(low)) + high if high else low
-
-    return split(n, len(reps) - 2)
+    k, t = n.bit_length() // s + 2, (1 << s - 1) - 1
+    bits = format(n + int(("0" + "1" * (s - 1)) * k, 2), f"0{s * k}b")
+    out = [int(bits[i - s:i], 2) - t for i in range(s * k, 0, -s)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _next_point(x: int) -> int:
-    """The evaluation point a heuristic gcd tries after refusing x: about
-    2.73 x^(5/4), so the bit length grows geometrically."""
-    return 73794 * x * isqrt(isqrt(x)) // 27011
+def _next_width(s: int) -> int:
+    """The exponent of the evaluation point 2^s that a heuristic gcd tries
+    after refusing 2^s: the bit length grows by a factor of about 5/4."""
+    return s + s // 4 + 1
 
 
-# the largest evaluation image `_mv_gcd` builds, in bits.  Reading one
-# back as digits takes about 0.1 s at this bound, but the trial division
-# of a refused candidate that `_mv_quo` does not refuse at its point is
-# quadratic in its size and can take seconds; the gcds of the tests and
-# of q-expansions to q^16 stay below 2^17.
+# the largest evaluation image `_mv_gcd` builds, in bits, measured as
+# (degree + 1) * s at the point 2^s.  Reading one back as digits takes
+# at most about 0.015 s at this bound (Python 3.11, shared two-core VM),
+# but the trial division of a refused candidate that `_mv_quo` does not
+# refuse at its point is quadratic in its size and can take seconds; the
+# gcds of the tests and of q-expansions to q^16 stay below 2^17.
 MAX_GCD_IMAGE_BITS = 2 ** 18
 
 
@@ -278,21 +279,21 @@ def _mv_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
 
     The heuristic gcd of Char, Geddes and Gonnet, one variable at a time.
     With the integer contents taken out, the last variable v that either
-    input has is set to an integer x > 2 min(|f|, |g|) + 2 (max norms),
-    the gcd h of the two images is taken by recursion, and h is read back
-    as balanced base-x digits in v.  Its primitive part is accepted once
-    it divides both inputs exactly; at such x a candidate that divides
-    both is the gcd.  The quotients of that test are the cofactors, as
-    in Liao and Fateman (ISSAC 1995).  Otherwise x grows (`_next_point`),
-    with no cap: h is the gcd times gcd(F(x), G(x)) for the cofactors F
-    and G, which is non-constant only at the finitely many roots of their
-    resultants and is otherwise an integer bounded by them.  So every
-    point past a bound set by those resultants is accepted, and since the
-    bit length of x grows geometrically, the number of points tried is
-    logarithmic in the bit length of that bound.
+    input has is set to a power of two x = 2^s > 2 min(|f|, |g|) + 2 (max
+    norms), the gcd h of the two images is taken by recursion, and h is
+    read back as balanced s-bit digits in v (`_digits`).  Its primitive
+    part is accepted once it divides both inputs exactly; at such x a
+    candidate that divides both is the gcd.  The quotients of that test
+    are the cofactors, as in Liao and Fateman (ISSAC 1995).  Otherwise s
+    grows (`_next_width`), with no cap: h is the gcd times
+    gcd(F(x), G(x)) for the cofactors F and G, which is non-constant only
+    at the finitely many roots of their resultants and is otherwise an
+    integer bounded by them.  So every point past a bound set by those
+    resultants is accepted, and since s grows geometrically, the number
+    of points tried is logarithmic in the bit length of that bound.
 
-    The images have about (degree + 1) * log2(x) bits in the variable set,
-    so they grow as the product of the degrees in all the variables;
+    The images have about (degree + 1) * s bits in the variable set, so
+    they grow as the product of the degrees in all the variables;
     ValueError is raised before one would pass MAX_GCD_IMAGE_BITS, as
     for s1^200*s2^200*s3^200 + 1 and s1^200 + s2^200 + s3^200 + 1.
     """
@@ -305,24 +306,25 @@ def _mv_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     content = gcd(cf, cg)
     v = max((t for e in (*f, *g) for t, k in enumerate(e) if k), default=-1)
     cand, qf, qg = {next(iter(f)): 1}, f, g
-    x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    s = (2 * min(max(map(abs, f.values())), max(map(abs, g.values())))
+         + 29).bit_length()
     deg = max(e[v] for e in (*f, *g))
     while v >= 0:
-        if (deg + 1) * x.bit_length() > MAX_GCD_IMAGE_BITS:
+        if (deg + 1) * s > MAX_GCD_IMAGE_BITS:
             raise ValueError(f"parameter gcd too large: degree {deg} in "
-                             f"one variable at a {x.bit_length()}-bit point")
-        images = [accumulate({}, ((e[:v] + (0,) + e[v + 1:], c * x ** e[v])
+                             f"one variable at the point 2^{s}")
+        images = [accumulate({}, ((e[:v] + (0,) + e[v + 1:], c << s * e[v])
                                   for e, c in p.items())) for p in (f, g)]
         cand = {e[:v] + (k,) + e[v + 1:]: d
                 for e, c in _mv_gcd(*images)[0].items()
-                for k, d in enumerate(_digits(c, x)) if d}
+                for k, d in enumerate(_digits(c, s)) if d}
         m = gcd(*cand.values())
         cand = {e: c // m for e, c in cand.items()}
         qf = _mv_quo(f, cand)
         qg = None if qf is None else _mv_quo(g, cand)
         if qg is not None:
             break
-        x = _next_point(x)
+        s = _next_width(s)
     return tuple({e: c * k for e, c in p.items()} for p, k in (
         (cand, content), (qf, cf // content), (qg, cg // content)))
 
@@ -431,9 +433,6 @@ class ParamRational:
             return NotImplemented
         # the canonical form is unique
         return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        raise TypeError("ParamRational is not hashable")
 
     def _poly_str(self, poly: dict) -> str:
         names = FIELD_VARS[self.tag]

@@ -100,9 +100,6 @@ class LaurentSeries:
                 and self.min_exp == other.min_exp and self.order == other.order
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        raise TypeError("LaurentSeries is not hashable")
-
     # -- display ----------------------------------------------------------------
 
     def __str__(self):
@@ -129,19 +126,21 @@ def _q_coeffs(p, n: int) -> list[dict]:
 def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
     """Expand a rational function around q = 0 through the given exponent.
 
-    F = (N / S_N) / (D / S_D) for the rows N, D and the denominators
-    S_N, S_D of its numerator and denominator.  With N_k and D_j the
-    q-coefficients of N and D in Z[s] counted from their valuations, and
-    R = D_0, the recurrence
+    F must be in the canonical form `RationalFunction` keeps: its
+    denominator's lowest nonzero coefficient is one.  F = (N / S_N) /
+    (D / S_D) for the rows N, D and the denominators S_N, S_D of its
+    numerator and denominator.  With N_k and D_j the q-coefficients of N
+    and D in Z[s] counted from their valuations, R = D_0 equals S_D, and
+    the recurrence
 
         O_k = N_k R^k - sum_(j>=1) D_j R^(j-1) O_(k-j)
 
     runs in Z[s] with no division, and the coefficient of q^(lo+k) is
-    O_k S_D / (S_N R^(k+1)).  When R and S_N are integers these are the
-    rows O_k R^(count-1-k) S_D over the one int S_N R^count, which
+    O_k / (S_N R^k).  When R and S_N are integers these are the rows
+    O_k R^(count-1-k) over the one int S_N R^(count-1), which
     `from_components` reads back; otherwise each coefficient is that
     ratio in canonical form (`ParamRational.make`), so every common
-    factor cancels.  Every product by R or S_D is skipped when it is
+    factor cancels.  Every product by R or S_N is skipped when it is
     one, as it is for every evaluator's output.
     """
     f = F.field
@@ -175,22 +174,20 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
                              for ea, a in e.items()
                              for eb, b in out[k - j].items()))
         out.append(acc)
-    # the denominators S_N and S_D, ints or `ParamScale`s, in Z[s]
-    sn, sd = ({unit: p.denom} if isinstance(p.denom, int) else p.denom.poly
-              for p in (F.num, F.den))
+    # S_N, an int or a `ParamScale`, in Z[s]
+    sn = F.num.denom
+    sn = {unit: sn} if isinstance(sn, int) else sn.poly
     if list(R) == [unit] and list(sn) == [unit]:
-        # constant denominators: the rows O_k R^(count-1-k) S_D over one
-        # int, S_N R^count
+        # constant denominators: the rows O_k R^(count-1-k) over one int,
+        # S_N R^(count-1)
         rows: dict = {}
         for k, o in enumerate(out):
-            for e, c in times(times(o, pows[count - 1 - k]), sd).items():
+            for e, c in times(o, pows[count - 1 - k]).items():
                 rows.setdefault(e, [0] * count)[k] = c
-        coeffs = from_components(f, rows, sn[unit] * R[unit] ** count)
+        coeffs = from_components(f, rows, sn[unit] * R[unit] ** (count - 1))
     else:
-        coeffs, low = [], _mv_mul(sn, R)
-        for o in out:
-            coeffs.append(ParamRational.make(f.tag, times(o, sd), low))
-            low = _mv_mul(low, R)
+        coeffs = [ParamRational.make(f.tag, o, times(p, sn))
+                  for o, p in zip(out, pows)]
     return LaurentSeries("q", lo, coeffs, order, f)
 
 

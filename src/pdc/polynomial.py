@@ -43,13 +43,16 @@ reads the product back as balanced digits.  `Polynomial.__mul__` and
 (`_zz_mul_rows`).
 
 Two integer lists get their gcd from the heuristic gcd of Char, Geddes
-and Gonnet (evaluate at a large integer, take the integer gcd, read the
-polynomial back from balanced base-x digits).  A candidate is accepted
-only once it divides both primitive inputs exactly over Z, and the
-quotients of that test are the cofactors (Liao and Fateman, ISSAC 1995);
-a refused point is followed by a larger one, and every point past a
-bound set by the inputs is accepted.  `fields._mv_gcd` is the same
-method over Z[s, q].  Neither has the coefficient swell of Euclid over
+and Gonnet: evaluate at a power of two 2^s, so that an image is Horner's
+rule with shifts, take the integer gcd, and read the polynomial back as
+balanced s-bit digits, slices of one binary string (`fields._digits`).
+The one candidate per point, the primitive part of what is read back,
+is accepted only once it divides both primitive inputs exactly over Z,
+and the quotients of that test are the cofactors (Liao and Fateman,
+ISSAC 1995); a refused point is followed by a larger one
+(`fields._next_width`), and every point past a bound set by the inputs
+is accepted.  `fields._mv_gcd` is the same method over Z[s, q], with
+the same points.  Neither has the coefficient swell of Euclid over
 Fractions or over parameter ratios.
 
 The closed-form evaluators of `pdc.series` multiply and divide by
@@ -63,7 +66,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from .fields import (Field, ParamScale, _digits, _mv_gcd, _next_point, field,
+from .fields import (Field, ParamScale, _digits, _mv_gcd, _next_width, field,
                      from_components, to_components)
 from .text import power, signed_sum
 
@@ -185,9 +188,6 @@ class Polynomial:
         # the canonical form is unique
         return ((self.field.tag, self.rows, self.denom)
                 == (other.field.tag, other.rows, other.denom))
-
-    def __hash__(self):
-        raise TypeError("Polynomial is not hashable")
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -484,11 +484,11 @@ def _zz_quo(f: list[int], g: list[int]) -> list[int] | None:
     return None if any(rem[:dg]) else quo
 
 
-def _value(f: list[int], x: int) -> int:
-    """f(x) by Horner's rule."""
+def _value(f: list[int], s: int) -> int:
+    """f(2^s) by Horner's rule, with shifts."""
     v = 0
     for c in reversed(f):
-        v = v * x + c
+        v = (v << s) + c
     return v
 
 
@@ -497,38 +497,29 @@ def _zz_gcd(f: list[int], g: list[int]
     """(h, f/h, g/h) for h the gcd of two nonzero primitive integer lists,
     up to sign: h = [1] when either is a constant, and otherwise GCDHEU.
 
-    Every evaluation point exceeds 2*min(|f|, |g|) + 2 (max norms), so a
-    candidate that divides both inputs is their gcd up to sign.  The
-    candidates are the primitive part of the interpolated integer gcd and
-    the quotients of f and g by their interpolated cofactors; the
-    quotients that accept a candidate are returned with it (Liao and
-    Fateman, ISSAC 1995).  A refused point is followed by a larger one
-    with no cap; as for `_mv_gcd`, every point past a bound set by the
-    cofactors' resultant is accepted.
+    As in `fields._mv_gcd`, the point is a power of two 2^s above
+    2*min(|f|, |g|) + 2 (max norms), so a candidate that divides both
+    inputs is their gcd up to sign.  The one candidate per point is the
+    primitive part of the integer gcd of the images, read back as s-bit
+    balanced digits (`_digits`); the quotients that accept it are
+    returned with it (Liao and Fateman, ISSAC 1995).  A refused point is
+    followed by a larger one (`_next_width`) with no cap; every point
+    past a bound set by the cofactors' resultant is accepted.
     """
     if len(f) == 1 or len(g) == 1:
         return [1], f, g
     fn, gn = max(map(abs, f)), max(map(abs, g))
-    x = max(2 * min(fn, gn) + 29,
-            2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4)
+    s = max(2 * min(fn, gn) + 29,
+            2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4).bit_length()
     while True:
-        ff, gg = _value(f, x), _value(g, x)
-        if ff and gg:
-            h = gcd(ff, gg)
-            cand = _digits(h, x)
-            m = gcd(*cand)
-            cand = [c // m for c in cand]
-            qf = _zz_quo(f, cand)
-            qg = None if qf is None else _zz_quo(g, cand)
-            if qg is not None:
-                return cand, qf, qg
-            for p, other, v in ((f, g, ff), (g, f, gg)):
-                cof = _digits(v // h, x)
-                cand = _zz_quo(p, cof)
-                quo = None if cand is None else _zz_quo(other, cand)
-                if quo is not None:
-                    return (cand, cof, quo) if p is f else (cand, quo, cof)
-        x = _next_point(x)
+        cand = _digits(gcd(_value(f, s), _value(g, s)), s)
+        m = gcd(*cand)
+        cand = [c // m for c in cand]
+        qf = _zz_quo(f, cand)
+        qg = None if qf is None else _zz_quo(g, cand)
+        if qg is not None:
+            return cand, qf, qg
+        s = _next_width(s)
 
 
 def _zz_gcd_rows(rows) -> tuple[list[int], list[list[int]]]:

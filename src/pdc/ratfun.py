@@ -102,9 +102,6 @@ class RationalFunction:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
-        raise TypeError("RationalFunction is not hashable")
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):

@@ -132,9 +132,6 @@ class VirasoroOperator:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("VirasoroOperator is not hashable")
-
     def __str__(self):
         def factor(mult, deriv):
             shift = [] if deriv is None else [f"R_{deriv}"]

@@ -155,10 +155,10 @@ def functions(draw, tag, shapes=("q", "param", "ratio")):
       numerator is a single component s^e * P(q), so the gcd of the
       canonical form stays on the one-component route;
     - "ratio": a coefficient has a non-constant parameter denominator,
-      which `to_components` clears into the rows.  It is assembled
-      without a gcd: over such coefficients the gcd of two
-      multi-component inputs is Euclid's, whose cost has no bound, and
-      the checks do not need coprime input.
+      which `to_components` clears into the rows; the canonical form's
+      gcd of two multi-component inputs runs in Z[s, q]
+      (`fields._mv_gcd`), bounded by MAX_GCD_IMAGE_BITS, and
+      `laurent_expand` needs that form.
     """
     f = FIELDS[tag]
     shape = draw(st.sampled_from(shapes if f.gens() else ["q"]))
@@ -187,7 +187,7 @@ def functions(draw, tag, shapes=("q", "param", "ratio")):
         den_p = Polynomial.one(f)
     if num_p.is_zero:
         return RationalFunction.zero(f)
-    return RationalFunction._from_canonical(num_p, den_p)
+    return RationalFunction(num_p, den_p)
 
 
 any_function = st.sampled_from(TAGS).flatmap(functions)

@@ -7,14 +7,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdc import fields
 from pdc.descendents import DescElement
 from pdc.fields import (FIELDS, QS, GaussianRational, I, ParamRational,
                         _digits, _mono_from_key, _mv_gcd, _mv_mul, _mv_quo,
                         field, rat)
+from pdc.laurent import LaurentSeries
 from pdc.polynomial import Polynomial
+from pdc.ratfun import RationalFunction
 from pdc.virasoro import build_quadratic
 
 from helpers import digits_by_loop
@@ -138,9 +140,14 @@ class TestParamRational:
         assert c.num == {unit: Fraction(1)} and c.den == {unit: Fraction(2)}
 
     def test_unhashable(self):
+        # a class that defines __eq__ and no __hash__ is unhashable, the
+        # frozen dataclass ParamRational and the row types alike
         f = FIELDS["Q_s"]
-        with pytest.raises(TypeError):
-            hash(f.one)
+        p = Polynomial(f, [1, f.gens()[0]])
+        for value in (f.one, p, RationalFunction(p, Polynomial.one(f)),
+                      LaurentSeries("q", 0, [1], 1, f)):
+            with pytest.raises(TypeError):
+                hash(value)
 
     @pytest.mark.parametrize("make, text", [
         (lambda s1, s2, s3: 1 / (s1 * s2 * s3), "1/(s1*s2*s3)"),
@@ -218,6 +225,20 @@ class TestExactQuotient:
                            {(1, 0, 0): 1, (0, 0, 0): -15}) is None
 
 
+    def test_long_quotients_within_budget(self, budget):
+        # the canonical form of p^4 / (p^2 + 1) divides rows of thousands
+        # of terms in Z[lam, q]; the leading remainder term comes from a
+        # heap, not a scan of the whole remainder per step
+        f = FIELDS["Q_lambda"]
+        l0, l1, l2, l3 = f.gens()
+        p = Polynomial(f, [1, (l0 * l1 + l2 * l3) / (l0 + l1 + l2 + l3 + 1),
+                           l2 / (l3 + 2), 1])
+        a, b = p ** 4, p ** 2 + Polynomial.one(f)
+        with budget(1.5):
+            F = RationalFunction(a, b)
+        assert F.num * b == F.den * a
+
+
 def to_sympy_zz(p: dict, n: int):
     return sympy.Poly.from_dict(p, sympy.symbols(f"x0:{n}"),
                                 domain=sympy.ZZ)
@@ -255,9 +276,9 @@ class TestIntegerGcd:
         # a seeded draw on which evaluation points are refused (three, in
         # the recursion) before the gcd is found
         tried = []
-        step = fields._next_point
-        monkeypatch.setattr(fields, "_next_point",
-                            lambda x: tried.append(x) or step(x))
+        step = fields._next_width
+        monkeypatch.setattr(fields, "_next_width",
+                            lambda s: tried.append(s) or step(s))
         a = {(1, 2, 1): 3, (0, 2, 1): 3}
         b = {(0, 0, 2): -1, (1, 1, 1): 1}
         c = {(0, 0, 2): -1, (1, 0, 1): 1, (0, 0, 0): -1}
@@ -281,6 +302,19 @@ class TestIntegerGcd:
                                       match="parameter gcd too large"):
             QS.coeff_from_json({"num": num, "den": den})
 
+    def test_gcd_of_a_high_degree_pair_within_budget(self, budget):
+        # (s1^d + 1)/(s1^d + 1) needs one point of (d + 1) * 5 bits: below
+        # MAX_GCD_IMAGE_BITS at d = 50000, above it at d = 53000
+        def ratio(d):
+            p = {(d, 0, 0): Fraction(1), (0, 0, 0): Fraction(1)}
+            return ParamRational.make("Q_s", p, dict(p))
+
+        with budget(1.5):
+            assert ratio(50000) == 1
+        with budget(1.5), pytest.raises(ValueError,
+                                        match="parameter gcd too large"):
+            ratio(53000)
+
     def test_constants_and_contents(self):
         assert _mv_gcd({(0, 0): 6}, {(0, 0): Fraction(-4)}) == (
             {(0, 0): 2}, {(0, 0): 3}, {(0, 0): -2})
@@ -290,21 +324,23 @@ class TestIntegerGcd:
         assert _mv_gcd({}, {}) == ({}, {}, {})
 
     @settings(max_examples=200)
-    @given(st.integers(-2 ** 5000, 2 ** 5000),
-           st.one_of(st.integers(3, 40), st.integers(41, 2 ** 70)))
-    def test_digits_match_the_digit_loop(self, n, x):
-        # below about 64 digits the pieces are read one digit at a time;
-        # a small x and a long n split them by powers x^(2^k)
-        assert _digits(n, x) == digits_by_loop(n, x)
+    @given(st.integers(-2 ** 5000, 2 ** 5000), st.integers(2, 70))
+    @example(-127, 2)
+    def test_digits_match_the_digit_loop(self, n, s):
+        # the digits are s-bit slices of one binary string; -127 at s = 2
+        # has the top digit -1, all zero bits once biased, which the
+        # string must keep
+        assert _digits(n, s) == digits_by_loop(n, 2 ** s)
 
-    @pytest.mark.parametrize("x", [3, 4, 31, 32])
-    def test_digits_at_the_ends_of_the_balanced_range(self, x):
-        # n = +-(x^k - 1)/2 and its neighbours, where a digit sits at
-        # the edge of (-x/2, x/2]
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 31, 32, 33, 64, 70])
+    def test_digits_at_the_ends_of_the_balanced_range(self, s):
+        # n = +-x^k/2 and its neighbours for x = 2^s, where a digit sits
+        # at the edge of (-x/2, x/2]
+        x = 2 ** s
         for k in range(0, 200, 7):
             for c in (x ** k // 2, -(x ** k // 2)):
                 for n in (c - 1, c, c + 1):
-                    assert _digits(n, x) == digits_by_loop(n, x)
+                    assert _digits(n, s) == digits_by_loop(n, x)
 
 
 def _mv_add_one(a):

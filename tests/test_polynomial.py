@@ -210,8 +210,9 @@ class TestIntegerGcd:
         ([0, -9, 9, 4, -5, 1], [0, -3, -2, 1]),
         ([2, -1, 2, -1], [-6, 7, -2]),
         ([-2, 5, -2], [0, 6, -3, -2, 1]),
-        # coprime pairs whose first integer-gcd candidate fails and whose
-        # f-cofactor candidate is f itself, which does not divide g
+        # coprime pairs whose images at 35 and at 33, points above that
+        # bound, share a factor that reads back as f up to sign, which
+        # does not divide g
         ([-3, -1], [1, 2, 3, -2]),
         ([3, -2], [0, 0, 2, 1]),
     ])
@@ -220,14 +221,15 @@ class TestIntegerGcd:
         assert Polynomial.gcd(a, b) == sympy_gcd(a, b)
 
     def test_refused_evaluation_point(self, monkeypatch):
-        # a seeded draw on which the first evaluation point is refused
+        # a seeded draw on which the first evaluation point, 2^6, is
+        # refused
         tried = []
-        step = polynomial._next_point
-        monkeypatch.setattr(polynomial, "_next_point",
-                            lambda x: tried.append(x) or step(x))
-        c = Polynomial(Q, [3, -2])
-        a = Polynomial(Q, [1, 3, -3, -1]) * c
-        b = Polynomial(Q, [3, -1]) * c
+        step = polynomial._next_width
+        monkeypatch.setattr(polynomial, "_next_width",
+                            lambda s: tried.append(s) or step(s))
+        c = Polynomial(Q, [-2, 3])
+        a = Polynomial(Q, [1, 1, -1]) * c
+        b = Polynomial(Q, [3, -3, -2]) * c
         assert Polynomial.gcd(a, b) == sympy_gcd(a, b)
         assert tried
 
