@@ -31,13 +31,12 @@ import sys
 from .correspondence import expand_bar, format_expansion
 from .descendents import DescElement, DescParseError, gen, parse_element
 from .laurent import LaurentSeries, laurent_expand, u_expand
-from .ratfun import fe_check, pole_check
+from .ratfun import RationalFunction, fe_check, pole_check
 from .series import (PROVENANCES, SeriesDB, SeriesRecord, UnknownSeriesError,
                      builtin_db, cap_series, dump_db, key_from_str, key_str,
                      load_db, local_curve_series, make_key, record_to_obj,
-                     reduce_with_records, virasoro_constraint_check,
-                     weakest_provenance)
-from .virasoro import bracket_check
+                     reduce_with_records, weakest_provenance)
+from .virasoro import apply_op, bracket_check, build_constraint
 from . import checks
 
 DB_ENV_VAR = "PDC_DB"
@@ -81,22 +80,6 @@ def _parse_series_arg(text: str):
         raise CliError(f"descendent syntax error: {exc}") from exc
 
 
-def _verdict(ok: bool, records: list[SeriesRecord]) -> tuple[str, dict]:
-    """PASS or FAIL tagged with the records that are not exact, and the
-    JSON fields naming the weakest provenance and every record read."""
-    text = "PASS" if ok else "FAIL"
-    for provenance in PROVENANCES[1:]:  # all but "exact"
-        keys = [key_str(r.key) for r in records
-                if r.provenance == provenance]
-        if keys:
-            text += f" [{provenance}: {', '.join(keys)}]"
-    return text, {
-        "provenance": weakest_provenance(records),
-        "records": [{"key": key_str(r.key), "provenance": r.provenance}
-                    for r in records],
-    }
-
-
 def _laurent_json(series: LaurentSeries) -> dict:
     f = series.field
     return {
@@ -114,6 +97,36 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
+
+
+def _reduce(element: DescElement, args
+            ) -> tuple[RationalFunction, list[SeriesRecord]]:
+    """The series of the insertion at --degree, reduced against the
+    current database, and the records the reduction read.  Every command
+    that reads a series reduces it here."""
+    return reduce_with_records(element, args.degree, _current_db())
+
+
+def _judge(args, reduced, check, payload: dict, *details: str) -> int:
+    """Run check on the value of a `_reduce` result and report PASS or
+    FAIL, tagged with every record read that is not exact.  JSON adds
+    "pass", the weakest provenance and every record read to the payload;
+    text follows the verdict with details[0] on a pass and details[-1] on
+    a failure.  Returns the exit code, 0 on a pass and 1 on a failure."""
+    value, records = reduced
+    ok = check(value)
+    verdict = "PASS" if ok else "FAIL"
+    for provenance in PROVENANCES[1:]:  # all but "exact"
+        keys = [key_str(r.key) for r in records
+                if r.provenance == provenance]
+        if keys:
+            verdict += f" [{provenance}: {', '.join(keys)}]"
+    _emit(args,
+          {**payload, "pass": ok, "provenance": weakest_provenance(records),
+           "records": [{"key": key_str(r.key), "provenance": r.provenance}
+                       for r in records]},
+          verdict + details[0 if ok else -1])
+    return 0 if ok else 1
 
 
 def _insertion_sign(element: DescElement) -> int:
@@ -162,7 +175,7 @@ def _cmd_eval(args) -> int:
 
 def _u_series(element: DescElement, args) -> LaurentSeries:
     """The u-expansion of the reduced series at --degree to --order."""
-    value, _ = reduce_with_records(element, args.degree, _current_db())
+    value, _ = _reduce(element, args)
     if value.field.tag != "Q":
         raise CliError("u-expansion needs rational coefficients")
     return u_expand(value, 4 * args.degree, args.order)
@@ -173,26 +186,21 @@ def _cmd_expand(args) -> int:
     if args.var == "u":
         series = _u_series(element, args)
     else:
-        value, _ = reduce_with_records(element, args.degree, _current_db())
-        series = laurent_expand(value, args.order)
+        series = laurent_expand(_reduce(element, args)[0], args.order)
     _emit(args, _laurent_json(series), str(series))
     return 0
 
 
 def _cmd_fe_check(args) -> int:
     element = _parse_series_arg(args.series)
-    value, records = reduce_with_records(element, args.degree,
-                                         _current_db())
-    sign = _insertion_sign(element)
-    d_beta = 4 * args.degree
-    ok = fe_check(value, d_beta, sign)
-    verdict, sources = _verdict(ok, records)
-    _emit(args,
-          {"command": "fe-check", "series": args.series,
-           "degree": args.degree, "sign": sign, "d_beta": d_beta,
-           "pass": ok, **sources},
-          f"{verdict} sign={sign} d_beta={d_beta}")
-    return 0 if ok else 1
+    # the sign is taken after the reduction, so an unknown series is
+    # reported before an insertion without a single sign
+    reduced = _reduce(element, args)
+    sign, d_beta = _insertion_sign(element), 4 * args.degree
+    return _judge(args, reduced, lambda value: fe_check(value, d_beta, sign),
+                  {"command": "fe-check", "series": args.series,
+                   "degree": args.degree, "sign": sign, "d_beta": d_beta},
+                  f" sign={sign} d_beta={d_beta}")
 
 
 def _cmd_pole_check(args) -> int:
@@ -200,28 +208,22 @@ def _cmd_pole_check(args) -> int:
     # --div the bound is the degree, which the reduction checks
     if args.div is not None and args.div < 1:
         raise CliError("--div must be a positive integer")
-    value, records = reduce_with_records(_parse_series_arg(args.series),
-                                         args.degree, _current_db())
+    reduced = _reduce(_parse_series_arg(args.series), args)
     div = args.degree if args.div is None else args.div
-    ok = pole_check(value, div)
-    verdict, sources = _verdict(ok, records)
-    _emit(args,
-          {"command": "pole-check", "series": args.series,
-           "degree": args.degree, "div": div, "pass": ok, **sources},
-          f"{verdict} poles confined with divisor bound {div}")
-    return 0 if ok else 1
+    return _judge(args, reduced, lambda value: pole_check(value, div),
+                  {"command": "pole-check", "series": args.series,
+                   "degree": args.degree, "div": div},
+                  f" poles confined with divisor bound {div}")
 
 
 def _cmd_virasoro_check(args) -> int:
     _check_operator_index("--k", args.k)
-    element = _parse_series_arg(args.D)
-    ok = virasoro_constraint_check(args.k, element, args.degree,
-                                   _current_db())
-    _emit(args,
-          {"command": "virasoro-check", "k": args.k, "D": args.D,
-           "degree": args.degree, "pass": ok},
-          "PASS: sum = 0" if ok else "FAIL: sum != 0")
-    return 0 if ok else 1
+    # the constraint holds when the operator's image reduces to zero
+    image = apply_op(build_constraint(args.k), _parse_series_arg(args.D))
+    return _judge(args, _reduce(image, args), lambda value: value.is_zero,
+                  {"command": "virasoro-check", "k": args.k, "D": args.D,
+                   "degree": args.degree},
+                  ": sum = 0", ": sum != 0")
 
 
 def _cmd_bracket_check(args) -> int:

@@ -13,7 +13,7 @@ and written to JSON, and no record is read over it.
 
 Elements of the two parameter fields are stored as ratios of multivariate
 polynomials over the integers, with integer-valued Fraction coefficients
-on every route, in canonical form: numerator and
+on every route, in canonical form (`_lowest_terms`): numerator and
 denominator coprime in Z[s] (the gcd is `_mv_gcd`, a heuristic gcd over
 Z checked by exact division), with no joint integer content, and the
 denominator's lexicographically leading term positive.  That form is
@@ -329,29 +329,36 @@ def _mv_gcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
         (cand, content), (qf, cf // content), (qg, cg // content)))
 
 
+def _lowest_terms(num: dict, den: dict) -> tuple[dict, dict]:
+    """num/den in lowest terms over Z, for nonzero integer polynomials:
+    the cofactors of their gcd, common monomial factors and the joint
+    integer content included, with the sign that makes the denominator's
+    lexicographically leading term positive.  A constant denominator
+    needs no `_mv_gcd`: the joint integer content is the whole gcd."""
+    if len(den) > 1 or any(next(iter(den))):  # den is not a constant
+        _, num, den = _mv_gcd(num, den)
+        g = 1
+    else:
+        g = gcd(*num.values(), *den.values())
+    if den[max(den)] < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return tuple({e: c // g for e, c in p.items()} for p in (num, den))
+
+
 def _mv_canonical(num: dict, den: dict, nvars: int) -> tuple[dict, dict]:
     num = {e: c for e, c in num.items() if c}
     den = {e: c for e, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("division by zero in parameter field")
-    unit = (0,) * nvars
     if not num:
-        return {}, {unit: Fraction(1)}
+        return {}, {(0,) * nvars: Fraction(1)}
     # clear to integer coefficients
     scale = lcm(*(c.denominator for p in (num, den) for c in p.values()))
-    num, den = ({e: c.numerator * (scale // c.denominator)
-                 for e, c in p.items()} for p in (num, den))
-    if len(den) > 1 or unit not in den:
-        # divide out the gcd of a non-constant denominator and the
-        # numerator, common monomial factors included
-        _, num, den = _mv_gcd(num, den)
-    # then the joint integer content, with the sign that makes the
-    # denominator's lexicographically leading term positive
-    g = gcd(*num.values(), *den.values())
-    if den[max(den)] < 0:
-        g = -g
-    return tuple({e: Fraction(c // g) for e, c in p.items()}
-                 for p in (num, den))
+    num, den = _lowest_terms(*({e: c.numerator * (scale // c.denominator)
+                                for e, c in p.items()} for p in (num, den)))
+    return tuple({e: Fraction(c) for e, c in p.items()} for p in (num, den))
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,8 +31,8 @@ by it (`Polynomial.gcd_cofactors`), so cancelling a common factor
 divides nothing again.  A sum a/A + b/B is (a*B + b*A) / (A*B) on the
 rows, for int and `ParamScale` denominators alike (`_times_const`).  As
 after a product, the denominator is then reduced: an int by its gcd with
-the entries, and a `ParamScale` by one `fields._mv_gcd` of the scale,
-read in Z[s, q], against the rows, whose cofactors are the reduced pair.
+the entries, and a `ParamScale` against the rows, read in Z[s, q], by
+`fields._lowest_terms`, the rule every ratio over Z[s] is reduced by.
 
 Every integer product runs through one kernel, `_zz_mul`: the schoolbook
 loop when the shorter factor has fewer than 16 entries, and otherwise
@@ -66,8 +66,8 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from .fields import (Field, ParamScale, _digits, _mv_gcd, _next_width, field,
-                     from_components, to_components)
+from .fields import (Field, ParamScale, _digits, _lowest_terms, _mv_gcd,
+                     _next_width, field, from_components, to_components)
 from .text import power, signed_sum
 
 
@@ -109,11 +109,10 @@ class Polynomial:
         if out and isinstance(denom, ParamScale):
             # the gcd of the scale, read in Z[s, q], and the rows is that
             # of the scale and the rows' content in Z[s]
-            _, scale, rest = _mv_gcd(
-                {e + (0,): c for e, c in denom.poly.items()}, _zsq(out))
-            sign = 1 if scale[max(scale)] > 0 else -1
-            out = _trimmed(_rows_of({e: sign * c for e, c in rest.items()}))
-            denom = _scale({e[:-1]: sign * c for e, c in scale.items()})
+            rest, scale = _lowest_terms(
+                _zsq(out), {e + (0,): c for e, c in denom.poly.items()})
+            out = _trimmed(_rows_of(rest))
+            denom = _scale({e[:-1]: c for e, c in scale.items()})
         if not out:
             denom = 1
         elif isinstance(denom, int):
@@ -175,9 +174,6 @@ class Polynomial:
         """Order of vanishing at q = 0; 0 for the zero polynomial."""
         return min((next(k for k, c in enumerate(r) if c)
                     for r in self.rows.values()), default=0)
-
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k <= self.degree else self.field.zero
 
     def __bool__(self):
         return bool(self.rows)

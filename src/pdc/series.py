@@ -178,10 +178,6 @@ def _qpoly(coeffs) -> Polynomial:
     return Polynomial(FIELDS["Q"], coeffs)
 
 
-def _fr(a, b=1) -> Fraction:
-    return Fraction(a, b)
-
-
 def _builtin_records() -> list[SeriesRecord]:
     f = FIELDS["Q"]
     one = Polynomial.one(f)
@@ -198,9 +194,8 @@ def _builtin_records() -> list[SeriesRecord]:
     rec("P3", 1, "ch2(p)*ch2(p)",
         RationalFunction(_qpoly([0, 1, 2, 1]), one))
     # one twice-shifted point insertion, degree 1
-    rec("P3", 1, "ch4(p)",
-        RationalFunction(_qpoly([0, _fr(1, 12), _fr(-5, 6), _fr(1, 12)]),
-                         one))
+    rec("P3", 1, "ch4(p)", RationalFunction(
+        _qpoly([0, Fraction(1, 12), Fraction(-5, 6), Fraction(1, 12)]), one))
     # identity-class insertion of subscript 7, degree 1
     rec("P3", 1, "ch7(1)",
         RationalFunction(_qpoly([0, -2, -1, 31, -31, 1, 2]),
@@ -210,9 +205,8 @@ def _builtin_records() -> list[SeriesRecord]:
         RationalFunction(_qpoly([0, 1, 4, 17, -62, 17, 4, 1]),
                          (onepq ** 4).scale(9)))
     # hyperplane times point, degree 1
-    rec("P3", 1, "ch3(H)*ch3(p)",
-        RationalFunction(_qpoly([0, _fr(3, 4), _fr(-3, 2), _fr(3, 4)]),
-                         one))
+    rec("P3", 1, "ch3(H)*ch3(p)", RationalFunction(
+        _qpoly([0, Fraction(3, 4), Fraction(-3, 2), Fraction(3, 4)]), one))
     # identity-class insertion of subscript 11, degree 2 (conjectural value)
     big = _qpoly([73, -825, -124, 5945, 779, -36020, 60224,
                   -36020, 779, 5945, -124, -825, 73])

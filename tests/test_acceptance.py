@@ -5,13 +5,8 @@ arithmetic throughout), so the pass tolerance is equality.  Run with
 ``pytest -v tests/test_acceptance.py`` to get one line per criterion.
 """
 
-import ast
-import sys
-from pathlib import Path
-
 import pytest
 
-import pdc
 from pdc.checks import CHECKS, run_all, run_check
 
 CHECK_IDS = [cid for cid, _, _ in CHECKS]
@@ -37,23 +32,3 @@ def test_run_check_and_run_all_agree():
     assert all(r.ok for r in everything)
     with pytest.raises(KeyError):
         run_check("AC99")
-
-
-def test_library_imports_only_the_standard_library():
-    # sympy and hypothesis are test-only oracles; the library itself
-    # imports nothing outside the standard library and pdc
-    modules = sorted(Path(pdc.__file__).parent.glob("*.py"))
-    assert len(modules) > 10
-    foreign = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            foreign += [f"{path.name}: {name}" for name in names
-                        if name.split(".")[0] != "pdc"
-                        and name.split(".")[0] not in sys.stdlib_module_names]
-    assert not foreign

@@ -243,6 +243,21 @@ class TestProvenance:
         assert payload["records"] == [{"key": "P3:2:ch11(1)",
                                        "provenance": "conjectural"}]
 
+    def test_virasoro_check_names_conjectural_record(self, capsys):
+        assert main(["virasoro-check", "--k", "0", "--D", "ch11(1)",
+                     "--degree", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS [conjectural: P3:2:ch11(1)]: sum = 0\n")
+
+    def test_virasoro_check_json_names_conjectural_record(self, capsys):
+        assert main(["--json", "virasoro-check", "--k", "0", "--D",
+                     "ch11(1)", "--degree", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pass"] is True
+        assert payload["provenance"] == "conjectural"
+        assert payload["records"] == [{"key": "P3:2:ch11(1)",
+                                       "provenance": "conjectural"}]
+
     def test_exact_records_keep_the_plain_verdict(self, capsys):
         assert main(["--json", "pole-check", "--series", "ch3(1)*ch7(1)",
                      "--degree", "1"]) == 0
