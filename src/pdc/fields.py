@@ -24,26 +24,32 @@ need images above MAX_GCD_IMAGE_BITS raises ValueError; an imported
 record holding one is a data error.
 
 `pdc.polynomial.Polynomial` stores a polynomial in q over Q, Q_s or
-Q_lambda as integer rows, and these two functions are its only bridge
-to field elements.  `to_components` writes a coefficient list as rows
-when a polynomial is built from field elements: a list whose parameter
-denominators are all constant is sum_e s^e P_e(q) / L, with integer
-lists P_e and one integer L.  In any other list, each numerator is
-multiplied by the lcm in Z[s] of the denominators over its own, and the
-scale is that lcm (`ParamScale`), which has no common factor with the
-rows.  A `Polynomial` keeps every scale in that reduced form, with a
-positive leading term, so a `ParamScale` compares by value and equal
-polynomials store equal rows.  `from_components` reads rows back
-into field elements, for a polynomial's `coeffs` and for the q-expansion
+Q_lambda as integer rows, and three functions are its only bridge to
+field elements and their JSON.  `to_components` writes a coefficient
+list as rows when a polynomial is built from field elements: a list
+whose parameter denominators are all constant is sum_e s^e P_e(q) / L,
+with integer lists P_e and one integer L.  In any other list, each
+numerator is multiplied by the lcm in Z[s] of the denominators over its
+own, and the scale is that lcm (`ParamScale`), which has no common
+factor with the rows.  A `Polynomial` keeps every scale in that reduced
+form, with a positive leading term, so a `ParamScale` compares by value
+and equal polynomials store equal rows.  `from_components` reads rows
+back into field elements, for a polynomial's `coeffs` and for the q-expansion
 of `pdc.laurent.laurent_expand`; over a `ParamScale` each coefficient is
 one canonical ratio, so a product or quotient built on the rows prints
-without a spurious common factor.
+without a spurious common factor.  `components_from_json` reads a JSON
+coefficient list straight into the rows of `to_components`, with one
+compiled match per rational, and builds a `ParamRational` only for a
+parameter coefficient whose den is anything but the single key "1";
+`Field.coeff_from_json` is that reader on a list of one.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm, prod
 from operator import add
@@ -496,20 +502,28 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int | ParamScale]:
         scale = lcm(*(c.denominator for c in coeffs))
         ints = [c.numerator * (scale // c.denominator) for c in coeffs]
         return ({(): ints} if ints else {}), scale
-    unit = (0,) * len(FIELD_VARS[f.tag])
-    nums, consts, common = [c.num for c in coeffs], [], None
-    for c in coeffs:
-        d = c.den.get(unit) if len(c.den) == 1 else None
+    return _param_rows((0,) * len(FIELD_VARS[f.tag]),
+                       [(c.num, c.den) for c in coeffs])
+
+
+def _param_rows(unit: tuple, pairs: list) -> tuple[dict, int | ParamScale]:
+    """`to_components` over a parameter field, for (num, den) pairs of
+    polynomials over Z (nonzero int or integer-valued Fraction
+    coefficients) whose ratios are the coefficients; a constant den is
+    {unit: d}, for any nonzero int d."""
+    nums, consts, common = [num for num, _ in pairs], [], None
+    for _, den in pairs:
+        d = den.get(unit) if len(den) == 1 else None
         if d is None:
             break
         consts.append(d.numerator)
-    if len(consts) < len(coeffs):
+    if len(consts) < len(pairs):
         # a non-constant denominator: every numerator over the lcm in Z[s]
         common = {unit: 1}
-        for c in coeffs:
-            common = _mv_mul(common, _mv_gcd(common, c.den)[2])
-        nums = [_mv_mul(c.num, _mv_quo(common, c.den)) for c in coeffs]
-        consts = [1] * len(coeffs)
+        for _, den in pairs:
+            common = _mv_mul(common, _mv_gcd(common, den)[2])
+        nums = [_mv_mul(num, _mv_quo(common, den)) for num, den in pairs]
+        consts = [1] * len(pairs)
     scale = lcm(*consts)
     rows: dict = {}
     for k, (num, d) in enumerate(zip(nums, consts)):
@@ -517,7 +531,7 @@ def to_components(f: "Field", coeffs) -> tuple[dict, int | ParamScale]:
         for e, v in num.items():
             row = rows.get(e)
             if row is None:
-                row = rows[e] = [0] * len(coeffs)
+                row = rows[e] = [0] * len(pairs)
             row[k] = v.numerator * m
     for row in rows.values():
         while not row[-1]:
@@ -530,7 +544,7 @@ def from_components(f: "Field", rows: dict, scale) -> list:
     to_components.  scale is a nonzero int or a `ParamScale`; rows may
     hold zeros.  Over a ParamScale each coefficient is one canonical
     ratio (`ParamRational.make`)."""
-    if f.tag == "Q":
+    if not FIELD_VARS[f.tag]:
         return [Fraction(c, scale) for c in rows.get((), ())]
     n = max(map(len, rows.values()), default=0)
     if isinstance(scale, ParamScale):
@@ -564,6 +578,7 @@ def _mono_key(e: tuple, names: tuple, unit: str = "1") -> str:
     return "*".join(power(n, k) for n, k in zip(names, e) if k) or unit
 
 
+@lru_cache(maxsize=1024)  # a file repeats a few keys many times
 def _mono_from_key(key: str, names: tuple) -> tuple:
     """The exponent tuple of a monomial key spelled as _mono_key writes
     it; any other spelling ("s1*s1", "s1^1", "s1^-1") raises ValueError,
@@ -578,21 +593,78 @@ def _mono_from_key(key: str, names: tuple) -> tuple:
     return tuple(e)
 
 
-def _rational_from_json(v) -> Fraction:
-    """A JSON integer, or a string holding an optional sign and a or a/b
-    in ASCII digits, as coeff_to_json writes them.  A float, a boolean
-    or a string such as "0.1", "1e3" or "1_0" raises ValueError."""
+# a JSON rational: an optional sign and a or a/b in ASCII digits, with
+# whitespace around each part, the language `text.Scanner` reads in
+# `_ratio_from_json` (re's \s is the set str.isspace accepts)
+_RATIONAL = re.compile(r"\s*([+-]?)\s*([0-9]+)(?:\s*/\s*([0-9]+))?\s*")
+
+
+def _ratio_from_json(v) -> tuple[int, int]:
+    """(n, d), d > 0, not reduced: the value n/d of a JSON integer, or of a
+    string holding an optional sign and a or a/b in ASCII digits, as
+    coeff_to_json writes them.  A float, a boolean or a string such as
+    "0.1", "1e3" or "1_0" raises ValueError.  One compiled match reads a
+    string; one it refuses, and one with a zero denominator, is read
+    by `text.Scanner`, which words the rejection with its position."""
     if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+        return v, 1
     if not isinstance(v, str):
         raise ValueError(f"coefficient {v!r} is not a string or an integer")
+    m = _RATIONAL.fullmatch(v)
+    # the denominator is read first, as the scanner reads it
+    if m and (d := int(m[3] or 1)):
+        n = int(m[2])
+        return (-n if m[1] == "-" else n), d
     scanner = Scanner(v)
     try:
         sign = -1 if scanner.accept("+-") == "-" else 1
-        return Fraction(scanner.finish(sign * scanner.rational()))
+        r = Fraction(scanner.finish(sign * scanner.rational()))
     except ParseError as exc:
         raise ValueError(
             f"coefficient {v!r} is not a rational: {exc}") from None
+    return r.numerator, r.denominator
+
+
+def components_from_json(f: "Field", values: list
+                         ) -> tuple[dict, int | ParamScale]:
+    """The (rows, scale) of `to_components` for a list of coefficients as
+    coeff_to_json writes them, read straight into integer rows, which may
+    hold zeros.
+
+    Rationals are JSON integers or strings "a", "-a", "a/b", "-a/b"
+    (`_ratio_from_json`); anything else raises ValueError, and so does a
+    parameter monomial key in any spelling but the one coeff_to_json
+    writes.  Values are read in list order, a coefficient's num before
+    its den.  A Q list is one integer row over the lcm of its
+    denominators.  A parameter coefficient whose den is the single key
+    "1" is a signed integer ratio of rows; any other den goes through
+    `ParamRational.make`, which cancels its gcd as it does for every
+    ratio (ZeroDivisionError for a zero den, as for the key "1").
+    """
+    if not f.var_names:
+        pairs = [_ratio_from_json(v) for v in values]
+        scale = lcm(*(d for _, d in pairs))
+        return {(): [n * (scale // d) for n, d in pairs]}, scale
+    names, unit, pairs = f.var_names, (0,) * len(f.var_names), []
+    for v in values:
+        if not (isinstance(v, dict) and isinstance(v.get("num"), dict)
+                and isinstance(v.get("den"), dict)):
+            raise ValueError(
+                f"a {f.tag} coefficient must be a {{num, den}} object")
+        num = {_mono_from_key(k, names): _ratio_from_json(c)
+               for k, c in v["num"].items()}
+        den = {_mono_from_key(k, names): _ratio_from_json(c)
+               for k, c in v["den"].items()}
+        d = den.get(unit) if len(den) == 1 else None
+        if d and d[0]:
+            m = lcm(*(b for _, b in num.values()))
+            pairs.append(({e: a * (m // b) * d[1] for e, (a, b)
+                           in num.items() if a}, {unit: m * d[0]}))
+        else:
+            c = ParamRational.make(f.tag, *({e: Fraction(*r) for e, r in
+                                             p.items()} for p in (num, den)))
+            pairs.append((c.num, c.den))
+    return _param_rows(unit, pairs)
 
 
 @dataclass(frozen=True)
@@ -642,24 +714,10 @@ class Field:
         }
 
     def coeff_from_json(self, v):
-        """Read a coefficient written by coeff_to_json.
-
-        Rationals are JSON integers or strings "a", "-a", "a/b", "-a/b";
-        anything else raises ValueError, and so does a parameter monomial
-        key in any spelling but the one coeff_to_json writes.
-        """
-        if not self.var_names:
-            return self.coerce(_rational_from_json(v))
-        if not (isinstance(v, dict) and isinstance(v.get("num"), dict)
-                and isinstance(v.get("den"), dict)):
-            raise ValueError(
-                f"a {self.tag} coefficient must be a {{num, den}} object")
-        names = self.var_names
-        num = {_mono_from_key(k, names): _rational_from_json(c)
-               for k, c in v["num"].items()}
-        den = {_mono_from_key(k, names): _rational_from_json(c)
-               for k, c in v["den"].items()}
-        return ParamRational.make(self.tag, num, den)
+        """Read a coefficient written by coeff_to_json, as
+        `components_from_json` reads a list of them."""
+        cs = from_components(self, *components_from_json(self, [v]))
+        return self.coerce(cs[0] if cs else 0)
 
 
 FIELDS = {tag: Field(tag) for tag in FIELD_VARS}

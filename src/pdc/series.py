@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .descendents import (DescElement, Monomial, format_monomial,
                           monomial, monomial_degree, normalize, parse_element)
-from .fields import FIELDS, ParamRational
+from .fields import FIELDS, ParamRational, components_from_json
 from .polynomial import (Polynomial, _over_binomial, _times_binomial, _zz_mul,
                          q_field)
 from .ratfun import RationalFunction, fe_check, q_ddq
@@ -542,8 +542,9 @@ def rf_from_obj(obj: dict) -> RationalFunction:
     them.  Anything else raises ValueError."""
     try:
         f = q_field(_json_typed(obj, "field", str, "a string"))
-        num, den = (Polynomial(f, [f.coeff_from_json(v) for v in _json_typed(
-            obj, name, list, "a list")]) for name in ("num", "den"))
+        num, den = (Polynomial.from_rows(f, *components_from_json(
+            f, _json_typed(obj, name, list, "a list")))
+            for name in ("num", "den"))
         return RationalFunction(num, den)
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from None

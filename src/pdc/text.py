@@ -2,10 +2,12 @@
 
 Every printed object (polynomials, rational functions, Laurent series,
 parameter-field ratios, Gaussian rationals, descendent elements,
-operators) is a signed sum of coefficient-times-factor terms, and every
-input language (rational functions of q, descendent expressions, the
-rational coefficients of JSON records) is read by recursive descent over
-the same scanner; `Scanner.rational` is the one reader of a or a/b.
+operators) is a signed sum of coefficient-times-factor terms, and the
+input languages of rational functions of q and of descendent expressions
+are read by recursive descent over the same scanner.  The rational
+coefficients of JSON records are read by one compiled match
+(`pdc.fields.components_from_json`); the scanner reads only the ones it
+refuses, to word the rejection with its position.
 """
 
 from __future__ import annotations

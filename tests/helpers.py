@@ -1,14 +1,16 @@
 """Functions only the tests use: oracles for the functional-equation
-check, the polynomial quotients, the balanced digits and the
-two closed-form evaluators, and small builders that no command, check or
-workload needs."""
+check, the polynomial quotients, the balanced digits, the two
+closed-form evaluators and the JSON coefficient reader, and small
+builders that no command, check or workload needs."""
 
+from fractions import Fraction
 from math import factorial
 
 from pdc.descendents import DescElement, gen, kunneth_pairs
-from pdc.fields import FIELDS
+from pdc.fields import FIELDS, ParamRational, _mono_from_key
 from pdc.polynomial import Polynomial, _times_binomial, _zz_mul
 from pdc.ratfun import RationalFunction, _lowest_den_coeff_one
+from pdc.text import ParseError, Scanner
 from pdc.virasoro import Term, VirasoroOperator
 
 
@@ -136,3 +138,40 @@ def cap_by_products(d: int) -> RationalFunction:
                              Polynomial.from_rows(f, {(): prefix[d]}))
     s1, s2, _ = FIELDS["Q_s"].gens()
     return value.scale_monomial((s1 + s2) / (2 * factorial(d)), d)
+
+
+def reference_rational_from_json(v) -> Fraction:
+    """A JSON rational read one character at a time by `text.Scanner`
+    into a Fraction: the oracle for `fields._ratio_from_json`."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if not isinstance(v, str):
+        raise ValueError(f"coefficient {v!r} is not a string or an integer")
+    scanner = Scanner(v)
+    try:
+        sign = -1 if scanner.accept("+-") == "-" else 1
+        return Fraction(scanner.finish(sign * scanner.rational()))
+    except ParseError as exc:
+        raise ValueError(
+            f"coefficient {v!r} is not a rational: {exc}") from None
+
+
+def reference_poly_from_json(f, values) -> Polynomial:
+    """A JSON coefficient list read one field element at a time (a
+    Fraction, or a `ParamRational.make` of Fractions) and built into a
+    `Polynomial` from those elements: the oracle for
+    `fields.components_from_json`."""
+    if not f.var_names:
+        return Polynomial(f, [reference_rational_from_json(v)
+                              for v in values])
+    coeffs = []
+    for v in values:
+        if not (isinstance(v, dict) and isinstance(v.get("num"), dict)
+                and isinstance(v.get("den"), dict)):
+            raise ValueError(
+                f"a {f.tag} coefficient must be a {{num, den}} object")
+        num, den = ({_mono_from_key(k, f.var_names):
+                     reference_rational_from_json(c)
+                     for k, c in v[part].items()} for part in ("num", "den"))
+        coeffs.append(ParamRational.make(f.tag, num, den))
+    return Polynomial(f, coeffs)

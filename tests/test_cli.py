@@ -18,6 +18,9 @@ from pdc.series import (SeriesRecord, builtin_db, cap_series,
 
 from helpers import degree_six_pair
 
+# the parameter coefficient 1, as coeff_to_json writes it
+ONE = {"num": {"1": "1"}, "den": {"1": "1"}}
+
 
 @pytest.fixture(autouse=True)
 def clean_db_env(monkeypatch):
@@ -714,6 +717,67 @@ class TestDb:
         with budget(5):
             self.assert_rejected(path, "record 0: parameter gcd too large",
                                  monkeypatch, capsys)
+
+    @pytest.mark.parametrize("field, num, den, message", [
+        # two bad values: the first in list order wins, the num list
+        # before the den list, a coefficient's num before its den
+        ("Q", ["x", "1/0"], ["1"],
+         "coefficient 'x' is not a rational: unexpected 'x' (position 0)"),
+        ("Q", ["1", "1/0"], ["y"], "coefficient '1/0' is not a rational: "
+         "zero denominator (position 2)"),
+        ("Q_s", [{"num": {"1": "a"}, "den": {"1": "b"}}], [ONE],
+         "coefficient 'a' is not a rational: unexpected 'a' (position 0)"),
+        ("Q_s", [{"num": {"s1": "1/0"}, "den": {"s1": "z", "1": "1"}}], [ONE],
+         "coefficient '1/0' is not a rational: zero denominator "
+         "(position 2)"),
+        ("Q_s", [ONE, {"num": {"1": "2/0"}, "den": {"1": "1"}}],
+         [{"num": {"s4": "1"}, "den": {"1": "1"}}], "coefficient '2/0' is "
+         "not a rational: zero denominator (position 2)"),
+        ("Q_s", [{"num": {"s1*s1": "1", "1": "x"}, "den": {"1": "1"}}], [ONE],
+         "malformed monomial key 's1*s1'"),
+        ("Q_s", [{"num": {"1": "1"}, "den": {"1": "-/2"}},
+                 {"num": {"1": "1/0"}, "den": {"1": "1"}}], [ONE],
+         "coefficient '-/2' is not a rational: unexpected '/' (position 1)"),
+        # a zero den stops the read at its coefficient
+        ("Q_s", [{"num": {"1": "1"}, "den": {"1": "0"}},
+                 {"num": {"1": "q"}, "den": {"1": "1"}}], [ONE],
+         "zero denominator"),
+        ("Q_s", [{"num": {"1": "1"}, "den": {}},
+                 {"num": {"1": "q"}, "den": {"1": "1"}}], [ONE],
+         "zero denominator"),
+        ("Q_lambda", [{"num": {"1": "1"}, "den": {"lam1": "0", "1": "-0"}}],
+         [ONE], "zero denominator"),
+        ("Q", [" 3 /  00 "], ["1"], "coefficient ' 3 /  00 ' is not a "
+         "rational: zero denominator (position 6)"),
+    ])
+    def test_import_names_the_first_bad_value(self, tmp_path, monkeypatch,
+                                              capsys, field, num, den,
+                                              message):
+        path = tmp_path / "two_bad.json"
+        path.write_text(json.dumps(self.one_record(field=field, num=num,
+                                                   den=den)))
+        assert main(["db", "import", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot import {path}: record 0: {message}\n")
+        self.assert_rejected(path, f"record 0: {message}\n", monkeypatch,
+                             capsys)
+
+    @pytest.mark.parametrize("text, digits", [
+        ("1" * 4301, "1" * 4301), ("1/" + "2" * 4400, "2" * 4400),
+        ("1" * 4500 + "/" + "2" * 4400, "2" * 4400),
+        ("1" * 4500 + "x", "1" * 4500)])
+    def test_import_over_the_int_string_limit(self, tmp_path, capsys, text,
+                                              digits):
+        # Python's own ValueError for the first digit string over the
+        # limit that int() meets: a denominator before its numerator, and
+        # a numerator before the text after it
+        with pytest.raises(ValueError) as limit:
+            int(digits)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(self.one_record(num=[text])))
+        assert main(["db", "import", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot import {path}: record 0: {limit.value}\n")
 
     def test_import_deeply_nested_json(self, tmp_path, capsys):
         # json.loads raises RecursionError here; that is malformed data,

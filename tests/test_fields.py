@@ -11,15 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from pdc import fields
 from pdc.descendents import DescElement
-from pdc.fields import (FIELDS, QS, GaussianRational, I, ParamRational,
-                        _digits, _mono_from_key, _mv_gcd, _mv_mul, _mv_quo,
-                        field, rat)
+from pdc.fields import (FIELDS, QS, _RATIONAL, GaussianRational, I,
+                        ParamRational, _digits, _mono_from_key, _mv_gcd,
+                        _mv_mul, _mv_quo, _ratio_from_json, field, rat)
 from pdc.laurent import LaurentSeries
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction
 from pdc.virasoro import build_quadratic
 
-from helpers import digits_by_loop
+from helpers import digits_by_loop, reference_rational_from_json
 
 
 def test_rat_accepts_int_str_fraction():
@@ -390,6 +390,34 @@ class TestFieldWrapper:
             v = text if tag == "Q" else {"num": {"1": text}, "den": {"1": "1"}}
             with pytest.raises(ValueError, match="is not a rational"):
                 f.coeff_from_json(v)
+
+    @settings(max_examples=400)
+    @given(st.one_of(
+        st.text(alphabet="0123456789+-/ \t\n\x85\u00a0\u2003\u00b2x.e_",
+                max_size=8),
+        st.from_regex(r"\s*[+-]?\s*[0-9]{1,3}(\s*/\s*[0-9]{1,2})?\s*",
+                      fullmatch=True)))
+    @example("1/0")
+    @example("0/0e")
+    @example(" 3 /  00 ")
+    @example("\u00a0-\u20037/\t14\n")
+    def test_pattern_reads_the_scanner_language(self, text):
+        # one compiled match reads what the scanner accepts, to the same
+        # value, and the scanner words every rejection: a string outside
+        # the pattern, or inside it with a zero denominator ("0/0e" is
+        # outside it, and the scanner stops at its zero denominator)
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as exc:
+                return str(exc)
+
+        want = outcome(lambda: reference_rational_from_json(text))
+        assert outcome(lambda: Fraction(*_ratio_from_json(text))) == want
+        if _RATIONAL.fullmatch(text):
+            assert not isinstance(want, str) or "zero denominator" in want
+        else:
+            assert isinstance(want, str)
 
     def test_coeff_from_json_reads_signed_rationals(self):
         q = FIELDS["Q"]

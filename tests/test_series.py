@@ -5,11 +5,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdc.checks import _local_curve_brute_coeffs
 from pdc.descendents import DescElement, gen, parse_element
-from pdc.fields import FIELDS, ParamRational
+from pdc.fields import FIELDS, ParamRational, _mono_key, components_from_json
 from pdc.laurent import laurent_expand
 from pdc.partitions import partitions_of, zaut
 from pdc.polynomial import Polynomial
@@ -26,7 +26,8 @@ from pdc.series import (GEOMETRIES, PROVENANCES, CobordismSeries, SeriesDB,
                         reduce, rf_from_obj, rf_to_obj,
                         virasoro_constraint_check)
 
-from helpers import cap_by_products, local_curve_by_products
+from helpers import (cap_by_products, local_curve_by_products,
+                     reference_poly_from_json, reference_rational_from_json)
 
 
 class TestKeys:
@@ -427,6 +428,84 @@ def ratfun_over(draw, tag):
                                       max_size=1 if ratios else 4)
                              .filter(any)))
     return RationalFunction(num, den)
+
+
+# JSON rationals as a file may spell them: leading zeros, signs, spaces
+# (Unicode ones too), unreduced and zero values
+json_rationals = st.one_of(
+    st.sampled_from(["007", "+3", " 5/2 ", "-0", "2/4", "-6/4", "0", "1"]),
+    st.from_regex(r"\s*[+-]?\s*[0-9]{1,3}(\s*/\s*0*[1-9][0-9]?)?\s*",
+                  fullmatch=True),
+    st.integers(-30, 30))
+
+
+def json_coefficients(tag, min_size=0):
+    """A JSON coefficient list over the field tag of at least min_size
+    entries: rationals over Q, and
+    {num, den} objects over a parameter field, whose den is the constant
+    key "1", that key beside a zero entry, or one to three monomials,
+    with nonzero values."""
+    if tag == "Q":
+        return st.lists(json_rationals, min_size=min_size, max_size=4)
+    names = FIELDS[tag].var_names
+    keys = st.tuples(*[st.integers(0, 2)] * len(names)).map(
+        lambda e: _mono_key(e, names))
+    terms = st.dictionaries(keys, json_rationals, max_size=3)
+    nonzero = json_rationals.filter(reference_rational_from_json)
+    den = st.one_of(
+        st.builds(lambda c: {"1": c}, nonzero),
+        st.builds(lambda k, c: {k: "0", "1": c}, keys, nonzero),
+        st.dictionaries(keys, nonzero, min_size=1, max_size=3))
+    return st.lists(st.fixed_dictionaries({"num": terms, "den": den}),
+                    min_size=min_size, max_size=3)
+
+
+def outcome(read):
+    """read(), or the type and message of the ValueError or
+    ZeroDivisionError it raises."""
+    try:
+        return read()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestJsonReader:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["Q", "Q_s", "Q_lambda"]).flatmap(
+        lambda tag: st.tuples(st.just(tag), json_coefficients(tag),
+                              json_coefficients(tag, min_size=1))))
+    @example(("Q", ["007", "+3", " 5/2 ", "-0", "2/4"], ["-6/4", "1/0"]))
+    @example(("Q_s", [{"num": {"s1": "007", "1": "-0"}, "den": {"1": "-6/4"}},
+                      {"num": {"1": "2/4"}, "den": {"s1": "0", "1": "2"}}],
+              [{"num": {"1": "+3"}, "den": {"s1": " 5/2 ", "1": "1"}}]))
+    @example(("Q_lambda", [{"num": {"lam0": "1"}, "den": {"lam1": "2/4"}}],
+              [{"num": {"1": "-0"}, "den": {"1": "-6/4"}},
+               {"num": {"lam2": "3"}, "den": {"1": "7", "lam0": "0"}}]))
+    @example(("Q_s", [{"num": {"1": "1"}, "den": {"1": "0"}}], ["1"]))
+    @example(("Q_s", [{"num": {"1": "1"}, "den": {}}], ["1"]))
+    def test_rows_match_the_per_coefficient_route(self, case):
+        # the reader goes straight to integer rows; the reference builds
+        # a field element per coefficient, and both must give the same
+        # polynomial, record bytes and errors
+        tag, num, den = case
+        f = FIELDS[tag]
+        got = outcome(lambda: Polynomial.from_rows(
+            f, *components_from_json(f, num)))
+        want = outcome(lambda: reference_poly_from_json(f, num))
+        assert got == want
+        if isinstance(want, Polynomial):
+            assert str(got) == str(want)
+
+        def exported(value):
+            return records_to_json([SeriesRecord(
+                make_key("P3", 1, "ch4(p)"), value, "exact")])
+
+        want = outcome(lambda: exported(RationalFunction(
+            *(reference_poly_from_json(f, part) for part in (num, den)))))
+        if want[0] is ZeroDivisionError:
+            want = ValueError, "zero denominator"
+        assert outcome(lambda: exported(rf_from_obj(
+            {"field": tag, "num": num, "den": den}))) == want
 
 
 class TestSerialization:
