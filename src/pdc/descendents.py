@@ -11,7 +11,8 @@ relations are imposed until normalize is applied.
 
 normalize implements the boundary conventions: each factor ch_0(p) turns
 into the scalar -1, while ch_0 of any lower class and every ch_1 kill the
-monomial.  The tau labels used for series are related by
+monomial; boundary_split sorts the factors of one monomial into these
+three cases, for normalize and for the operator kernel.  The tau labels used for series are related by
 tau_k(c) = ch_{k+2}(c).
 """
 
@@ -78,7 +79,7 @@ def int_or_fraction(c) -> Coeff:
     """c (int, Fraction or a string like "3/4"): an int if integral."""
     if type(c) is int:
         return c
-    c = rat(c)
+    c = c if isinstance(c, Fraction) else rat(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -171,28 +172,33 @@ class DescElement:
         return f"DescElement({format_element(self)})"
 
 
-def normal_terms(items):
-    """The boundary conventions on (monomial, coefficient) pairs.
+def boundary_split(factors: Monomial, coeff: Coeff) -> tuple:
+    """The boundary conventions on one monomial, factor by factor.
 
-    Yields one pair per monomial that survives: ch_0(p) factors become the
-    scalar -1; ch_0 of the classes 1, H, L and every ch_1 annihilate the
-    monomial.  Dropping factors keeps a sorted monomial sorted.
+    Returns (kept, coeff, killed): the factors that survive, coeff with
+    one sign flip per ch_0(p) factor (the scalar -1), and the factors
+    that annihilate the monomial (ch_0 of the classes 1, H, L and every
+    ch_1).  Dropping factors keeps a sorted monomial sorted.
     """
-    for factors, coeff in items:
-        kept = []
-        for g in factors:
-            if g.i == 1:
-                break
-            if g.i == 0:
-                if g.cls == 3:
-                    coeff = -coeff
-                    continue
-                if g.cls < 3:
-                    break
-                # fixed-point class: no convention applies
+    kept, killed = [], []
+    for g in factors:
+        i, cls = g
+        if i > 1 or i == 0 and cls == 4:  # ch_0(p0): no convention applies
             kept.append(g)
+        elif i == 0 and cls == 3:
+            coeff = -coeff
         else:
-            yield tuple(kept), coeff
+            killed.append(g)
+    return tuple(kept), coeff, killed
+
+
+def normal_terms(items):
+    """The boundary conventions on (monomial, coefficient) pairs: one pair
+    per monomial that survives (see boundary_split)."""
+    for factors, coeff in items:
+        kept, coeff, killed = boundary_split(factors, coeff)
+        if not killed:
+            yield kept, coeff
 
 
 def normalize(e: DescElement) -> DescElement:

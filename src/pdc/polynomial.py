@@ -498,7 +498,9 @@ def _zz_gcd(f: list[int], g: list[int]
     inputs is their gcd up to sign.  The one candidate per point is the
     primitive part of the integer gcd of the images, read back as s-bit
     balanced digits (`_digits`); the quotients that accept it are
-    returned with it (Liao and Fateman, ISSAC 1995).  A refused point is
+    returned with it (Liao and Fateman, ISSAC 1995).  A constant
+    candidate is 1, which divides both: it is returned with f and g
+    themselves, with no division.  A refused point is
     followed by a larger one (`_next_width`) with no cap; every point
     past a bound set by the cofactors' resultant is accepted.
     """
@@ -509,6 +511,8 @@ def _zz_gcd(f: list[int], g: list[int]
             2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4).bit_length()
     while True:
         cand = _digits(gcd(_value(f, s), _value(g, s)), s)
+        if len(cand) == 1:
+            return [1], f, g
         m = gcd(*cand)
         cand = [c // m for c in cand]
         qf = _zz_quo(f, cand)

@@ -24,6 +24,22 @@ happens on formal symbols first: R_{-1}(ch_1(p) * D) contributes through
 the base, which holds normal(R_{-1} ch_1(p)) = -1.  A product of two
 normalized monomials is normalized, so nothing is normalized twice.
 
+The same two facts let apply_op walk each monomial f of e once.  The
+walk (descendents.boundary_split, which normalize also reads) keeps the
+factors that survive normal(f), takes the sign of its ch_0(p) factors
+and notes the killed factors (any ch_1, or ch_0 of 1, H or L);
+normal(f), for the base, is 0 just when one is killed.  By the
+product rule normal(R_d f) is the sum over the factors g of f of
+normal(R_d g) times the normal form of the other factors.  So with two
+or more killed factors every term keeps one and normal(R_d f) = 0; with
+exactly one, only the term that shifts it can survive; with none, every
+kept factor is shifted (R_d ch_0(p) is always 0: its weight vanishes
+for d >= 0, its subscript for d = -1).  normal(R_d g) of one generator,
+as (factors, weight) or None, is computed once per operator and kept
+with its action, and each shifted generator is merged with the other
+kept factors and a monomial of B_d by one sort.  An operator whose
+action is empty returns zero without walking e.
+
 R_k multiplies a generator of degree x by the rising factorial
 x (x+1) ... (x+k) while shifting the subscript by k; R_{-1} is the plain
 downward shift, with subscripts below zero giving zero.
@@ -47,8 +63,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .descendents import (Coeff, DescElement, Generator, Monomial,
-                          class_degree, format_monomial, gen,
-                          int_or_fraction, kunneth_pairs, monomial,
+                          boundary_split, class_degree, format_monomial,
+                          gen, int_or_fraction, kunneth_pairs, monomial,
                           normal_terms)
 from .fields import accumulate
 from .text import signed_sum
@@ -60,26 +76,26 @@ class Term(NamedTuple):
     deriv: int | None  # None for identity, k for the shift derivation R_k
 
 
-def _deriv_key(deriv: int | None) -> tuple:
-    return (0, 0) if deriv is None else (1, deriv)
-
-
-def _keyed_terms(terms):
-    """((multiplier, derivation), coefficient) pairs of operator terms."""
-    for coeff, mult, deriv in terms:
-        if deriv is not None and deriv < -1:
-            raise ValueError("derivation index below -1: malformed operator")
-        yield (monomial(mult), deriv), int_or_fraction(coeff)
+def _term_order(item) -> tuple:
+    # identity terms first, then by derivation index, then by multiplier
+    (mult, deriv), _ = item
+    return (-2 if deriv is None else deriv), mult
 
 
 class VirasoroOperator:
     __slots__ = ("terms", "_action")
 
     def __init__(self, terms):
-        merged = accumulate({}, _keyed_terms(terms))
-        ordered = sorted(merged, key=lambda k: (_deriv_key(k[1]), k[0]))
-        object.__setattr__(self, "terms",
-                           tuple(Term(merged[k], k[0], k[1]) for k in ordered))
+        keyed = []
+        for coeff, mult, deriv in terms:
+            if deriv is not None and deriv < -1:
+                raise ValueError(
+                    "derivation index below -1: malformed operator")
+            keyed.append(((monomial(mult), deriv), int_or_fraction(coeff)))
+        # a sum of Fractions can be integral: it is stored as an int
+        object.__setattr__(self, "terms", tuple(
+            Term(int_or_fraction(c), mult, deriv) for (mult, deriv), c
+            in sorted(accumulate({}, keyed).items(), key=_term_order)))
 
     def __setattr__(self, name, value):
         raise AttributeError("VirasoroOperator is immutable")
@@ -90,8 +106,10 @@ class VirasoroOperator:
 
     @property
     def action(self) -> tuple:
-        """(base, ((d, B_d), ...)) as (monomial, coefficient) pairs, built
-        on first use and kept (see the module docstring)."""
+        """(base, ((d, B_d, shifts), ...)): base and each B_d as
+        (monomial, coefficient) pairs, and shifts the memo of
+        normal(R_d g) by generator g that apply_op fills.  Built on first
+        use and kept (see the module docstring)."""
         try:
             return self._action
         except AttributeError:
@@ -106,7 +124,8 @@ class VirasoroOperator:
                 accumulate(base, normal_terms(_shift_terms(deriv, term)))
                 accumulate(parts.setdefault(deriv, {}), normal_terms(term))
         action = (tuple(base.items()),
-                  tuple((d, tuple(b.items())) for d, b in parts.items() if b))
+                  tuple((d, tuple(b.items()), {})
+                        for d, b in parts.items() if b))
         object.__setattr__(self, "_action", action)
         return action
 
@@ -180,22 +199,36 @@ def apply_shift(k: int, e: DescElement) -> DescElement:
 
 def apply_op(op: VirasoroOperator, e: DescElement) -> DescElement:
     """Apply the operator: multiply, derive on formal symbols, normalize;
-    computed as base normal(e) + sum_d B_d normal(R_d e) from its action."""
+    computed as base normal(e) + sum_d B_d normal(R_d e) from its action,
+    one walk per monomial of e (see the module docstring)."""
     base, parts = op.action
-    acc: dict = {}
-    if base:
-        accumulate(acc, _products(normal_terms(e.terms.items()), base))
-    for d, part in parts:
-        accumulate(acc, _products(
-            normal_terms(_shift_terms(d, e.terms.items())), part))
-    return DescElement._from_terms(acc)
-
-
-def _products(items, fixed):
-    """Every product of a pair from items with a pair from fixed."""
-    for f, c in items:
-        for m, cm in fixed:
-            yield monomial(f + m), c * cm
+    if not (base or parts):
+        return DescElement._from_terms({})
+    walks = []  # (kept factors, signed coefficient, killed factors)
+    for f, c in e.terms.items():
+        w = boundary_split(f, c)
+        if len(w[2]) < 2:
+            walks.append(w)
+    # (factors, coefficient, pairs to multiply them by), in the order the
+    # term-by-term sum meets them
+    jobs = [(kept, c, base) for kept, c, killed in walks
+            if base and not killed]
+    for d, part, shifts in parts:
+        for kept, c, killed in walks:
+            # the killed factor, shifted, is put after the kept ones
+            for j, g in ([(len(kept), killed[0])] if killed
+                         else enumerate(kept)):
+                try:
+                    shifted = shifts[g]
+                except KeyError:
+                    shifted = shifts[g] = next(
+                        normal_terms(_shift_terms(d, [((g,), 1)])), None)
+                if shifted is not None:
+                    h, w = shifted
+                    jobs.append((kept[:j] + h + kept[j + 1:], c * w, part))
+    return DescElement._from_terms(accumulate({}, [
+        (monomial(factors + m), c * cm)
+        for factors, c, fixed in jobs for m, cm in fixed]))
 
 
 def build_quadratic(k: int) -> VirasoroOperator:

@@ -1,17 +1,19 @@
 """Functions only the tests use: oracles for the functional-equation
 check, the polynomial quotients, the balanced digits, the two
-closed-form evaluators and the JSON coefficient reader, and small
-builders that no command, check or workload needs."""
+closed-form evaluators, the JSON coefficient reader and the operator
+kernel, and small builders that no command, check or workload needs."""
 
 from fractions import Fraction
 from math import factorial
 
-from pdc.descendents import DescElement, gen, kunneth_pairs
+from pdc.descendents import (DescElement, gen, kunneth_pairs, monomial,
+                             normalize)
 from pdc.fields import FIELDS, ParamRational, _mono_from_key
 from pdc.polynomial import Polynomial, _times_binomial, _zz_mul
 from pdc.ratfun import RationalFunction, _lowest_den_coeff_one
 from pdc.text import ParseError, Scanner
-from pdc.virasoro import Term, VirasoroOperator
+from pdc.virasoro import (Term, VirasoroOperator, _shift_terms,
+                          apply_shift)
 
 
 def invert_q(F: RationalFunction) -> RationalFunction:
@@ -37,6 +39,39 @@ def identity_op() -> VirasoroOperator:
 def shift_op(k: int) -> VirasoroOperator:
     """The bare shift derivation R_k, as an operator."""
     return VirasoroOperator([Term(1, (), k)])
+
+
+def apply_op_reference(op: VirasoroOperator, e: DescElement) -> DescElement:
+    """`virasoro.apply_op` term by term through the public element
+    operations."""
+    total = DescElement.zero()
+    for coeff, mult, deriv in op.terms:
+        x = e * DescElement({mult: 1})
+        if deriv is not None:
+            x = apply_shift(deriv, x)
+        total = total + normalize(x).scale(coeff)
+    return total
+
+
+def commutator_reference(A: VirasoroOperator,
+                         B: VirasoroOperator) -> VirasoroOperator:
+    """`virasoro.commutator` as a list of terms handed to the public
+    constructor."""
+    out = []
+    for c1, x, d1 in A.terms:
+        for c2, y, d2 in B.terms:
+            c = c1 * c2
+            if d1 is not None and d2 is not None and d1 != d2:
+                if d1 + d2 < -1:
+                    raise ValueError("commutator left the operator class")
+                out.append(Term((d2 - d1) * c, monomial(x + y), d1 + d2))
+            if d1 is not None and y:
+                for factors, w in _shift_terms(d1, [(y, c)]):
+                    out.append(Term(w, monomial(x + factors), d2))
+            if d2 is not None and x:
+                for factors, w in _shift_terms(d2, [(x, -c)]):
+                    out.append(Term(w, monomial(y + factors), d1))
+    return VirasoroOperator(out)
 
 
 def kunneth_expand(a: int, b: int, j: int) -> DescElement:

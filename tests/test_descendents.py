@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from pdc.descendents import (CLASS_NAMES, DescElement, DescParseError,
-                             Generator, class_degree, format_element,
+                             Generator, boundary_split, class_degree,
+                             format_element,
                              format_monomial, from_tau, gen,
                              generator_degree, kunneth_pairs, monomial,
                              monomial_degree, normalize, parse_element)
@@ -127,6 +128,16 @@ class TestNormalize:
             e = DescElement(terms)
             once = normalize(e)
             assert normalize(once) == once
+
+    def test_boundary_split_sorts_every_factor(self):
+        # kept, the sign of the ch_0(p) factors, and every killed factor
+        factors = monomial((gen(0, "1"), gen(0, "p"), gen(0, "p"),
+                            gen(0, "p0"), gen(1, "p"), gen(2, "H"),
+                            gen(0, "p")))
+        kept, coeff, killed = boundary_split(factors, Fraction(3, 2))
+        assert kept == monomial((gen(0, "p0"), gen(2, "H")))
+        assert coeff == Fraction(-3, 2)
+        assert sorted(killed) == sorted([gen(0, "1"), gen(1, "p")])
 
     def test_collision_after_normalization_merges(self):
         e = (DescElement.of(gen(0, "p"), gen(3, "p"))

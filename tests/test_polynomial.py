@@ -251,6 +251,17 @@ class TestIntegerGcd:
             1, Fraction(2, 3))
         assert Polynomial.gcd(Polynomial.zero(Q), Polynomial.zero(Q)).is_zero
 
+    def test_constant_candidate_returns_the_inputs(self, monkeypatch):
+        # (1 + q)(2^s) and (q - 1)(2^s) are odd and differ by 2, so the
+        # first candidate is the constant 1: nothing is divided
+        def no_division(f, g):
+            raise AssertionError("a constant candidate was divided out")
+
+        monkeypatch.setattr(polynomial, "_zz_quo", no_division)
+        f, g = [1, 1], [-1, 1]
+        h, a, b = polynomial._zz_gcd(f, g)
+        assert (h, a, b) == ([1], f, g) and a is f and b is g
+
 
 class TestIntegerProduct:
     @given(small_polys, small_polys)

@@ -1,5 +1,6 @@
 """Shift derivations, constraint operators, and their bracket algebra."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -17,7 +18,8 @@ from pdc.virasoro import (Term, VirasoroOperator, acts_as_zero, apply_op,
                           commutator, generator_monomials,
                           multiplication_op, shift_weight)
 
-from helpers import identity_op, shift_op
+from helpers import (apply_op_reference, commutator_reference, identity_op,
+                     shift_op)
 
 
 generators = st.builds(gen, st.integers(0, 6), st.integers(0, 4))
@@ -45,21 +47,23 @@ any_operators = st.builds(
 operators = st.builds(lambda dead, other: VirasoroOperator(dead + other),
                       st.lists(dead_terms, max_size=3),
                       st.lists(any_terms, max_size=1))
+# monomials with exactly 0, 1, 2 or 3 killed factors, next to ch_0(p),
+# the scalar -1, and ch_0(p0), which is kept
+boundary_monomials = st.builds(
+    lambda killed, signs, fixed, rest: tuple(killed + signs + fixed + rest),
+    st.integers(0, 3).flatmap(
+        lambda n: st.lists(killers, min_size=n, max_size=n)),
+    st.lists(st.just(gen(0, "p")), max_size=2),
+    st.lists(st.just(gen(0, "p0")), max_size=1),
+    st.lists(generators, max_size=2))
+boundary_elements = st.dictionaries(
+    boundary_monomials,
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    max_size=4).map(DescElement)
 
 
 def raise_on_apply(op, e):
     raise AssertionError("apply_op was called")
-
-
-def apply_op_reference(op, e):
-    """apply_op term by term through the public element operations."""
-    total = DescElement.zero()
-    for coeff, mult, deriv in op.terms:
-        x = e * DescElement({mult: 1})
-        if deriv is not None:
-            x = apply_shift(deriv, x)
-        total = total + normalize(x).scale(coeff)
-    return total
 
 
 def bracket_check_reference(k, m, gen_bound):
@@ -365,6 +369,59 @@ class TestApplyOpReference:
         assert got == expect
         assert str(got) == str(expect)
 
+    def test_every_killed_factor(self):
+        # each killed factor and each pair of them, alone, next to ch_0(p)
+        # and next to ch_0(p0), under every shift the operators below
+        # hold; the shift of a killed factor can survive: R_-1 ch_1(p) is
+        # ch_0(p), the scalar -1, and R_2 ch_0(1) is -6 ch_2(1)
+        killed = [gen(1, cls) for cls in range(5)] + [
+            gen(0, cls) for cls in range(3)]
+        ops = [shift_op(d) for d in range(-1, 4)] + [
+            build_constraint(k) for k in range(-1, 4)]
+        for n in (1, 2):
+            for factors in itertools.combinations_with_replacement(killed, n):
+                for extra in ((), (gen(0, "p"),), (gen(0, "p0"),)):
+                    e = DescElement.of(*factors, *extra, gen(3, "p"))
+                    for op in ops:
+                        got = apply_op(op, e)
+                        assert got == apply_op_reference(op, e), (op, e)
+                        assert n == 1 or got.is_zero
+
+    @settings(max_examples=300)
+    @given(st.one_of(any_operators, st.integers(-1, 4).map(build_constraint)),
+           boundary_elements)
+    def test_matches_at_killed_factors(self, op, e):
+        got, expect = apply_op(op, e), apply_op_reference(op, e)
+        assert got == expect
+        assert str(got) == str(expect)
+
+
+class TestOperatorSums:
+    @settings(max_examples=300)
+    @given(any_operators, any_operators,
+           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    def test_match_the_public_constructor(self, A, B, c):
+        pairs = [
+            (A + B, VirasoroOperator(A.terms + B.terms)),
+            (A - B, VirasoroOperator(
+                A.terms + tuple(Term(-x, m, d) for x, m, d in B.terms))),
+            (A.scale(c), VirasoroOperator(
+                [Term(c * x, m, d) for x, m, d in A.terms])),
+            (commutator(A, B), commutator_reference(A, B)),
+        ]
+        for got, expect in pairs:
+            assert got == expect
+            assert str(got) == str(expect)
+            assert ([type(t.coeff) for t in got.terms]
+                    == [type(t.coeff) for t in expect.terms])
+
+    def test_integral_sums_are_ints(self):
+        half = multiplication_op((gen(2, "H"),), Fraction(1, 2))
+        for op in (half + half, VirasoroOperator(half.terms * 2),
+                   (half + shift_op(0)).scale(4)):
+            assert all(type(t.coeff) is int for t in op.terms)
+        assert (half - half).is_zero and half.scale(0).is_zero
+
 
 class TestAction:
     def test_built_once_per_operator(self, monkeypatch):
@@ -383,6 +440,32 @@ class TestAction:
 
         monkeypatch.setattr(virasoro, "normal_terms", no_normalizing)
         assert apply_op(lowest, e).is_zero
+
+    def test_shifts_are_computed_once_per_operator(self, monkeypatch):
+        op = build_constraint(2)
+        probes = [DescElement({m: 1}) for m in generator_monomials(3, 2)]
+        first = [apply_op(op, e) for e in probes]
+
+        def no_shifting(k, items):
+            raise AssertionError("a shift was computed again")
+
+        monkeypatch.setattr(virasoro, "_shift_terms", no_shifting)
+        assert [apply_op(op, e) for e in probes] == first
+
+    def test_shift_memo_is_per_operator(self):
+        # operators sharing and not sharing derivation indices, applied
+        # in turn on each element in both orders, against the reference
+        probes = [DescElement({m: 1}) for m in generator_monomials(3, 2)]
+        probes.append(DescElement.of(gen(0, "1"), gen(0, "p"), gen(5, "p0")))
+        cases = [(build_constraint(1), build_constraint(2)),
+                 (shift_op(0), shift_op(3)),
+                 (build_quadratic(2), build_constraint(2))]
+        for A, B in cases:
+            for order in ((A, B), (B, A)):
+                ops = [VirasoroOperator(op.terms) for op in order]
+                for e in probes:
+                    assert [apply_op(op, e) for op in ops] == [
+                        apply_op_reference(op, e) for op in ops]
 
     def test_derived_operators_get_their_own_action(self):
         op = build_quadratic(1)
