@@ -26,7 +26,7 @@ from .laurent import LaurentSeries, laurent_expand, u_expand
 from .partitions import koszul_sign, partitions_of, set_partitions, zaut
 from .polynomial import Polynomial
 from .ratfun import (RationalFunction, RFParseError, fe_check, parse_rf,
-                     pole_check, q_ddq)
+                     pole_check, q_ddq, q_ddq_minus)
 from .series import (CobordismSeries, SeriesDB, SeriesKey,
                      SeriesRecord, UnknownSeriesError, builtin_db,
                      canonical_insertions, cap_series, cobordism_example,

@@ -17,20 +17,25 @@ grow polynomially in the order.
 u_expand performs the exact variable change q = -exp(i*u) on a function
 over Q, together with the prefactor exp(-i*d_beta*u/2), producing a
 series over the Gaussian rationals whose pole order at u = 0 equals the
-pole order of the input at q = -1.  It works in v = i*u:
-exp(-d_beta*v/2) * F(-exp(v)) has rational coefficients, which are
-power sums over Z of the integer rows of F with the prefactor folded in,
-then one power-series quotient over Q (`_ps_quo`).  Only the last step
-moves to the Gaussian rationals (the output field alone), where the
-coefficient of u**n is i**n times that of v**n.
+pole order of the input at q = -1.  It works in v = i*u, on ints:
+2**j j! times the v**j-coefficient of exp(-d_beta*v/2) * F(-exp(v))'s
+numerator and denominator are power sums over Z of F's integer rows,
+each row scaled by the other side's denominator and the prefactor folded
+into the numerator.  One integer, 2**T T! for T the highest index read,
+scales both windows to integers, and the quotient runs as the
+fraction-free recurrence of laurent_expand on ints.  There is one
+Fraction per output coefficient; the coefficient of u**n is i**n times
+that of v**n, so it is placed as the real or the imaginary part of a
+Gaussian rational, and no Gaussian arithmetic runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
-from .fields import (QI, I, ParamRational, _mv_mul, accumulate, field,
-                     from_components)
+from .fields import (QI, GaussianRational, ParamRational, _mv_mul, accumulate,
+                     field, from_components)
 from .ratfun import RationalFunction
 from .text import power, signed_sum
 
@@ -192,39 +197,37 @@ def laurent_expand(F: RationalFunction, max_exp: int) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# the u-side expansion, over Q
+# the u-side expansion, over Q, on ints
 
 
-def _ps_quo(num: list, den: list, n: int, zero) -> list:
-    """The first n coefficients of the power series num/den, where
-    den[0] != 0: out[k] = (num[k] - sum_(j>=1) den[j]*out[k-j]) / den[0]."""
-    d0, tail = den[0], [(j, c) for j, c in enumerate(den) if j and c]
-    out = []
-    for k in range(n):
-        acc = num[k] if k < len(num) else zero
-        for j, c in tail:
-            if j > k:
-                break
-            acc = acc - c * out[k - j]
-        out.append(acc / d0)
-    return out
-
-
-def _power_sums(ints: list[int], m: int, shift: int, n: int
-                ) -> list[Fraction]:
-    """[sum_k (-1)**k (2k - shift)**j m*c_k / (2**j j!) for j < n] for
-    the integer list c = ints, the v**j-coefficients of
-    m * exp(-shift*v/2) * p(-exp(v)): each power sum runs over Z, then one
-    Fraction per j."""
+def _power_sums(ints: list[int], m: int, shift: int):
+    """Yields sum_k (-1)**k (2k - shift)**j m*c_k for j = 0, 1, ... for
+    the integer list c = ints: 2**j j! times the v**j-coefficient of
+    m * exp(-shift*v/2) * p(-exp(v))."""
     terms = [(-1) ** k * m * c for k, c in enumerate(ints)]
     bases = [2 * k - shift for k in range(len(ints))]
-    out, fact = [], 1
-    for j in range(n):
-        if j:
-            fact *= 2 * j
-            terms = [b * t for b, t in zip(bases, terms)]
-        out.append(Fraction(sum(terms), fact))
-    return out
+    while True:
+        yield sum(terms)
+        terms = [b * t for b, t in zip(bases, terms)]
+
+
+def _quotient_ints(num: list[int], den: list[int], n: int) -> list[Fraction]:
+    """The first n coefficients of the power series num/den for integer
+    lists with den[0] != 0, on ints: with R = den[0], the fraction-free
+    recurrence of `laurent_expand`,
+
+        O_k = num_k R^k - sum_(j>=1) den_j R^(j-1) O_(k-j),
+
+    gives the coefficient O_k / R^(k+1), one Fraction each."""
+    R, pows = den[0], [1]
+    for _ in range(n):
+        pows.append(pows[-1] * R)
+    tail = [(j, d * pows[j - 1]) for j, d in enumerate(den[:n]) if j and d]
+    out = []
+    for k in range(n):
+        out.append(num[k] * pows[k]
+                   - sum(e * out[k - j] for j, e in tail if j <= k))
+    return [Fraction(o, p) for o, p in zip(out, pows[1:])]
 
 
 def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
@@ -239,27 +242,50 @@ def u_expand(F: RationalFunction, d_beta: int, max_exp: int) -> LaurentSeries:
     F = N/D is P(q) * L_D / (R(q) * L_N) for the integer rows P, R and
     the denominators L_N, L_D of N and D.  The prefactor is a unit, so
     it goes into the numerator's power sums: exp(-d_beta*v/2) * P(-exp(v))
-    has v**j-coefficient sum_k (-1)**k P_k (2k - d_beta)**j / (2**j j!),
-    and R(-exp(v)) the same with d_beta = 0.  The power sums run on the
-    integer lists L_D * P and L_N * R; only their division by 2**j j!
-    makes a Fraction.
+    has v**j-coefficient A_j / (2**j j!) for the integer power sum
+    A_j = sum_k (-1)**k L_D P_k (2k - d_beta)**j, and R(-exp(v)) has
+    B_j / (2**j j!) for B_j the same sum over L_N R with d_beta = 0
+    (`_power_sums`).  Their valuations are the orders of vanishing of P
+    and R at q = -1, at most deg P and deg R.  Both windows, from the
+    valuations on, are scaled by the one integer 2**T T!, T the highest
+    index read: A_j and B_j times 2**(T-j) T!/j!, which leaves their
+    quotient unchanged.  The quotient then runs on ints
+    (`_quotient_ints`), and each output coefficient is one Fraction;
+    the twist by i**n only places it as the real or the imaginary part
+    of its Gaussian rational.
     """
     if F.field.tag != "Q":
         raise TypeError("u_expand needs rational coefficients (Q)")
     order = max_exp + 1
     if F.is_zero:
         return LaurentSeries("u", order, [], order, QI)
-    # enough working terms that the denominator window stays exact past the
-    # deepest possible vanishing at u = 0 (order at most deg den)
-    work = max(0, max_exp) + 2 * F.den.degree + F.num.degree + 2
-    num_s = _power_sums(F.num.rows[()], F.den.denom, d_beta, work)
-    den_s = _power_sums(F.den.rows[()], F.num.denom, 0, work)
-    val_d = next(k for k, c in enumerate(den_s) if c)
-    val_n = next((k for k, c in enumerate(num_s) if c), None)
-    if val_n is None or val_n - val_d > max_exp:
-        return LaurentSeries("u", order, [], order, QI)
+    nums = _power_sums(F.num.rows[()], F.den.denom, d_beta)
+    dens = _power_sums(F.den.rows[()], F.num.denom, 0)
+    num = list(islice(nums, F.num.degree + 1))
+    den = list(islice(dens, F.den.degree + 1))
+    val_n = next(k for k, c in enumerate(num) if c)
+    val_d = next(k for k, c in enumerate(den) if c)
     lo = val_n - val_d
-    coeffs = _ps_quo(num_s[val_n:], den_s[val_d:], order - lo, Fraction(0))
-    twist = (1, I, -1, -I)
-    return LaurentSeries("u", lo, [QI.coerce(c) * twist[(lo + k) % 4]
-                                   for k, c in enumerate(coeffs)], order, QI)
+    if lo > max_exp:
+        return LaurentSeries("u", order, [], order, QI)
+    count = order - lo
+    num += islice(nums, max(0, val_n + count - len(num)))
+    den += islice(dens, max(0, val_d + count - len(den)))
+    # weight[j] = 2**(T-j) T!/j! for j <= T, the highest index read
+    top = max(val_n, val_d) + count - 1
+    weight = [1] * (top + 1)
+    for j in range(top, 0, -1):
+        weight[j - 1] = weight[j] * 2 * j
+    coeffs = _quotient_ints(
+        [a * w for a, w in zip(num[val_n:], weight[val_n:])],
+        [b * w for b, w in zip(den[val_d:], weight[val_d:])], count)
+    return LaurentSeries("u", lo, [_times_i_power(c, n)
+                                   for n, c in enumerate(coeffs, lo)],
+                         order, QI)
+
+
+def _times_i_power(c: Fraction, n: int) -> GaussianRational:
+    """i**n * c for rational c: c or -c as the real or the imaginary
+    part, with no Gaussian product."""
+    c = -c if n % 4 >= 2 else c
+    return GaussianRational(0, c) if n % 2 else GaussianRational(c)

@@ -10,12 +10,26 @@ by the denominator's lowest coefficient, with no arithmetic over the
 field.
 
 Besides field arithmetic the module provides the operations that the
-series checks are built from: the operator q d/dq, the
-functional-equation test F(1/q) == sign * q^(-d) * F(q), and the
-divisibility test confining poles to q = 0 and roots of 1 - (-q)^m.
-Both tests run on the integer rows that `Polynomial` stores (with any
-parameter denominator cleared into them); neither runs arithmetic over
-the field.
+series checks and the reduction rules are built from: the operator
+q d/dq - c, the functional-equation test F(1/q) == sign * q^(-d) * F(q),
+and the divisibility test confining poles to q = 0 and roots of
+1 - (-q)^m.  Both tests run on the integer rows that `Polynomial` stores
+(with any parameter denominator cleared into them); neither runs
+arithmetic over the field.
+
+q d/dq - c (`q_ddq_minus`; the dilaton rule takes c = 2d, and `q_ddq`
+is c = 0) reads the square-free structure of F = N/D from one gcd,
+(g, D/g, D'/g) = `Polynomial.gcd_cofactors(D, D')`, and writes
+
+    q dF/dq - c*F = [q(N' * D/g - N * D'/g) - c * N * D/g] / (D * D/g).
+
+Once the common power of q is cancelled the pair is coprime, over any
+field of characteristic 0 (Q, Q_s and Q_lambda alike): an irreducible
+p != q that divides D, m times, divides g m - 1 times, so it divides D/g
+and not D'/g (p is separable), and N not at all (N/D is canonical); so
+modulo p the numerator is -q * N * D'/g, which is nonzero.  Only D's
+lowest coefficient is then divided out, and one gcd of D with D'
+replaces the canonical form of a pair of twice that degree.
 """
 
 from __future__ import annotations
@@ -210,9 +224,35 @@ def _lowest_den_coeff_one(num: Polynomial,
 
 
 def q_ddq(F: RationalFunction) -> RationalFunction:
-    """The operator q d/dq applied exactly."""
-    num = F.num.deriv() * F.den - F.num * F.den.deriv()
-    return RationalFunction(num.shift(1), F.den * F.den)
+    """The operator q d/dq applied exactly: `q_ddq_minus` with c = 0."""
+    return q_ddq_minus(F, 0)
+
+
+def q_ddq_minus(F: RationalFunction, c) -> RationalFunction:
+    """q dF/dq - c*F for a scalar c, in canonical form with one gcd, that
+    of the denominator D and its derivative D'.
+
+    With (g, D/g, D'/g) = `Polynomial.gcd_cofactors(D, D')` and F = N/D,
+    the result is [q(N' * D/g - N * D'/g) - c * N * D/g] / (D * D/g).
+    Once the common power of q is cancelled it is coprime (see the module
+    docstring), so only D's lowest coefficient is divided out.
+    """
+    f, num, den = F.field, F.num, F.den
+    if F.is_zero:
+        return F
+    if den.degree < 1:
+        # D is one and D' zero, so the gcd is D; `gcd_cofactors` would
+        # reach it through `_mv_gcd` on a zero input
+        dg, dpg = den, Polynomial.zero(f)
+    else:
+        _, dg, dpg = Polynomial.gcd_cofactors(den, den.deriv())
+    num = (num.deriv() * dg).shift(1) - num * (dpg.shift(1) + dg.scale(c))
+    if num.is_zero:
+        return RationalFunction.zero(f)
+    den = den * dg
+    t = min(num.valuation, den.valuation)
+    return RationalFunction._from_canonical(
+        *_lowest_den_coeff_one(num.shift(-t), den.shift(-t)))
 
 
 def fe_check(F: RationalFunction, d_beta: int, sign: int) -> bool:

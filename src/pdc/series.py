@@ -38,7 +38,7 @@ from .descendents import (DescElement, Monomial, format_monomial,
 from .fields import FIELDS, ParamRational, components_from_json
 from .polynomial import (Polynomial, _over_binomial, _times_binomial, _zz_mul,
                          q_field)
-from .ratfun import RationalFunction, fe_check, q_ddq
+from .ratfun import RationalFunction, fe_check, q_ddq_minus
 from .virasoro import apply_op, build_constraint
 
 GEOMETRIES = ("P3", "Cap", "LocalCurve", "CobordismP3")
@@ -355,14 +355,13 @@ def _reduce_monomial(factors: Monomial, d: int, db: SeriesDB,
             if g.i == 2 and g.cls == 1:
                 rest = factors[:idx] + factors[idx + 1:]
                 return _reduce_monomial(rest, d, db, geometry, boundary,
-                                        read) * d
+                                        read).scale_monomial(d)
         # dilaton rule: a subscript-3 identity factor applies q d/dq - 2d
         for idx, g in enumerate(factors):
             if g.i == 3 and g.cls == 0:
                 rest = factors[:idx] + factors[idx + 1:]
-                inner = _reduce_monomial(rest, d, db, geometry, boundary,
-                                         read)
-                return q_ddq(inner) - inner * (2 * d)
+                return q_ddq_minus(_reduce_monomial(rest, d, db, geometry,
+                                                    boundary, read), 2 * d)
     key = SeriesKey(geometry, d, format_monomial(factors), boundary)
     record = db.find(key)
     if record is None:

@@ -1,14 +1,17 @@
 """Functions only the tests use: oracles for the functional-equation
 check, the polynomial quotients, the balanced digits, the two
-closed-form evaluators, the JSON coefficient reader and the operator
-kernel, and small builders that no command, check or workload needs."""
+closed-form evaluators, the JSON coefficient reader, the operator
+kernel, the power-series quotient and u-expansion over Fractions and
+q d/dq by its quotient rule, and small builders that no command, check
+or workload needs."""
 
 from fractions import Fraction
 from math import factorial
 
 from pdc.descendents import (DescElement, gen, kunneth_pairs, monomial,
                              normalize)
-from pdc.fields import FIELDS, ParamRational, _mono_from_key
+from pdc.fields import FIELDS, QI, I, ParamRational, _mono_from_key
+from pdc.laurent import LaurentSeries
 from pdc.polynomial import Polynomial, _times_binomial, _zz_mul
 from pdc.ratfun import RationalFunction, _lowest_den_coeff_one
 from pdc.text import ParseError, Scanner
@@ -30,6 +33,66 @@ def invert_q(F: RationalFunction) -> RationalFunction:
     num = F.num.reversed_().shift(max(e, 0))
     den = F.den.reversed_().shift(max(-e, 0))
     return RationalFunction._from_canonical(*_lowest_den_coeff_one(num, den))
+
+
+def ps_quo_reference(num: list, den: list, n: int, zero) -> list:
+    """The first n coefficients of the power series num/den over the
+    field, where den[0] != 0: out[k] = (num[k] - sum_(j>=1)
+    den[j]*out[k-j]) / den[0].  The oracle for the integer recurrences
+    of `laurent_expand` and `u_expand`."""
+    d0, tail = den[0], [(j, c) for j, c in enumerate(den) if j and c]
+    out = []
+    for k in range(n):
+        acc = num[k] if k < len(num) else zero
+        for j, c in tail:
+            if j > k:
+                break
+            acc = acc - c * out[k - j]
+        out.append(acc / d0)
+    return out
+
+
+def u_expand_reference(F: RationalFunction, d_beta: int,
+                       max_exp: int) -> LaurentSeries:
+    """`laurent.u_expand` on Fractions: the power sums of the integer rows
+    divided by 2**j j! one Fraction per j, a quotient over Q
+    (`ps_quo_reference`), and the twist by i**n as a product of Gaussian
+    rationals."""
+    order = max_exp + 1
+    if F.is_zero:
+        return LaurentSeries("u", order, [], order, QI)
+    work = max(0, max_exp) + 2 * F.den.degree + F.num.degree + 2
+
+    def power_sums(ints, m, shift):
+        terms = [(-1) ** k * m * c for k, c in enumerate(ints)]
+        bases = [2 * k - shift for k in range(len(ints))]
+        out, fact = [], 1
+        for j in range(work):
+            if j:
+                fact *= 2 * j
+                terms = [b * t for b, t in zip(bases, terms)]
+            out.append(Fraction(sum(terms), fact))
+        return out
+
+    num_s = power_sums(F.num.rows[()], F.den.denom, d_beta)
+    den_s = power_sums(F.den.rows[()], F.num.denom, 0)
+    val_d = next(k for k, c in enumerate(den_s) if c)
+    val_n = next((k for k, c in enumerate(num_s) if c), None)
+    if val_n is None or val_n - val_d > max_exp:
+        return LaurentSeries("u", order, [], order, QI)
+    lo = val_n - val_d
+    coeffs = ps_quo_reference(num_s[val_n:], den_s[val_d:], order - lo,
+                              Fraction(0))
+    twist = (1, I, -1, -I)
+    return LaurentSeries("u", lo, [QI.coerce(c) * twist[(lo + k) % 4]
+                                   for k, c in enumerate(coeffs)], order, QI)
+
+
+def q_ddq_reference(F: RationalFunction) -> RationalFunction:
+    """q d/dq by the quotient rule, q(N'D - ND') / D^2, made canonical
+    by the constructor: the oracle for `ratfun.q_ddq_minus`."""
+    num = F.num.deriv() * F.den - F.num * F.den.deriv()
+    return RationalFunction(num.shift(1), F.den * F.den)
 
 
 def identity_op() -> VirasoroOperator:

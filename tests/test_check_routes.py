@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from pdc.cli import main
 from pdc.fields import FIELDS
-from pdc.laurent import LaurentSeries, _ps_quo, laurent_expand
+from pdc.laurent import LaurentSeries, laurent_expand
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, fe_check, pole_check
 from pdc.series import (SeriesRecord, builtin_db, cap_series,
                         local_curve_series, make_key, record_to_obj)
 
-from helpers import exact_div, invert_q
+from helpers import exact_div, invert_q, ps_quo_reference
 
 # ---------------------------------------------------------------------------
 # references: the bodies that ran one field element at a time
@@ -90,7 +90,8 @@ def reference_laurent_expand(F, max_exp):
     count = order - lo
     if count <= 0:
         return LaurentSeries("q", order, [], order, f)
-    coeffs = _ps_quo(F.num.coeffs[vn:], F.den.coeffs[vd:], count, f.zero)
+    coeffs = ps_quo_reference(F.num.coeffs[vn:], F.den.coeffs[vd:], count,
+                              f.zero)
     return LaurentSeries("q", lo, coeffs, order, f)
 
 

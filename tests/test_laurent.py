@@ -1,5 +1,6 @@
 """Laurent expansion engines and truncated series."""
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -10,10 +11,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from pdc.fields import FIELDS, QI, GaussianRational, I, Q
-from pdc.laurent import LaurentSeries, _ps_quo, laurent_expand, u_expand
+from pdc.laurent import (LaurentSeries, _quotient_ints, laurent_expand,
+                         u_expand)
 from pdc.polynomial import Polynomial
 from pdc.ratfun import RationalFunction, parse_rf
 from pdc.series import builtin_db, local_curve_series
+
+from helpers import ps_quo_reference, u_expand_reference
 
 U, X = sympy.symbols("u q")
 
@@ -143,8 +147,19 @@ class TestQuotientKernel:
            st.lists(small_fractions, min_size=1, max_size=5).filter(
                lambda d: d[0]), st.integers(0, 12))
     def test_matches_inverse_then_product(self, num, den, n):
-        assert _ps_quo(num, den, n, Fraction(0)) == reference_quotient(
-            num, den, n, Q)
+        assert ps_quo_reference(num, den, n, Fraction(0)) == (
+            reference_quotient(num, den, n, Q))
+
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6),
+           st.lists(st.integers(-40, 40), min_size=1, max_size=5).filter(
+               lambda d: d[0]), st.integers(1, 12))
+    def test_integer_quotient_matches_fraction_route(self, num, den, n):
+        # one Fraction per coefficient, in lowest terms
+        num = num + [0] * (n - len(num))
+        got = _quotient_ints(num, den, n)
+        assert got == ps_quo_reference(list(map(Fraction, num)), den, n,
+                                       Fraction(0))
+        assert all(type(c) is Fraction for c in got)
 
     @settings(max_examples=40)
     @given(st.sampled_from(["Q", "Q_s"]).flatmap(q_quotient),
@@ -298,6 +313,36 @@ class TestUExpand:
         want = reference_u_expand(F, d_beta, max_exp)
         assert got == want
         assert str(got) == str(want)
+
+
+def u_side_functions():
+    """Every built-in record over Q, the local curves of degree 1..6, and
+    a function whose pole at u = 0 has the order deg den, the deepest
+    window u_expand reads."""
+    records = [r.value for r in builtin_db().records()
+               if r.value.field.tag == "Q"]
+    return (records + [local_curve_series(d) for d in range(1, 7)]
+            + [parse_rf("(2 - q + 3*q^2)/(1+q)^5")])
+
+
+class TestIntegerUExpand:
+    def test_deepest_window_has_pole_order_deg_den(self):
+        F = u_side_functions()[-1]
+        assert u_expand(F, 0, 0).min_exp == -F.den.degree
+
+    @pytest.mark.parametrize("d_beta", [0, 1, 4, 8])
+    def test_matches_fraction_route(self, d_beta):
+        # str and JSON of every window from u^-3 through u^16
+        for F in u_side_functions():
+            for max_exp in range(-3, 17):
+                got = u_expand(F, d_beta, max_exp)
+                want = u_expand_reference(F, d_beta, max_exp)
+                assert str(got) == str(want)
+                assert json.dumps([QI.coeff_to_json(c) for c in got.coeffs]
+                                  ) == json.dumps([QI.coeff_to_json(c)
+                                                   for c in want.coeffs])
+                assert (got.min_exp, got.order) == (want.min_exp,
+                                                    want.order)
 
 
 class TestSeriesArithmetic:

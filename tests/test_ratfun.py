@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pdc.fields import FIELDS, Q
 from pdc.polynomial import Polynomial
 from pdc.ratfun import (RationalFunction, RFParseError, _cyclotomic_reach,
-                        fe_check, parse_rf, pole_check, q_ddq)
+                        fe_check, parse_rf, pole_check, q_ddq, q_ddq_minus)
 from pdc.series import builtin_db, cap_series, local_curve_series, rf_to_obj
 
-from helpers import degree_six_pair, invert_q
+from helpers import degree_six_pair, invert_q, q_ddq_reference
 
 
 def rand_rf(rng):
@@ -262,6 +262,79 @@ class TestInversionAndDerivation:
         for _ in range(15):
             a, b = rand_rf(rng), rand_rf(rng)
             assert q_ddq(a * b) == q_ddq(a) * b + a * q_ddq(b)
+
+
+@st.composite
+def rule_inputs(draw):
+    """(F, c): F over Q, Q_s or Q_lambda with denominator a scalar times
+    q^a and up to two factors of degree one or two, each to a power up to
+    three, so that q^a, repeated factors and constant denominators all
+    occur; c an int or, over a parameter field, sometimes a scalar of
+    it.  A coefficient is a rational, plus over a parameter field c*s_i,
+    and now and then over s_1 + 1, a parameter denominator."""
+    f = FIELDS[draw(st.sampled_from(["Q", "Q_s", "Q_lambda"]))]
+    gens = f.gens()
+
+    def scalar():
+        c = f.coerce(draw(small_fractions))
+        if gens and draw(st.booleans()):
+            c = c + draw(small_fractions) * draw(st.sampled_from(gens))
+            if draw(st.integers(0, 4)) == 0:
+                c = c / (gens[0] + 1)
+        return c
+
+    def poly(n, nonzero=True):
+        cs = [scalar() for _ in range(n)]
+        if nonzero and not any(cs):
+            cs[-1] = f.one
+        return Polynomial(f, cs)
+
+    q = Polynomial.q(f)
+    num = poly(draw(st.integers(1, 4))) * q ** draw(st.integers(0, 3))
+    den = poly(1) * q ** draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        factor = poly(draw(st.integers(2, 3)))
+        if factor.degree > 0:
+            den = den * factor ** draw(st.integers(1, 3))
+    if draw(st.integers(0, 5)) == 0:
+        num = Polynomial.zero(f)
+    c = draw(st.integers(-6, 8))
+    if gens and draw(st.integers(0, 3)) == 0:
+        c = scalar()
+    return RationalFunction(num, den), c
+
+
+class TestReductionRuleOperations:
+    """The dilaton rule's q d/dq - c with one gcd, and the divisor rule's
+    scaling with none, against the routes they replaced."""
+
+    @settings(max_examples=120, derandomize=True)
+    @given(rule_inputs())
+    # q d/dq q^2 = 2 q^2 and q d/dq q^-3 = -3 q^-3: results that cancel
+    @example((parse_rf("q^2"), 2))
+    @example((parse_rf("q^2", "Q_s"), 2))
+    @example((parse_rf("1/q^3"), -3))
+    # a constant denominator, q^k and repeated factors in it
+    @example((parse_rf("3/2 - q + 5*q^4"), 4))
+    @example((parse_rf("q/(1+q)^2"), 2))
+    @example((parse_rf("(1 - 2*q)/(q^2*(1+q)^3*(2 - q + q^2)^2)"), 6))
+    @example((parse_rf("(1+q)^2/(q*(1+q)^3)", "Q_lambda"), 0))
+    def test_dilaton_matches_quotient_rule(self, case):
+        F, c = case
+        got = q_ddq_minus(F, c)
+        want = q_ddq_reference(F) - F * c
+        assert got == want
+        assert str(got) == str(want)
+        if got.is_zero:
+            assert got.den == Polynomial.one(F.field)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(rule_inputs(), st.integers(1, 12))
+    def test_divisor_matches_product(self, case, d):
+        F = case[0]
+        got = F.scale_monomial(d)
+        assert got == F * d
+        assert str(got) == str(F * d)
 
 
 class TestFunctionalEquation:

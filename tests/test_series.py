@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pdc.checks import _local_curve_brute_coeffs
+from pdc.cli import _current_db, main
 from pdc.descendents import DescElement, gen, parse_element
 from pdc.fields import FIELDS, ParamRational, _mono_key, components_from_json
 from pdc.laurent import laurent_expand
@@ -27,7 +28,8 @@ from pdc.series import (GEOMETRIES, PROVENANCES, CobordismSeries, SeriesDB,
                         virasoro_constraint_check)
 
 from helpers import (cap_by_products, local_curve_by_products,
-                     reference_poly_from_json, reference_rational_from_json)
+                     q_ddq_reference, reference_poly_from_json,
+                     reference_rational_from_json)
 
 
 class TestKeys:
@@ -269,6 +271,16 @@ class TestEvaluators:
             cap_series(0)
 
 
+def want_after_rules(F, d, dilatons, divisors):
+    """F after the dilaton rule, by the quotient rule, and the divisor
+    rule, as a product, each applied the given number of times."""
+    for _ in range(dilatons):
+        F = q_ddq_reference(F) - F * (2 * d)
+    for _ in range(divisors):
+        F = F * d
+    return F
+
+
 class TestReduction:
     def test_dimension_rule(self):
         assert reduce(parse_element("ch4(p)"), 2).is_zero
@@ -300,6 +312,48 @@ class TestReduction:
         # the stored dilaton pair agrees with applying the rule
         assert reduce(parse_element("ch3(1)*ch7(1)"), 1) == (
             db.lookup("P3", 1, "ch3(1)*ch7(1)"))
+
+    @pytest.mark.parametrize("inner, d", [("ch7(1)", 1), ("ch4(p)", 1),
+                                          ("ch2(p)*ch2(p)", 1),
+                                          ("ch11(1)", 2)])
+    def test_rule_chains_match_quotient_rule(self, inner, d):
+        # ch3(1)^k * ch2(H)^j * X: k dilatons by the quotient rule, then
+        # a product by d^j
+        F = builtin_db().lookup("P3", d, inner)
+        for k in range(4):
+            for j in range(3):
+                text = "*".join(["ch3(1)"] * k + ["ch2(H)"] * j + [inner])
+                got = reduce(parse_element(text), d)
+                assert got == want_after_rules(F, d, k, j), text
+                assert str(got) == str(want_after_rules(F, d, k, j))
+
+    def test_rules_over_a_parameter_field_through_pdc_db(
+            self, tmp_path, monkeypatch, capsys):
+        # a P3 record over Q_s with non-constant parameter denominators,
+        # read through PDC_DB as the CLI reads it
+        fs = FIELDS["Q_s"]
+        s1, s2, s3 = fs.gens()
+        a, b = s1 / (s2 + 1), (s1 + s2) / (s3 + 2)
+        F = RationalFunction(Polynomial(fs, [0, a, 3, b]),
+                             Polynomial(fs, [1, b, 1]) ** 2
+                             * Polynomial(fs, [1, -1]))
+        record = SeriesRecord(make_key("P3", 2, "ch10(H)"), F, "conjectural")
+        path = tmp_path / "qs.json"
+        path.write_text(records_to_json([record]))
+        monkeypatch.setenv("PDC_DB", str(path))
+        db = _current_db()
+        for text, k, j in (("ch3(1)*ch10(H)", 1, 0),
+                           ("ch2(H)*ch10(H)", 0, 1),
+                           ("ch3(1)*ch3(1)*ch2(H)*ch10(H)", 2, 1)):
+            want = want_after_rules(F, 2, k, j)
+            assert reduce(parse_element(text), 2, db) == want, text
+            assert main(["--json", "expand", "--series", text, "--degree",
+                         "2", "--order", "6"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            S = laurent_expand(want, 6)
+            assert payload["coeffs"] == [[S.min_exp + n, fs.coeff_to_json(c)]
+                                         for n, c in enumerate(S.coeffs)
+                                         if c]
 
     def test_linearity_and_coefficients(self):
         db = builtin_db()
